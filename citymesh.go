@@ -203,7 +203,7 @@ type InterSendOptions = internetwork.SendOptions
 func NewInternetwork() *Internetwork { return internetwork.New() }
 
 // FederationSpec re-exports the synthetic federation generator input
-// (member-city count, link topology, seed, spacing).
+// (member-city count, link topology, seed).
 type FederationSpec = citygen.FederationSpec
 
 // Federation re-exports a generated federation: member-city specs plus

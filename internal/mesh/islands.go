@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"sort"
-	"sync"
 
 	"citymesh/internal/geo"
 )
@@ -158,10 +157,6 @@ func (m *Mesh) AddAPs(positions []geo.Point) []int {
 		m.grid.Insert(p)
 		ids = append(ids, id)
 	}
-	// AddAPs is a build-time mutation (never concurrent with queries), so
-	// re-arming the lazy adjacency cache with a fresh Once is safe.
-	m.adjOnce = sync.Once{}
-	m.adj = nil
-	m.buildUnionFind()
+	m.buildGraph()
 	return ids
 }

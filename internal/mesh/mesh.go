@@ -2,11 +2,15 @@
 // access points inside building footprints at a configurable density,
 // connects APs whose distance is below the transmission range into the AP
 // graph (the simulator's ground truth, §4), and answers reachability
-// queries (union-find) and minimum-transmission-count queries (BFS).
+// queries (union-find) and minimum-transmission-count queries (a
+// goal-directed search that returns the BFS hop count).
 //
-// The AP graph is *never* consulted by CityMesh routing — the building
-// graph predicts connectivity from the map alone — but the evaluation uses
-// it to measure how well the prediction holds.
+// The AP graph is one flat table, built when the mesh is placed: every AP's
+// neighbour row is a window of a single backing array. The union-find,
+// MinTransmissions, the simulator's broadcast fan-out and the live testbed's
+// hub all read those rows. CityMesh routing *never* consults it — the
+// building graph predicts connectivity from the map alone — but the
+// evaluation uses it to measure how well the prediction holds.
 package mesh
 
 import (
@@ -57,8 +61,11 @@ type Mesh struct {
 	// byBuilding lists AP ids per building.
 	byBuilding [][]int32
 	uf         *unionFind
-	adjOnce    sync.Once
-	adj        [][]int32
+	// adj[i] lists the APs within range of AP i, in the order of the grid
+	// sweep; every row is a window of one backing array (see buildGraph).
+	adj [][]int32
+
+	minTxPool sync.Pool // of *minTxScratch
 }
 
 // Place samples AP locations inside every building footprint via rejection
@@ -96,7 +103,7 @@ func Place(city *osm.City, cfg Config) *Mesh {
 			m.byBuilding[bi] = append(m.byBuilding[bi], int32(id))
 		}
 	}
-	m.buildUnionFind()
+	m.buildGraph()
 	return m
 }
 
@@ -133,48 +140,76 @@ func (m *Mesh) APsInBuilding(b int) []int32 { return m.byBuilding[b] }
 // Neighbors calls fn for every AP within transmission range of AP id
 // (excluding itself).
 func (m *Mesh) Neighbors(id int, fn func(other int)) {
-	pos := m.APs[id].Pos
-	m.grid.WithinRadius(pos, m.Cfg.Range, func(j int, _ geo.Point) bool {
-		if j != id {
-			fn(j)
-		}
-		return true
-	})
+	for _, j := range m.adj[id] {
+		fn(int(j))
+	}
 }
 
-// Adjacency returns (building and caching) the AP adjacency lists. For
-// large meshes this is the dominant memory cost, so it is built lazily —
-// under sync.Once, because concurrent sim.Run calls over one Network all
-// land here on their first BFS.
-func (m *Mesh) Adjacency() [][]int32 {
-	m.adjOnce.Do(func() {
-		m.adj = make([][]int32, len(m.APs))
-		for i := range m.APs {
-			m.Neighbors(i, func(j int) {
-				m.adj[i] = append(m.adj[i], int32(j))
-			})
-		}
-	})
-	return m.adj
-}
+// Adjacency returns the AP adjacency lists: row i holds the APs within range
+// of AP i. The rows share one backing array and must not be modified or
+// appended to.
+func (m *Mesh) Adjacency() [][]int32 { return m.adj }
 
 // NumLinks returns the number of undirected AP-AP links.
 func (m *Mesh) NumLinks() int {
 	n := 0
-	for _, a := range m.Adjacency() {
+	for _, a := range m.adj {
 		n += len(a)
 	}
 	return n / 2
 }
 
-func (m *Mesh) buildUnionFind() {
-	m.uf = newUnionFind(len(m.APs))
-	for i := range m.APs {
-		m.Neighbors(i, func(j int) {
-			if j > i {
-				m.uf.union(i, j)
+// buildGraph realizes the AP graph from the placed positions: the flat
+// adjacency table, then the union-find over its rows. Place and AddAPs call
+// it; both are build-time, never concurrent with queries.
+//
+// The grid is swept twice, once to size the rows and once to fill them, so
+// the table is three allocations however many APs there are (a row per AP
+// grown by append cost half a million at metro scale). Row i is exactly what
+// grid.WithinRadius(pos[i], Range) visits, self excluded, in its order; the
+// simulator relies on that to replay the grid query from the row.
+func (m *Mesh) buildGraph() {
+	n := len(m.APs)
+	start := make([]int32, n+1)
+	var (
+		self int
+		fill []int32
+	)
+	count := func(j int, _ geo.Point) bool {
+		if j != self {
+			start[self+1]++
+		}
+		return true
+	}
+	for self = 0; self < n; self++ {
+		m.grid.WithinRadius(m.APs[self].Pos, m.Cfg.Range, count)
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	flat := make([]int32, start[n])
+	store := func(j int, _ geo.Point) bool {
+		if j != self {
+			fill = append(fill, int32(j))
+		}
+		return true
+	}
+	m.adj = make([][]int32, n)
+	for self = 0; self < n; self++ {
+		// A full slice expression caps the row at its own end, so an append
+		// by a careless caller copies the row and cannot overwrite the next.
+		fill = flat[start[self]:start[self]:start[self+1]]
+		m.grid.WithinRadius(m.APs[self].Pos, m.Cfg.Range, store)
+		m.adj[self] = fill
+	}
+
+	m.uf = newUnionFind(n)
+	for i, row := range m.adj {
+		for _, j := range row {
+			if int(j) > i {
+				m.uf.union(i, int(j))
 			}
-		})
+		}
 	}
 	// Flatten every parent chain now so find() is a pure read afterwards.
 	// Path compression during queries would be a write race once parallel
@@ -210,6 +245,20 @@ var ErrUnreachable = fmt.Errorf("mesh: destination unreachable in AP graph")
 // hop count from the source AP set to the destination AP set. It is the
 // denominator of the paper's transmission-overhead metric ("the absolute
 // best case").
+//
+// The value is the plain BFS's; the search is goal-directed so that it
+// visits a corridor between the buildings, not the disc a BFS floods. It is
+// A* over unit edges with the hop bound
+//
+//	h(v) = floor(max(0, |v - c| - r) / Range)
+//
+// where the disc (c, r) covers dst's APs. A hop moves a packet at most Range
+// metres, so h never overestimates (admissible) and drops by at most one
+// along an edge (consistent); f = g + h is a small integer, so the open list
+// is an array of buckets. Source APs that the union-find says cannot reach
+// dst are never seeded, which is also the unreachable check. All state lives
+// in a pooled scratch, so a warm call allocates nothing. Safe for concurrent
+// callers.
 func (m *Mesh) MinTransmissions(src, dst int) (int, error) {
 	if src == dst {
 		return 0, nil
@@ -217,38 +266,120 @@ func (m *Mesh) MinTransmissions(src, dst int) (int, error) {
 	if src < 0 || dst < 0 || src >= len(m.byBuilding) || dst >= len(m.byBuilding) {
 		return 0, fmt.Errorf("mesh: building out of range")
 	}
-	adj := m.Adjacency()
-	dist := make([]int32, len(m.APs))
-	for i := range dist {
-		dist[i] = -1
+	goals := m.byBuilding[dst]
+	if len(goals) == 0 {
+		return 0, ErrUnreachable
 	}
-	var queue []int32
+	sc, _ := m.minTxPool.Get().(*minTxScratch)
+	if sc == nil {
+		sc = new(minTxScratch)
+	}
+	defer m.minTxPool.Put(sc)
+	sc.begin(len(m.APs))
+
+	var c geo.Point
+	for _, d := range goals {
+		c = c.Add(m.APs[d].Pos)
+	}
+	c = c.Scale(1 / float64(len(goals)))
+	var r2 float64
+	for _, d := range goals {
+		r2 = math.Max(r2, m.APs[d].Pos.Dist2(c))
+	}
+	r, invRange := math.Sqrt(r2), 1/m.Cfg.Range
+	bound := func(v int32) int32 {
+		if d := math.Sqrt(m.APs[v].Pos.Dist2(c)) - r; d > 0 {
+			return int32(d * invRange)
+		}
+		return 0
+	}
+
+	seeded := false
 	for _, s := range m.byBuilding[src] {
-		dist[s] = 0
-		queue = append(queue, s)
-	}
-	inDst := make(map[int32]bool, len(m.byBuilding[dst]))
-	for _, d := range m.byBuilding[dst] {
-		inDst[d] = true
-		if dist[d] == 0 {
-			return 0, nil // shared AP (shouldn't happen, but harmless)
+		for _, d := range goals {
+			if m.uf.find(int(s)) == m.uf.find(int(d)) {
+				sc.relax(s, 0, bound(s))
+				seeded = true
+				break
+			}
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[v] {
-			if dist[w] >= 0 {
-				continue
+	if !seeded {
+		return 0, ErrUnreachable
+	}
+	for f := 0; f < len(sc.open); f++ {
+		// Only a bound that rounding made inconsistent can reopen a node
+		// below f; the bucket loop then steps back to it.
+		for len(sc.open[f]) > 0 {
+			last := len(sc.open[f]) - 1
+			v := sc.open[f][last]
+			sc.open[f] = sc.open[f][:last]
+			st := &sc.node[v]
+			if st.closed {
+				continue // a stale entry: v was reopened cheaper and expanded since
 			}
-			dist[w] = dist[v] + 1
-			if inDst[w] {
-				return int(dist[w]), nil
+			st.closed = true
+			if m.APs[v].Building == dst {
+				return int(st.g), nil
 			}
-			queue = append(queue, w)
+			g := st.g + 1
+			for _, w := range m.adj[v] {
+				if ws := &sc.node[w]; ws.epoch == sc.epoch && ws.g <= g {
+					continue
+				}
+				if m.APs[w].Building == dst && int(g) <= f {
+					// Nothing open is below f and no path is shorter than
+					// its f, so this one is a shortest.
+					return int(g), nil
+				}
+				if fw := sc.relax(w, g, bound(w)); fw < f {
+					f = fw
+				}
+			}
 		}
 	}
-	return 0, ErrUnreachable
+	return 0, ErrUnreachable // not reached: a seeded AP shares a component with dst
+}
+
+// minTxScratch is the reusable state of one MinTransmissions search. A node's
+// entry is valid for the current search only when its epoch matches, so
+// starting a search is O(1), not a clear of every AP's distance.
+type minTxScratch struct {
+	epoch uint32
+	node  []minTxNode
+	open  [][]int32 // open[f] holds the discovered nodes with g + h == f
+}
+
+type minTxNode struct {
+	epoch  uint32
+	g      int32
+	closed bool
+}
+
+func (sc *minTxScratch) begin(numAPs int) {
+	if len(sc.node) != numAPs {
+		sc.node, sc.epoch = make([]minTxNode, numAPs), 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: entries of 2^32 searches ago would look current
+		clear(sc.node)
+		sc.epoch = 1
+	}
+	for f := range sc.open {
+		sc.open[f] = sc.open[f][:0]
+	}
+}
+
+// relax records that v is reachable in g hops and queues it under
+// f = g + h, which it returns.
+func (sc *minTxScratch) relax(v, g, h int32) int {
+	sc.node[v] = minTxNode{epoch: sc.epoch, g: g}
+	f := int(g + h)
+	for len(sc.open) <= f {
+		sc.open = append(sc.open, nil)
+	}
+	sc.open[f] = append(sc.open[f], v)
+	return f
 }
 
 // unionFind is a weighted quick-union. Path compression happens only in

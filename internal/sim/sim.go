@@ -263,19 +263,26 @@ type evKind uint8
 const (
 	evTransmit evKind = iota // an AP broadcasts to all neighbors
 	evUnicast                // an AP transmits to one neighbor
-	evReceive                // a neighbor receives
+	evReceive                // the nodes that heard one transmission receive it
 )
 
+// event is one entry of the engine's queue. Node ids are int32 (memory runs
+// out long before a mesh has 2^31 APs), which keeps an event at 40 bytes:
+// the heap moves whole events on every sift.
 type event struct {
 	t    float64
 	seq  int64 // FIFO tiebreak for determinism
-	kind evKind
-	ap   int // acting AP: transmitter for evTransmit/evUnicast, receiver for evReceive
-	peer int // evUnicast: target AP; evReceive: sending AP
+	ap   int32 // acting node: the transmitter, also of an evReceive batch
+	peer int32 // evUnicast: target AP
 	// msg selects the message: 0 is the real packet, k > 0 is forged
 	// message k-1 (spoofer/flooder injections propagate as their own
 	// waves).
-	msg int
+	msg int32
+	// off and n are an evReceive batch's receivers, arena[off:off+n], in
+	// the order their single events would have been pushed. The batch owns
+	// the sequence numbers seq .. seq+n-1.
+	off, n int32
+	kind   evKind
 	// replay marks a replayer's stale retransmission of the real packet.
 	replay bool
 }
