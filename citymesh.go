@@ -38,6 +38,7 @@ import (
 	"citymesh/internal/core"
 	"citymesh/internal/health"
 	"citymesh/internal/internetwork"
+	"citymesh/internal/mesh"
 	"citymesh/internal/osm"
 	"citymesh/internal/packet"
 	"citymesh/internal/sim"
@@ -72,10 +73,10 @@ type SimEngine = sim.Engine
 
 // NodeSet re-exports the dense AP-index bitset the simulator and fault
 // injectors use for failure and blackhole sets.
-type NodeSet = sim.NodeSet
+type NodeSet = mesh.NodeSet
 
 // NewNodeSet returns an empty NodeSet with capacity for indices [0, n).
-func NewNodeSet(n int) NodeSet { return sim.NewNodeSet(n) }
+func NewNodeSet(n int) NodeSet { return mesh.NewNodeSet(n) }
 
 // City re-exports the planar city map.
 type City = osm.City

@@ -11,8 +11,8 @@
 //
 //	citymesh-sim [-cities boston,dc] [-reach-pairs 1000] [-deliver-pairs 50]
 //	             [-seed 1] [-scale 1.0] [-csv] [-par 8]
-//	citymesh-sim -fail-mode=uniform -fail-frac=0.1,0.3,0.5 -reliable
-//	citymesh-sim -cities=boston -fail-mode=flood -fail-frac=0.3 -reliable
+//	citymesh-sim -fail-mode=uniform -fail-frac=0.1,0.3,0.5
+//	citymesh-sim -cities=boston -fail-mode=flood -fail-frac=0.3
 //	citymesh-sim -heal -fail-mode=disk -fail-frac=0.3 -heal-decay=30 -recover-at=60
 //	citymesh-sim -fail-mode=uniform -fail-frac=0 -adversary=grayhole -adv-frac=0.2 -defend
 //	citymesh-sim -experiment byzantine -cities gridtown -scale 0.5 -csv
@@ -60,8 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			" (enables the resilience sweep)")
 		failFrac = fs.String("fail-frac", "0,0.1,0.2,0.3,0.4,0.5",
 			"comma-separated failure fractions to sweep (the -heal run uses the first value)")
-		reliable = fs.Bool("reliable", false,
-			"also run the SendReliable escalation ladder per pair (resilience sweep always reports both)")
 		pairs = fs.Int("pairs", 30, "building pairs per resilience cell")
 
 		advBehavior = fs.String("adversary", "",
@@ -127,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *failMode != "" && faults.Mode(*failMode) != faults.ModeNone {
 		return runResilience(*cities, *failMode, *failFrac, *pairs, *seed, *scale,
-			*par, simCfg, *csv, *reliable, *advBehavior, *advFrac, *defend, stdout, stderr)
+			*par, simCfg, *csv, *advBehavior, *advFrac, *defend, stdout, stderr)
 	}
 	if *advBehavior != "" {
 		fmt.Fprintln(stderr, "citymesh-sim: -adversary rides on the resilience sweep; add -fail-mode "+
@@ -270,11 +268,9 @@ func parseFracs(flagName, fracsCSV string, stderr io.Writer) ([]float64, bool) {
 	return fracs, true
 }
 
-// runResilience executes the fault-injection sweep. The -reliable flag is
-// accepted for CLI symmetry with the README examples; the sweep reports
-// plain and ladder delivery side by side either way.
-func runResilience(cities, mode, fracsCSV string, pairs int, seed int64, scale float64, par int, simCfg *sim.Config, csv, reliable bool, advBehavior string, advFrac float64, defend bool, stdout, stderr io.Writer) int {
-	_ = reliable
+// runResilience executes the fault-injection sweep, which reports plain
+// and ladder delivery side by side.
+func runResilience(cities, mode, fracsCSV string, pairs int, seed int64, scale float64, par int, simCfg *sim.Config, csv bool, advBehavior string, advFrac float64, defend bool, stdout, stderr io.Writer) int {
 	fracs, ok := parseFracs("-fail-frac", fracsCSV, stderr)
 	if !ok {
 		return 2

@@ -80,7 +80,7 @@ func TestRunResilienceSmoke(t *testing.T) {
 	}
 	code, stdout, stderr := runCmd(t,
 		"-cities=gridtown", "-scale=0.3", "-fail-mode=uniform", "-fail-frac=0.3",
-		"-pairs=5", "-reliable")
+		"-pairs=5")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
 	}

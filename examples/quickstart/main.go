@@ -45,7 +45,7 @@ func main() {
 		log.Fatal("no reachable pair; try a different seed")
 	}
 
-	// Probe the candidates concurrently — sim.Run is safe to call from
+	// Probe the candidates concurrently — Network.Send is safe to call from
 	// many goroutines against one Network — and keep the lowest-indexed
 	// delivery, so the answer is identical to probing them one by one.
 	type probe struct {

@@ -2,7 +2,7 @@
 // mesh, the way internal/faults realizes crash-fault injections: a seeded
 // fraction (or explicit set) of APs gets one of the simulator's misbehavior
 // policies, and the resulting Assignment applies onto a sim.Config where it
-// composes with any FailedAPs set and any FailureSchedule — floods and
+// composes with any FailedSet and any FailureSchedule — floods and
 // liars coexist, and a flooded liar is simply down.
 //
 // The package also owns the recommended receiver defense stack

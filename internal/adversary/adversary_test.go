@@ -75,14 +75,14 @@ func TestSelectIsSeededAndSized(t *testing.T) {
 func TestApplyComposesWithFailures(t *testing.T) {
 	m := testMesh(20)
 	var cfg sim.Config
-	cfg.FailedAPs = map[int]bool{3: true}
+	cfg.FailedSet = mesh.NewNodeSet(20).Add(3)
 
 	a := Select(m, sim.BehaviorBlackhole, 0.25, 1)
 	a.Apply(&cfg)
 	if cfg.Adversary == nil || cfg.Adversary.NumByzantine() != 5 {
 		t.Fatalf("Apply did not install the adversary: %+v", cfg.Adversary)
 	}
-	if !cfg.FailedAPs[3] {
+	if !cfg.FailedSet.Contains(3) {
 		t.Error("Apply must not disturb the failure injection")
 	}
 

@@ -79,8 +79,11 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// DefaultDedupCap is the default dedup cache bound: 64k message IDs is
-// ~1.5 MB of state, hours of city-scale traffic, yet fixed-size.
+// DefaultDedupCap is the default dedup cache bound: 64k message IDs,
+// hours of city-scale traffic, yet fixed-size. A full cache holds ~2.8 MiB
+// (2.3 MiB of it the map, sized up front, plus the 512 KiB ring): the
+// HeapAlloc growth across newDedupSet and 64k inserts, measured after
+// runtime.GC with go1.24 on linux/amd64.
 const DefaultDedupCap = 64 << 10
 
 // dedupSet is a FIFO-evicting set of message IDs. Oldest entries are

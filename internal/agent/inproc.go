@@ -14,7 +14,7 @@ import (
 type Hub struct {
 	agents []*Agent
 	adj    [][]int32
-	failed map[int]bool
+	failed mesh.NodeSet
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -33,10 +33,10 @@ type delivery struct {
 // HubConfig tunes hub construction beyond the defaults of NewHub.
 type HubConfig struct {
 	// Failed marks AP ids whose radios are dead for the whole run: a
-	// failed AP neither receives nor (therefore) rebroadcasts anything,
-	// mirroring the simulator's static Config.FailedAPs set so parity
-	// runs can drive the same fault injection through both worlds.
-	Failed map[int]bool
+	// failed AP neither receives nor (therefore) rebroadcasts anything.
+	// It is the same set type as the simulator's Config.FailedSet, so
+	// parity runs drive one fault injection through both worlds.
+	Failed mesh.NodeSet
 }
 
 // NewHub builds one agent per AP in the mesh and connects them. Callers
@@ -133,7 +133,7 @@ func (t *hubTransport) Broadcast(frame []byte) error {
 		return nil
 	}
 	for _, n := range h.adj[t.id] {
-		if h.failed[int(n)] {
+		if h.failed.Contains(int(n)) {
 			continue
 		}
 		// Copy per receiver: agents may retain payload slices.

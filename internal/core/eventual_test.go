@@ -6,6 +6,7 @@ import (
 
 	"citymesh/internal/faults"
 	"citymesh/internal/geo"
+	"citymesh/internal/mesh"
 	"citymesh/internal/mobility"
 	"citymesh/internal/sim"
 )
@@ -101,9 +102,9 @@ func TestRandomPairsTinyCity(t *testing.T) {
 // instant — delivers and acks the parked copy.
 func TestSendEventuallyHealsAfterRecovery(t *testing.T) {
 	n, src, dst, _ := corridorNetwork(t, 400, 300)
-	failed := map[int]bool{}
+	var failed mesh.NodeSet
 	for _, ap := range n.Mesh.APsInBuilding(dst) {
-		failed[int(ap)] = true
+		failed = failed.Add(int(ap))
 	}
 	const recoverAt = 60.0
 	simCfg := sim.DefaultConfig()
@@ -166,9 +167,9 @@ func TestSendEventuallyStaysParkedWithoutRecovery(t *testing.T) {
 func TestSendEventuallyDeterministic(t *testing.T) {
 	run := func() EventualResult {
 		n, src, dst, _ := corridorNetwork(t, 400, 300)
-		failed := map[int]bool{}
+		var failed mesh.NodeSet
 		for _, ap := range n.Mesh.APsInBuilding(dst) {
-			failed[int(ap)] = true
+			failed = failed.Add(int(ap))
 		}
 		simCfg := sim.DefaultConfig()
 		simCfg.Schedule = faults.Recovery(failed, 60)

@@ -13,9 +13,8 @@ func TestReliableMaxRungStopsEscalation(t *testing.T) {
 	// multipath, no flood — and report exhaustion.
 	n, src, dst, mid := corridorNetwork(t, 400, 300)
 	simCfg := sim.DefaultConfig()
-	simCfg.FailedAPs = map[int]bool{}
 	for _, ap := range n.Mesh.APsInBuilding(mid) {
-		simCfg.FailedAPs[int(ap)] = true
+		simCfg.FailedSet = simCfg.FailedSet.Add(int(ap))
 	}
 	rcfg := DefaultReliableConfig()
 	rcfg.MaxRung = RungRetry

@@ -7,7 +7,7 @@ import (
 	"citymesh/internal/sim"
 )
 
-// Concurrent sim.Run calls share one Network — and with it the mesh's
+// Concurrent sends share one Network — and with it the mesh's
 // lazily built adjacency, the flattened union-find, the atomic message-id
 // counter, and the lazily created parked store. This stress test drives
 // every one of those shared paths from many goroutines at once; it exists

@@ -7,6 +7,7 @@ import (
 	"citymesh/internal/citygen"
 	"citymesh/internal/geo"
 	"citymesh/internal/health"
+	"citymesh/internal/mesh"
 	"citymesh/internal/osm"
 	"citymesh/internal/sim"
 )
@@ -96,9 +97,8 @@ func TestReliableEscalatesToMultipath(t *testing.T) {
 	// at y=300 is beyond them — but a diverse path via row B delivers.
 	n, src, dst, mid := corridorNetwork(t, 400, 300)
 	simCfg := sim.DefaultConfig()
-	simCfg.FailedAPs = map[int]bool{}
 	for _, ap := range n.Mesh.APsInBuilding(mid) {
-		simCfg.FailedAPs[int(ap)] = true
+		simCfg.FailedSet = simCfg.FailedSet.Add(int(ap))
 	}
 	res, err := n.SendReliable(src, dst, nil, simCfg, DefaultReliableConfig())
 	if err != nil {
@@ -192,9 +192,8 @@ func TestReliableExhaustedWhenPartitioned(t *testing.T) {
 func TestReliableBackoffJitteredButReproducible(t *testing.T) {
 	n, src, dst, mid := corridorNetwork(t, 400, 300)
 	simCfg := sim.DefaultConfig()
-	simCfg.FailedAPs = map[int]bool{}
 	for _, ap := range n.Mesh.APsInBuilding(mid) {
-		simCfg.FailedAPs[int(ap)] = true
+		simCfg.FailedSet = simCfg.FailedSet.Add(int(ap))
 	}
 	run := func(seed int64) ReliableResult {
 		rcfg := DefaultReliableConfig()
@@ -256,7 +255,7 @@ func TestReliableBeatsPlainSendUnderUniformFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill 30% of APs uniformly (deterministic hash, like the ablations).
-	failed := make(map[int]bool)
+	var failed mesh.NodeSet
 	span := float64(uint64(1) << 32)
 	threshold := uint64(0.30 * span)
 	for i := 0; i < n.Mesh.NumAPs(); i++ {
@@ -265,11 +264,11 @@ func TestReliableBeatsPlainSendUnderUniformFailure(t *testing.T) {
 		x *= 0xbf58476d1ce4e5b9
 		x ^= x >> 32
 		if x&0xffffffff < threshold {
-			failed[i] = true
+			failed = failed.Add(i)
 		}
 	}
 	simCfg := sim.DefaultConfig()
-	simCfg.FailedAPs = failed
+	simCfg.FailedSet = failed
 
 	plain, reliable := 0, 0
 	pairs := 0
@@ -312,9 +311,8 @@ func TestReliableBeatsPlainSendUnderUniformFailure(t *testing.T) {
 func TestReliableHealthMapLearnsAndReroutes(t *testing.T) {
 	n, src, dst, mid := corridorNetwork(t, 400, 300)
 	simCfg := sim.DefaultConfig()
-	simCfg.FailedAPs = map[int]bool{}
 	for _, ap := range n.Mesh.APsInBuilding(mid) {
-		simCfg.FailedAPs[int(ap)] = true
+		simCfg.FailedSet = simCfg.FailedSet.Add(int(ap))
 	}
 	hm := health.New(health.DefaultConfig())
 	rcfg := DefaultReliableConfig()

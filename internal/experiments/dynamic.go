@@ -14,6 +14,7 @@ import (
 	"citymesh/internal/core"
 	"citymesh/internal/faults"
 	"citymesh/internal/geo"
+	"citymesh/internal/mesh"
 	"citymesh/internal/mobility"
 	"citymesh/internal/runner"
 	"citymesh/internal/sim"
@@ -136,7 +137,7 @@ func DataMule(cfg DataMuleConfig) ([]DataMuleRow, error) {
 		return nil, err
 	}
 
-	pairs, err := crossRiverPairs(n, spec, inj.Failed, cfg.Seed, cfg.Pairs)
+	pairs, err := crossRiverPairs(n, spec, inj.FailedSet, cfg.Seed, cfg.Pairs)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +178,7 @@ func DataMule(cfg DataMuleConfig) ([]DataMuleRow, error) {
 			seed := runner.TaskSeed(cfg.Seed, armIdx*100_000+i)
 			sc := sim.DefaultConfig()
 			sc.Seed = seed
-			inj.Apply(&sc)
+			inj.ApplySet(&sc)
 			sc.Mobiles = mobiles
 			rc := core.DefaultReliableConfig()
 			rc.Seed = seed
@@ -222,7 +223,7 @@ func DataMule(cfg DataMuleConfig) ([]DataMuleRow, error) {
 // Buildings whose every AP drowned are excluded: a dead endpoint can
 // neither offer a packet to the mule nor receive one from it, so such
 // pairs would measure the flood, not the relay.
-func crossRiverPairs(n *core.Network, spec citygen.Spec, failed map[int]bool, seed int64, count int) ([][2]int, error) {
+func crossRiverPairs(n *core.Network, spec citygen.Spec, failed mesh.NodeSet, seed int64, count int) ([][2]int, error) {
 	river := spec.Rivers[0]
 	dir := river.End.Sub(river.Start)
 	side := func(b int) bool {
@@ -230,7 +231,7 @@ func crossRiverPairs(n *core.Network, spec citygen.Spec, failed map[int]bool, se
 	}
 	alive := func(b int) bool {
 		for _, ap := range n.Mesh.APsInBuilding(b) {
-			if !failed[int(ap)] {
+			if !failed.Contains(int(ap)) {
 				return true
 			}
 		}
@@ -393,7 +394,7 @@ func FloodFrontStudy(cfg FloodFrontStudyConfig) ([]FloodFrontRow, error) {
 		return nil, err
 	}
 	front, _ := dynamic.Schedule.(interface{ DownFractionAt(float64) float64 })
-	staticFrac := float64(static.NumFailed()) / float64(n.Mesh.NumAPs())
+	staticFrac := float64(static.FailedSet.Len()) / float64(n.Mesh.NumAPs())
 
 	type cell struct {
 		arm   string
@@ -421,7 +422,7 @@ func FloodFrontStudy(cfg FloodFrontStudyConfig) ([]FloodFrontRow, error) {
 				row.DownFrac = front.DownFractionAt(c.timeS)
 			}
 		default:
-			static.Apply(&simCfg)
+			static.ApplySet(&simCfg)
 			row.DownFrac = staticFrac
 		}
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -273,12 +274,12 @@ func TestFailSet(t *testing.T) {
 		t.Error("zero fraction should be nil")
 	}
 	f := failSet(10000, 0.3, 1)
-	if len(f) < 2500 || len(f) > 3500 {
-		t.Errorf("30%% of 10000 = %d failed", len(f))
+	if f.Len() < 2500 || f.Len() > 3500 {
+		t.Errorf("30%% of 10000 = %d failed", f.Len())
 	}
 	// Deterministic.
 	g := failSet(10000, 0.3, 1)
-	if len(f) != len(g) {
+	if !slices.Equal(f, g) {
 		t.Error("failSet nondeterministic")
 	}
 }

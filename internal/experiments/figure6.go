@@ -58,11 +58,6 @@ type Figure6Config struct {
 	Parallelism int
 }
 
-// DefaultFigure6Config mirrors the paper's sampling.
-func DefaultFigure6Config() Figure6Config {
-	return Figure6Config{ReachPairs: 1000, DeliverPairs: 50, Seed: 1}
-}
-
 // Figure6 runs the reachability/deliverability/overhead experiment for each
 // city.
 func Figure6(cfg Figure6Config) ([]Figure6Row, error) {

@@ -132,7 +132,7 @@ func Overload(cfg OverloadConfig) ([]OverloadRow, error) {
 			if err != nil {
 				return row, fmt.Errorf("experiments: overload inject %.2f: %w", c.frac, err)
 			}
-			inj.Apply(&simCfg)
+			inj.ApplySet(&simCfg)
 		}
 		tc := cfg.Traffic
 		tc.Users = cfg.Users

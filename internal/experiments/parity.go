@@ -36,7 +36,7 @@ func ParityText(results []parity.Result) string {
 			match = fmt.Sprintf("%d!!", len(r.Mismatches))
 		}
 		out += fmt.Sprintf("%-12s %6d %7d %8d %9d %9d %10v %6s\n",
-			r.Scenario.Name, r.APs, r.FailedAPs, r.Reached, r.Forwarded, r.Delivered,
+			r.Scenario.Name, r.APs, r.Failed, r.Reached, r.Forwarded, r.Delivered,
 			r.SimDelivered, match)
 	}
 	return out
@@ -49,7 +49,7 @@ func ParityCSV(results []parity.Result) string {
 		"dec_first_hop,dec_geocast,dec_in_conduit,dec_out_of_conduit,dec_ttl_expired,dec_bad_route\n"
 	for _, r := range results {
 		out += fmt.Sprintf("%s,%d,%d,%d,%d,%d,%v,%d,%d,%d,%d,%d,%d,%d\n",
-			r.Scenario.Name, r.APs, r.FailedAPs, r.Reached, r.Forwarded, r.Delivered,
+			r.Scenario.Name, r.APs, r.Failed, r.Reached, r.Forwarded, r.Delivered,
 			r.SimDelivered, len(r.Mismatches),
 			r.Decisions.FirstHop, r.Decisions.Geocast, r.Decisions.InConduit,
 			r.Decisions.OutOfConduit, r.Decisions.TTLExpired, r.Decisions.BadRoute)

@@ -196,7 +196,7 @@ func resilienceCell(n *core.Network, city string, pairs [][2]int, frac float64, 
 		seed := runner.TaskSeed(cfg.Seed, i)
 		simCfg := base
 		simCfg.Seed = seed
-		inj.Apply(&simCfg)
+		inj.ApplySet(&simCfg)
 		asg.Apply(&simCfg)
 		if cfg.Defend {
 			simCfg.Defense = adversary.DefaultDefense(n.Cfg.TTL)

@@ -66,7 +66,7 @@ func MultipathUnderAttack(cityName string, scale float64, seed int64, fracs []fl
 			outs := runner.Map(par, len(pairs), func(i int) outcome {
 				simCfg := sim.DefaultConfig()
 				simCfg.Seed = runner.TaskSeed(seed, i)
-				simCfg.Blackholes = blackholes
+				simCfg.BlackholeSet = blackholes
 				res, err := n.MultipathSend(pairs[i][0], pairs[i][1], nil, k, simCfg)
 				if err != nil {
 					return outcome{}

@@ -160,7 +160,7 @@ func SelfHealing(cfg SelfHealingConfig) (SelfHealingResult, error) {
 
 	simCfg := sim.DefaultConfig()
 	simCfg.Seed = cfg.Seed
-	inj.Apply(&simCfg)
+	inj.ApplySet(&simCfg)
 
 	// Phase A: the health-less ladder — independent pairs, so they run as
 	// parallel tasks, folded in index order.
@@ -239,7 +239,7 @@ func SelfHealing(cfg SelfHealingConfig) (SelfHealingResult, error) {
 		healOuts := runner.Map(cfg.Parallelism, len(exhausted), func(i int) healOutcome {
 			sc := sim.DefaultConfig()
 			sc.Seed = cfg.Seed
-			healing.Apply(&sc)
+			healing.ApplySet(&sc)
 			res, err := n.SendEventually(exhausted[i][0], exhausted[i][1], nil, sc, rcfg, cfg.Eventual)
 			if err != nil {
 				return healOutcome{}

@@ -103,59 +103,21 @@ const DefaultChurnPeriod = 0.2
 type Injection struct {
 	// Mode records which injector produced this.
 	Mode Mode
-	// Failed is the static set of APs down from t = 0, sim.Config-ready.
-	// The static injectors fill both this legacy map form and FailedSet;
-	// hand-built injections may populate either.
-	Failed map[int]bool
-	// FailedSet is the same static set as a sim.NodeSet bitset — the
-	// allocation-free form the metro-scale engine consumes directly.
-	FailedSet sim.NodeSet
+	// FailedSet is the static set of APs down from t = 0.
+	FailedSet mesh.NodeSet
 	// Schedule is the time-varying model (ModeChurn only), else nil.
 	Schedule sim.FailureSchedule
 	// Desc is a human-readable summary for experiment tables.
 	Desc string
 }
 
-// NumFailed returns the static failure count, from whichever of the two
-// set forms is populated.
-func (inj Injection) NumFailed() int {
-	if len(inj.Failed) > 0 {
-		return len(inj.Failed)
-	}
-	return inj.FailedSet.Len()
-}
-
-// Apply installs the injection onto a simulator config. Both set forms
-// are installed; the engine unions them, so an injection carrying one,
-// the other, or both behaves identically.
-func (inj Injection) Apply(cfg *sim.Config) {
-	if len(inj.Failed) > 0 {
-		if cfg.FailedAPs == nil {
-			cfg.FailedAPs = make(map[int]bool, len(inj.Failed))
-		}
-		for ap := range inj.Failed {
-			cfg.FailedAPs[ap] = true
-		}
-	}
+// ApplySet installs the injection onto a simulator config: its failed set
+// is unioned into cfg.FailedSet (a fresh set, so the injection's own set
+// stays unshared with the config and concurrent runs may reuse one
+// Injection), and its schedule, if any, replaces cfg.Schedule.
+func (inj Injection) ApplySet(cfg *sim.Config) {
 	if len(inj.FailedSet) > 0 {
 		cfg.FailedSet = cfg.FailedSet.Union(inj.FailedSet)
-	}
-	if inj.Schedule != nil {
-		cfg.Schedule = inj.Schedule
-	}
-}
-
-// ApplySet installs the injection using only the bitset form: no map is
-// created or mutated, so repeated sim runs over one injection stay
-// allocation-free. Injections carrying only the legacy map are converted
-// once here.
-func (inj Injection) ApplySet(cfg *sim.Config) {
-	set := inj.FailedSet
-	if len(set) == 0 && len(inj.Failed) > 0 {
-		set = sim.NodeSetFromMap(inj.Failed)
-	}
-	if len(set) > 0 {
-		cfg.FailedSet = cfg.FailedSet.Union(set)
 	}
 	if inj.Schedule != nil {
 		cfg.Schedule = inj.Schedule
@@ -203,15 +165,12 @@ func injectUniform(m *mesh.Mesh, cfg Config) (Injection, error) {
 	kill := targetCount(n, cfg.Frac)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perm := rng.Perm(n)
-	failed := make(map[int]bool, kill)
-	set := sim.NewNodeSet(n)
+	set := mesh.NewNodeSet(n)
 	for _, ap := range perm[:kill] {
-		failed[ap] = true
 		set = set.Add(ap)
 	}
 	return Injection{
 		Mode:      ModeUniform,
-		Failed:    failed,
 		FailedSet: set,
 		Desc:      fmt.Sprintf("uniform: %d/%d APs down (p=%.2f)", kill, n, cfg.Frac),
 	}, nil
@@ -240,17 +199,14 @@ func injectDisk(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
 		}
 		return order[i].ap < order[j].ap
 	})
-	failed := make(map[int]bool, kill)
-	set := sim.NewNodeSet(n)
+	set := mesh.NewNodeSet(n)
 	radius := 0.0
 	for _, od := range order[:kill] {
-		failed[od.ap] = true
 		set = set.Add(od.ap)
 		radius = od.d
 	}
 	return Injection{
 		Mode:      ModeDisk,
-		Failed:    failed,
 		FailedSet: set,
 		Desc: fmt.Sprintf("disk: %d/%d APs down within %.0f m of %v (p=%.2f)",
 			kill, n, radius, center, cfg.Frac),
@@ -261,19 +217,16 @@ func injectPolygon(m *mesh.Mesh, cfg Config) (Injection, error) {
 	if len(cfg.Polygon) < 3 {
 		return Injection{}, fmt.Errorf("faults: polygon mode needs >= 3 vertices")
 	}
-	failed := make(map[int]bool)
-	set := sim.NewNodeSet(m.NumAPs())
+	set := mesh.NewNodeSet(m.NumAPs())
 	for i := range m.APs {
 		if cfg.Polygon.Contains(m.APs[i].Pos) {
-			failed[i] = true
 			set = set.Add(i)
 		}
 	}
 	return Injection{
 		Mode:      ModePolygon,
-		Failed:    failed,
 		FailedSet: set,
-		Desc:      fmt.Sprintf("polygon: %d/%d APs down inside outage area", len(failed), m.NumAPs()),
+		Desc:      fmt.Sprintf("polygon: %d/%d APs down inside outage area", set.Len(), m.NumAPs()),
 	}, nil
 }
 
@@ -305,17 +258,14 @@ func injectFlood(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
 		}
 		return order[i].ap < order[j].ap
 	})
-	failed := make(map[int]bool, kill)
-	set := sim.NewNodeSet(n)
+	set := mesh.NewNodeSet(n)
 	reach := 0.0
 	for _, od := range order[:kill] {
-		failed[od.ap] = true
 		set = set.Add(od.ap)
 		reach = od.d
 	}
 	return Injection{
 		Mode:      ModeFlood,
-		Failed:    failed,
 		FailedSet: set,
 		Desc: fmt.Sprintf("flood: %d/%d APs down within %.0f m of water (p=%.2f)",
 			kill, n, reach, cfg.Frac),
@@ -329,15 +279,14 @@ func injectFlood(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
 // recovery model behind store-and-heal delivery (core.SendEventually) and
 // its time-to-heal measurements.
 type RecoverySchedule struct {
-	failed    map[int]bool
-	failedSet sim.NodeSet
+	failed    mesh.NodeSet
 	base      sim.FailureSchedule
 	recoverAt float64
 }
 
 // Recovery returns a schedule where the given APs are down until recoverAt
 // and everything is up afterward.
-func Recovery(failed map[int]bool, recoverAt float64) *RecoverySchedule {
+func Recovery(failed mesh.NodeSet, recoverAt float64) *RecoverySchedule {
 	return &RecoverySchedule{failed: failed, recoverAt: recoverAt}
 }
 
@@ -346,7 +295,7 @@ func (r *RecoverySchedule) Down(ap int, t float64) bool {
 	if t >= r.recoverAt {
 		return false
 	}
-	if r.failed[ap] || r.failedSet.Contains(ap) {
+	if r.failed.Contains(ap) {
 		return true
 	}
 	return r.base != nil && r.base.Down(ap, t)
@@ -359,14 +308,12 @@ func (r *RecoverySchedule) RecoverAt() float64 { return r.recoverAt }
 // heals at recoverAt: the static failed set moves into a RecoverySchedule
 // (wrapping any existing schedule, so churn injections heal too). The
 // returned injection has no static failures — recovery only works through
-// the schedule, since sim.Config.FailedAPs never comes back up.
+// the schedule, since sim.Config.FailedSet never comes back up.
 func (inj Injection) WithRecovery(recoverAt float64) Injection {
 	out := inj
-	out.Failed = nil
 	out.FailedSet = nil
 	out.Schedule = &RecoverySchedule{
-		failed:    inj.Failed,
-		failedSet: inj.FailedSet,
+		failed:    inj.FailedSet,
 		base:      inj.Schedule,
 		recoverAt: recoverAt,
 	}
@@ -438,14 +385,14 @@ func injectChurn(m *mesh.Mesh, cfg Config) (Injection, error) {
 		startDown: make([]bool, n),
 	}
 	pDown := meanDown / (meanUp + meanDown)
-	failed := make(map[int]bool)
+	downAtZero := 0
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for ap := 0; ap < n; ap++ {
 		// Stationary initial state, then alternating exponential holds.
 		down := rng.Float64() < pDown
 		s.startDown[ap] = down
 		if down {
-			failed[ap] = true
+			downAtZero++
 		}
 		t := 0.0
 		for {
@@ -463,9 +410,8 @@ func injectChurn(m *mesh.Mesh, cfg Config) (Injection, error) {
 	}
 	return Injection{
 		Mode:     ModeChurn,
-		Failed:   nil, // the schedule covers t = 0 too
-		Schedule: s,
+		Schedule: s, // no static set: the schedule covers t = 0 too
 		Desc: fmt.Sprintf("churn: %d APs, mean up %.3fs / down %.3fs (stationary down %.2f), %d down at t=0",
-			n, meanUp, meanDown, pDown, len(failed)),
+			n, meanUp, meanDown, pDown, downAtZero),
 	}, nil
 }

@@ -29,9 +29,9 @@ func TestUniformKillsExactFraction(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := int(math.Round(frac * float64(m.NumAPs())))
-		if inj.NumFailed() != want {
+		if inj.FailedSet.Len() != want {
 			t.Errorf("frac %v: killed %d, want exactly %d of %d",
-				frac, inj.NumFailed(), want, m.NumAPs())
+				frac, inj.FailedSet.Len(), want, m.NumAPs())
 		}
 	}
 }
@@ -40,11 +40,11 @@ func TestUniformDeterministic(t *testing.T) {
 	n, m := testMesh(t, 12)
 	a, _ := Inject(m, n.City, Config{Mode: ModeUniform, Frac: 0.3, Seed: 42})
 	b, _ := Inject(m, n.City, Config{Mode: ModeUniform, Frac: 0.3, Seed: 42})
-	if !reflect.DeepEqual(a.Failed, b.Failed) {
+	if !reflect.DeepEqual(a.FailedSet, b.FailedSet) {
 		t.Error("same seed produced different failure sets")
 	}
 	c, _ := Inject(m, n.City, Config{Mode: ModeUniform, Frac: 0.3, Seed: 43})
-	if reflect.DeepEqual(a.Failed, c.Failed) {
+	if reflect.DeepEqual(a.FailedSet, c.FailedSet) {
 		t.Error("different seeds produced identical failure sets")
 	}
 }
@@ -56,20 +56,18 @@ func TestDiskIsSpatiallyCorrelated(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int(math.Round(0.25 * float64(m.NumAPs())))
-	if inj.NumFailed() != want {
-		t.Fatalf("killed %d, want %d", inj.NumFailed(), want)
+	if inj.FailedSet.Len() != want {
+		t.Fatalf("killed %d, want %d", inj.FailedSet.Len(), want)
 	}
 	// Every dead AP must be nearer the center than every surviving AP
 	// (ties aside): the failure set is a disk.
 	center := n.City.Bounds.Center()
 	maxDead := 0.0
-	for ap := range inj.Failed {
-		if d := m.APs[ap].Pos.Dist(center); d > maxDead {
-			maxDead = d
-		}
-	}
+	inj.FailedSet.ForEach(func(ap int) {
+		maxDead = math.Max(maxDead, m.APs[ap].Pos.Dist(center))
+	})
 	for i := range m.APs {
-		if inj.Failed[i] {
+		if inj.FailedSet.Contains(i) {
 			continue
 		}
 		if d := m.APs[i].Pos.Dist(center); d < maxDead-1e-9 {
@@ -86,13 +84,15 @@ func TestDiskCustomCenter(t *testing.T) {
 		t.Fatal(err)
 	}
 	boundsCenter := n.City.Bounds.Center()
-	// The failure set must hug the corner, not the city center.
-	for ap := range inj.Failed {
+	// The failure set must hug the corner, not the city center: at least
+	// one dead AP closer to the corner makes a plausible disk.
+	hugsCorner := false
+	inj.FailedSet.ForEach(func(ap int) {
 		if m.APs[ap].Pos.Dist(c) > m.APs[ap].Pos.Dist(boundsCenter) {
-			return // at least one AP closer to the corner: plausible disk
+			hugsCorner = true
 		}
-	}
-	if inj.NumFailed() > 0 {
+	})
+	if !hugsCorner && inj.FailedSet.Len() > 0 {
 		t.Error("corner-centered disk killed only center-hugging APs")
 	}
 }
@@ -109,13 +109,13 @@ func TestPolygonKillsOnlyInside(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj.NumFailed() == 0 {
+	if inj.FailedSet.Len() == 0 {
 		t.Fatal("no APs inside the left half?")
 	}
 	for i := range m.APs {
 		in := half.Contains(m.APs[i].Pos)
-		if in != inj.Failed[i] {
-			t.Fatalf("AP %d inside=%v failed=%v", i, in, inj.Failed[i])
+		if in != inj.FailedSet.Contains(i) {
+			t.Fatalf("AP %d inside=%v failed=%v", i, in, inj.FailedSet.Contains(i))
 		}
 	}
 }
@@ -149,8 +149,8 @@ func TestFloodHugsTheRiver(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int(math.Round(0.2 * float64(n.Mesh.NumAPs())))
-	if inj.NumFailed() != want {
-		t.Fatalf("killed %d, want %d", inj.NumFailed(), want)
+	if inj.FailedSet.Len() != want {
+		t.Fatalf("killed %d, want %d", inj.FailedSet.Len(), want)
 	}
 	// Dead APs must be nearer water than survivors (flood plain property).
 	distToWater := func(ap int) float64 {
@@ -163,13 +163,9 @@ func TestFloodHugsTheRiver(t *testing.T) {
 		return best
 	}
 	maxDead := 0.0
-	for ap := range inj.Failed {
-		if d := distToWater(ap); d > maxDead {
-			maxDead = d
-		}
-	}
+	inj.FailedSet.ForEach(func(ap int) { maxDead = math.Max(maxDead, distToWater(ap)) })
 	for i := range n.Mesh.APs {
-		if inj.Failed[i] {
+		if inj.FailedSet.Contains(i) {
 			continue
 		}
 		if d := distToWater(i); d < maxDead-1e-9 {
@@ -233,22 +229,54 @@ func TestChurnTogglesFlipState(t *testing.T) {
 	}
 }
 
+// TestApplyMergesIntoSimConfig pins ApplySet, the one installer: sets
+// union into the config, the config never shares the injection's storage,
+// and a schedule rides along.
 func TestApplyMergesIntoSimConfig(t *testing.T) {
 	n, m := testMesh(t, 18)
-	inj, err := Inject(m, n.City, Config{Mode: ModeUniform, Frac: 0.2, Seed: 3})
+	uni, err := Inject(m, n.City, Config{Mode: ModeUniform, Frac: 0.2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.DefaultConfig()
-	cfg.FailedAPs = map[int]bool{999999: true}
-	inj.Apply(&cfg)
-	if !cfg.FailedAPs[999999] {
-		t.Error("Apply must merge, not replace")
+	disk, err := Inject(m, n.City, Config{Mode: ModeDisk, Frac: 0.2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for ap := range inj.Failed {
-		if !cfg.FailedAPs[ap] {
-			t.Fatalf("AP %d not applied", ap)
+	churn, err := Inject(m, n.City, Config{Mode: ModeChurn, Frac: 0.3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := m.NumAPs() + 5 // already in the config, outside every injection
+	cfg := sim.DefaultConfig()
+	cfg.FailedSet = mesh.NewNodeSet(m.NumAPs()).Add(extra)
+	uni.ApplySet(&cfg)
+	disk.ApplySet(&cfg)
+	churn.ApplySet(&cfg)
+
+	if !cfg.FailedSet.Contains(extra) {
+		t.Error("ApplySet must merge, not replace")
+	}
+	for ap := 0; ap < m.NumAPs(); ap++ {
+		want := uni.FailedSet.Contains(ap) || disk.FailedSet.Contains(ap)
+		if cfg.FailedSet.Contains(ap) != want {
+			t.Fatalf("AP %d: applied %v, want the union's %v", ap, !want, want)
 		}
+	}
+	if cfg.Schedule != churn.Schedule {
+		t.Error("ApplySet must install the churn schedule")
+	}
+
+	// Concurrent runs share one Injection: growing or editing the config's
+	// set must never write through to it.
+	before := uni.FailedSet.Clone()
+	var single sim.Config
+	uni.ApplySet(&single)
+	for i := range single.FailedSet {
+		single.FailedSet[i] = ^uint64(0)
+	}
+	single.FailedSet = single.FailedSet.Add(4 * m.NumAPs())
+	if !reflect.DeepEqual(uni.FailedSet, before) {
+		t.Error("mutating cfg.FailedSet after ApplySet changed the injection's set")
 	}
 }
 
@@ -258,13 +286,13 @@ func TestInjectUnknownMode(t *testing.T) {
 		t.Error("unknown mode should error")
 	}
 	inj, err := Inject(m, n.City, Config{})
-	if err != nil || inj.NumFailed() != 0 || inj.Schedule != nil {
+	if err != nil || inj.FailedSet.Len() != 0 || inj.Schedule != nil {
 		t.Error("empty mode should be a no-op injection")
 	}
 }
 
 func TestRecoveryScheduleHealsAtInstant(t *testing.T) {
-	r := Recovery(map[int]bool{3: true, 7: true}, 5.0)
+	r := Recovery(mesh.NewNodeSet(8).Add(3).Add(7), 5.0)
 	if !r.Down(3, 0) || !r.Down(7, 4.999) {
 		t.Error("failed APs must be down before RecoverAt")
 	}
@@ -285,21 +313,22 @@ func TestWithRecoveryMovesStaticFailuresIntoSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj.NumFailed() == 0 {
+	if inj.FailedSet.Len() == 0 {
 		t.Fatal("expected static failures")
 	}
 	healed := inj.WithRecovery(10)
-	if healed.NumFailed() != 0 {
+	if healed.FailedSet.Len() != 0 {
 		t.Error("WithRecovery must clear the static failed set (it can never heal)")
 	}
 	if healed.Schedule == nil {
 		t.Fatal("WithRecovery must install a schedule")
 	}
-	var anyAP int
-	for ap := range inj.Failed {
-		anyAP = ap
-		break
-	}
+	anyAP := -1
+	inj.FailedSet.ForEach(func(ap int) {
+		if anyAP < 0 {
+			anyAP = ap
+		}
+	})
 	if !healed.Schedule.Down(anyAP, 0) {
 		t.Error("failed AP must be down before recovery")
 	}
@@ -320,7 +349,7 @@ func TestWithRecoveryMovesStaticFailuresIntoSchedule(t *testing.T) {
 }
 
 func TestOffsetScheduleShiftsClock(t *testing.T) {
-	r := Recovery(map[int]bool{1: true}, 5.0)
+	r := Recovery(mesh.NewNodeSet(2).Add(1), 5.0)
 	off := sim.OffsetSchedule{Base: r, Offset: 4.5}
 	if !off.Down(1, 0.2) {
 		t.Error("offset 4.5 + t 0.2 = 4.7 is before recovery; AP must be down")

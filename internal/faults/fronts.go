@@ -44,8 +44,6 @@ type FloodFrontConfig struct {
 // jitter) and stays down. It implements sim.FailureSchedule.
 type FloodFront struct {
 	downAt []float64
-	speed  float64
-	start  float64
 }
 
 // NewFloodFront precomputes every AP's submergence instant from its
@@ -57,11 +55,7 @@ func NewFloodFront(m *mesh.Mesh, city *osm.City, cfg FloodFrontConfig) (*FloodFr
 	if cfg.SpeedMps <= 0 {
 		cfg.SpeedMps = 2
 	}
-	f := &FloodFront{
-		downAt: make([]float64, m.NumAPs()),
-		speed:  cfg.SpeedMps,
-		start:  cfg.StartS,
-	}
+	f := &FloodFront{downAt: make([]float64, m.NumAPs())}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := range m.APs {
 		best := math.Inf(1)
@@ -91,14 +85,6 @@ func (f *FloodFront) Down(ap int, t float64) bool {
 	// Beyond-MaxReach APs carry +Inf and must stay up even when callers
 	// probe the final state with t = +Inf.
 	return !math.IsInf(f.downAt[ap], 1) && t >= f.downAt[ap]
-}
-
-// ReachAt returns the waterline distance from the water at time t.
-func (f *FloodFront) ReachAt(t float64) float64 {
-	if t <= f.start {
-		return 0
-	}
-	return (t - f.start) * f.speed
 }
 
 // DownFractionAt returns the fraction of APs submerged at time t.

@@ -6,6 +6,7 @@ import (
 
 	"citymesh/internal/citygen"
 	"citymesh/internal/core"
+	"citymesh/internal/mesh"
 	"citymesh/internal/sim"
 )
 
@@ -85,12 +86,12 @@ func TestFloodFrontFracCapMatchesStaticFlood(t *testing.T) {
 		if down {
 			finalDown++
 		}
-		if down != static.Failed[ap] {
-			t.Fatalf("AP %d: front final state %v, static flood %v", ap, down, static.Failed[ap])
+		if down != static.FailedSet.Contains(ap) {
+			t.Fatalf("AP %d: front final state %v, static flood %v", ap, down, static.FailedSet.Contains(ap))
 		}
 	}
-	if finalDown != static.NumFailed() {
-		t.Fatalf("front drowns %d, static flood %d", finalDown, static.NumFailed())
+	if finalDown != static.FailedSet.Len() {
+		t.Fatalf("front drowns %d, static flood %d", finalDown, static.FailedSet.Len())
 	}
 }
 
@@ -255,7 +256,7 @@ func TestOffsetScheduleComposes(t *testing.T) {
 func TestOffsetScheduleNegativeOffsetLooksBack(t *testing.T) {
 	// A negative offset rewinds the schedule: a recovery that already
 	// happened is un-happened from the shifted run's perspective.
-	r := Recovery(map[int]bool{2: true}, 10)
+	r := Recovery(mesh.NewNodeSet(3).Add(2), 10)
 	off := sim.OffsetSchedule{Base: r, Offset: -5}
 	if !off.Down(2, 12) {
 		t.Error("offset -5 + t 12 = 7 is before recovery; AP must be down")
@@ -268,7 +269,7 @@ func TestOffsetScheduleNegativeOffsetLooksBack(t *testing.T) {
 func TestRecoveryAtZeroHealsImmediately(t *testing.T) {
 	// Zero-duration outage: recovery at t=0 means nothing is ever down,
 	// even though the static set says otherwise.
-	r := Recovery(map[int]bool{0: true, 1: true}, 0)
+	r := Recovery(mesh.NewNodeSet(2).Add(0).Add(1), 0)
 	for _, tm := range []float64{0, 0.001, 5} {
 		if r.Down(0, tm) || r.Down(1, tm) {
 			t.Fatalf("t=%v: recovery at 0 must heal from the first instant", tm)
@@ -322,19 +323,19 @@ func TestOverlappingInjectionsMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cfg sim.Config
-	u1.Apply(&cfg)
-	u2.Apply(&cfg)
-	ch.Apply(&cfg)
-	for ap := range u1.Failed {
-		if !cfg.FailedAPs[ap] {
+	u1.ApplySet(&cfg)
+	u2.ApplySet(&cfg)
+	ch.ApplySet(&cfg)
+	u1.FailedSet.ForEach(func(ap int) {
+		if !cfg.FailedSet.Contains(ap) {
 			t.Fatalf("AP %d from the first injection lost in the merge", ap)
 		}
-	}
-	for ap := range u2.Failed {
-		if !cfg.FailedAPs[ap] {
+	})
+	u2.FailedSet.ForEach(func(ap int) {
+		if !cfg.FailedSet.Contains(ap) {
 			t.Fatalf("AP %d from the overlapping injection lost in the merge", ap)
 		}
-	}
+	})
 	if cfg.Schedule == nil {
 		t.Fatal("churn schedule dropped by the merge")
 	}

@@ -33,6 +33,7 @@ import (
 	"citymesh/internal/core"
 	"citymesh/internal/faults"
 	"citymesh/internal/fwd"
+	"citymesh/internal/mesh"
 	"citymesh/internal/packet"
 	"citymesh/internal/routing"
 	"citymesh/internal/sim"
@@ -60,9 +61,9 @@ type Scenario struct {
 // Result is the outcome of one parity run.
 type Result struct {
 	Scenario Scenario
-	// APs is the mesh size; FailedAPs how many the injection killed.
-	APs       int
-	FailedAPs int
+	// APs is the mesh size; Failed how many the injection killed.
+	APs    int
+	Failed int
 	// SourceAP is the AP both worlds injected at.
 	SourceAP int
 	// Reached / Forwarded / Delivered are the agreed set sizes (valid
@@ -114,9 +115,9 @@ func Run(sc Scenario) (Result, error) {
 	if inj.Schedule != nil {
 		return res, fmt.Errorf("parity %s: time-varying fault schedules are not parity-comparable", sc.Name)
 	}
-	res.FailedAPs = len(inj.Failed)
+	res.Failed = inj.FailedSet.Len()
 
-	pkt, srcAP, err := pickMessage(net, inj.Failed, sc)
+	pkt, srcAP, err := pickMessage(net, inj.FailedSet, sc)
 	if err != nil {
 		return res, fmt.Errorf("parity %s: %w", sc.Name, err)
 	}
@@ -128,7 +129,7 @@ func Run(sc Scenario) (Result, error) {
 	eng := sim.NewEngine(net.Mesh, net.City, routing.NewCityMesh())
 	simRes, err := eng.Run(pkt, sim.Config{
 		TxDelay:          0.001,
-		FailedAPs:        inj.Failed,
+		FailedSet:        inj.FailedSet,
 		Seed:             1,
 		RecordTranscript: true,
 	})
@@ -142,7 +143,7 @@ func Run(sc Scenario) (Result, error) {
 	res.Decisions = simRes.Decisions
 
 	// World B: live agents on the in-process hub, same fault set.
-	hub := agent.NewHubWithConfig(net.Mesh, net.City, agent.HubConfig{Failed: inj.Failed})
+	hub := agent.NewHubWithConfig(net.Mesh, net.City, agent.HubConfig{Failed: inj.FailedSet})
 	delivered := make([]bool, net.Mesh.NumAPs())
 	for i := 0; i < hub.NumAgents(); i++ {
 		i := i
@@ -219,7 +220,7 @@ func RunAll(scs []Scenario) ([]Result, error) {
 
 // pickMessage selects a routable building pair whose source AP survived
 // the injection and builds the scenario's packet.
-func pickMessage(net *core.Network, failed map[int]bool, sc Scenario) (*packet.Packet, int, error) {
+func pickMessage(net *core.Network, failed mesh.NodeSet, sc Scenario) (*packet.Packet, int, error) {
 	pairs, err := net.RandomPairs(sc.Seed, 256)
 	if err != nil {
 		return nil, -1, err
@@ -230,7 +231,7 @@ func pickMessage(net *core.Network, failed map[int]bool, sc Scenario) (*packet.P
 			continue
 		}
 		aps := net.Mesh.APsInBuilding(src)
-		if len(aps) == 0 || failed[int(aps[0])] {
+		if len(aps) == 0 || failed.Contains(int(aps[0])) {
 			continue
 		}
 		route, err := net.PlanRoute(src, dst)

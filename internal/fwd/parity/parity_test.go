@@ -41,7 +41,7 @@ func TestParityScenarios(t *testing.T) {
 				t.Fatalf("kernel decision tally empty")
 			}
 			t.Logf("%s: %d APs (%d failed), reached=%d forwarded=%d delivered=%d decisions=%+v",
-				sc.Name, r.APs, r.FailedAPs, r.Reached, r.Forwarded, r.Delivered, r.Decisions)
+				sc.Name, r.APs, r.Failed, r.Reached, r.Forwarded, r.Delivered, r.Decisions)
 		})
 	}
 }

@@ -78,9 +78,6 @@ type Segment struct {
 // Length returns the length of the segment.
 func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
-
 // DistToPoint returns the minimum distance from p to any point on s.
 func (s Segment) DistToPoint(p Point) float64 {
 	d := s.B.Sub(s.A)

@@ -25,8 +25,8 @@ import (
 // inside a widened conduit (mirroring the RungWiden step of the level-0
 // ladder), and further reroutes fall back to the unrestricted summary
 // graph (the level-1 analogue of RungFlood). Every classification is a
-// real fwd.Decide call tallied into the level-1 reason counters
-// (LevelCounts).
+// real fwd.Decide call on the level-1 kernel of the internetwork's
+// fwd.LevelKernel.
 
 // DefaultL1WidthKm is the level-1 conduit width: 1.5× the default
 // federation city spacing, wide enough to recruit off-corridor neighbor

@@ -300,12 +300,6 @@ func (in *Internetwork) liveGateways(idx int) []int {
 	return out
 }
 
-// LevelCounts snapshots the fwd kernel's per-reason decision totals at one
-// hierarchy level (fwd.Level0Building, fwd.Level1Region). Level-1 counts
-// tally the conduit-of-conduits decisions made while planning and
-// re-routing region paths.
-func (in *Internetwork) LevelCounts(level int) fwd.Counts { return in.lk.Counts(level) }
-
 // Regions returns the registered region count.
 func (in *Internetwork) Regions() int { return len(in.regions) }
 

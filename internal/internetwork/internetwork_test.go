@@ -412,12 +412,11 @@ func TestDeadPrimaryGatewayFailover(t *testing.T) {
 	in, ra, rb, _ := buildInternetwork(t)
 	g0, g1 := rb.Gateways[0], rb.Gateways[1]
 	simCfg := sim.DefaultConfig()
-	simCfg.FailedAPs = map[int]bool{}
 	for _, ap := range rb.Net.Mesh.APsInBuilding(g0) {
-		simCfg.FailedAPs[int(ap)] = true
+		simCfg.FailedSet = simCfg.FailedSet.Add(int(ap))
 	}
 	// Source sits on boston's gateway so the boston leg is a passthrough
-	// and the FailedAPs indices only ever run against providence's mesh.
+	// and the FailedSet indices only ever run against providence's mesh.
 	dstB := pickRouted(t, rb)
 	res, err := in.Send(
 		Address{Region: "boston", Building: ra.Gateways[0]},

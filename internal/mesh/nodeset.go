@@ -1,16 +1,17 @@
-package sim
+package mesh
 
 import "math/bits"
 
-// NodeSet is a dense bitset over node (AP) indices — the allocation-free
-// replacement for the map[int]bool failure and blackhole sets. A nil
-// NodeSet is a valid empty set; Contains on any index (including negative
-// or out-of-range ones) is safe and returns false. Add grows the set as
-// needed, so callers never size it by hand.
+// NodeSet is a dense bitset over AP indices: the one type for a set of
+// APs, such as the failed and blackholed sets the simulator, the fault
+// injectors and the in-process hub consult. A nil NodeSet is a valid empty
+// set; Contains on any index (including negative or out-of-range ones) is
+// safe and returns false. Add grows the set as needed, so callers never
+// size it by hand.
 //
 // At metro scale (10^5 APs) a NodeSet is ~12 KB against the megabytes a
 // populated map would cost, and membership is one shift and mask instead
-// of a hash probe — which is why the engine's hot down() check takes one.
+// of a hash probe, which is what the engine's per-event down() check needs.
 type NodeSet []uint64
 
 // NewNodeSet returns an empty set with capacity for indices [0, n).
@@ -19,18 +20,6 @@ func NewNodeSet(n int) NodeSet {
 		return nil
 	}
 	return make(NodeSet, (n+63)/64)
-}
-
-// NodeSetFromMap converts a legacy map[int]bool set (only true entries are
-// members). A nil or empty map yields a nil set.
-func NodeSetFromMap(m map[int]bool) NodeSet {
-	var s NodeSet
-	for node, on := range m {
-		if on {
-			s = s.Add(node)
-		}
-	}
-	return s
 }
 
 // Add sets bit i and returns the (possibly grown) set; negative indices
@@ -97,22 +86,4 @@ func (s NodeSet) Clone() NodeSet {
 	out := make(NodeSet, len(s))
 	copy(out, s)
 	return out
-}
-
-// clearSet zeroes the set in place, keeping capacity.
-func (s NodeSet) clearSet() {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-// union folds src's members into s, growing as needed, and returns s.
-func (s NodeSet) union(src NodeSet) NodeSet {
-	for len(s) < len(src) {
-		s = append(s, 0)
-	}
-	for i, w := range src {
-		s[i] |= w
-	}
-	return s
 }

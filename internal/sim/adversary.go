@@ -34,7 +34,7 @@ const (
 	// BehaviorHonest follows the protocol.
 	BehaviorHonest APBehavior = iota
 	// BehaviorBlackhole receives and silently consumes: no delivery, no
-	// forwarding. Equivalent to Config.Blackholes membership.
+	// forwarding. Equivalent to Config.BlackholeSet membership.
 	BehaviorBlackhole
 	// BehaviorGrayhole forwards probabilistically: each policy-approved
 	// forward is suppressed with Adversary.DropProb — harder to detect and

@@ -10,11 +10,11 @@ import (
 
 func TestNilAdversaryIsExactBaseline(t *testing.T) {
 	city, m := chainCity(8, 40)
-	base := Run(m, city, floodAll{}, mkPacket(0, 7, 255), DefaultConfig())
+	base := run(t, m, city, floodAll{}, mkPacket(0, 7, 255), DefaultConfig())
 
 	cfg := DefaultConfig()
 	cfg.Adversary = &Adversary{} // empty behaviors: no misbehavior, no RNG drift
-	got := Run(m, city, floodAll{}, mkPacket(0, 7, 255), cfg)
+	got := run(t, m, city, floodAll{}, mkPacket(0, 7, 255), cfg)
 	if !reflect.DeepEqual(base, got) {
 		t.Fatalf("empty adversary changed the run:\nbase %+v\ngot  %+v", base, got)
 	}
@@ -24,7 +24,7 @@ func TestBlackholeBehaviorCutsChain(t *testing.T) {
 	city, m := chainCity(5, 40)
 	cfg := DefaultConfig()
 	cfg.Adversary = &Adversary{Behaviors: map[int]APBehavior{2: BehaviorBlackhole}}
-	res := Run(m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if res.Delivered {
 		t.Error("blackhole midpoint should cut the chain")
 	}
@@ -41,7 +41,7 @@ func TestGrayholeDropsAreCounted(t *testing.T) {
 		Behaviors: map[int]APBehavior{2: BehaviorGrayhole},
 		DropProb:  1.0, // always drops: a blackhole wearing a disguise
 	}
-	res := Run(m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if res.Delivered {
 		t.Error("p=1 grayhole should cut the chain")
 	}
@@ -54,7 +54,7 @@ func TestByzantineDestinationGetsNoDeliveryCredit(t *testing.T) {
 	city, m := chainCity(4, 40)
 	cfg := DefaultConfig()
 	cfg.Adversary = &Adversary{Behaviors: map[int]APBehavior{3: BehaviorBlackhole}}
-	res := Run(m, city, floodAll{}, mkPacket(0, 3, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 3, 255), cfg)
 	if res.Delivered {
 		t.Error("a packet held only by a compromised destination AP is not delivered")
 	}
@@ -76,7 +76,7 @@ func TestTTLResetTripsDefenseAndChecker(t *testing.T) {
 	}
 	ic := NewInvariantChecker(m.NumAPs(), cfg)
 	cfg.Probe = ic.Probe
-	res := Run(m, city, floodAll{}, mkPacket(0, 5, 8), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 5, 8), cfg)
 	if !res.Delivered {
 		t.Fatal("undefended chain should still deliver")
 	}
@@ -91,7 +91,7 @@ func TestTTLResetTripsDefenseAndChecker(t *testing.T) {
 	// resetter touched, cutting the chain at the liar.
 	cfg.Probe = nil
 	cfg.Defense = Defense{MaxTTL: 8}
-	res = Run(m, city, floodAll{}, mkPacket(0, 5, 8), cfg)
+	res = run(t, m, city, floodAll{}, mkPacket(0, 5, 8), cfg)
 	if res.Delivered {
 		t.Error("MaxTTL defense should refuse the resetter's inflated frames")
 	}
@@ -108,7 +108,7 @@ func TestCorruptorTaintAndTamperCheck(t *testing.T) {
 	// tainted delivery, not a real one.
 	cfg := DefaultConfig()
 	cfg.Adversary = &Adversary{Behaviors: map[int]APBehavior{2: BehaviorCorruptor}}
-	res := Run(m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if res.Delivered {
 		t.Error("corrupted payload must not count as delivery")
 	}
@@ -121,7 +121,7 @@ func TestCorruptorTaintAndTamperCheck(t *testing.T) {
 
 	// TamperCheck drops tainted frames at honest receivers instead.
 	cfg.Defense = Defense{TamperCheck: true}
-	res = Run(m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
+	res = run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if res.TaintedDeliveries != 0 {
 		t.Errorf("TamperCheck on: TaintedDeliveries = %d, want 0", res.TaintedDeliveries)
 	}
@@ -138,7 +138,7 @@ func TestReplayerStormAndRateGate(t *testing.T) {
 		ReplayInterval: 0.05,
 		ReplayHorizon:  2,
 	}
-	res := Run(m, city, floodAll{}, mkPacket(0, 3, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 3, 255), cfg)
 	if !res.Delivered {
 		t.Fatal("a replayer still forwards; delivery must succeed")
 	}
@@ -148,7 +148,7 @@ func TestReplayerStormAndRateGate(t *testing.T) {
 	stormRx := res.Receptions
 
 	cfg.Defense = Defense{NeighborRate: 1, NeighborBurst: 2}
-	res = Run(m, city, floodAll{}, mkPacket(0, 3, 255), cfg)
+	res = run(t, m, city, floodAll{}, mkPacket(0, 3, 255), cfg)
 	if !res.Delivered {
 		t.Fatal("rate gate must not break first-time delivery")
 	}
@@ -163,7 +163,7 @@ func TestReplayerStormAndRateGate(t *testing.T) {
 
 func TestFlooderForgedWaveIsolatedFromRealMetrics(t *testing.T) {
 	city, m := chainCity(6, 40)
-	base := Run(m, city, floodAll{}, mkPacket(0, 5, 255), DefaultConfig())
+	base := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), DefaultConfig())
 
 	cfg := DefaultConfig()
 	cfg.Adversary = &Adversary{
@@ -171,7 +171,7 @@ func TestFlooderForgedWaveIsolatedFromRealMetrics(t *testing.T) {
 		InjectRate:    5,
 		InjectHorizon: 2,
 	}
-	res := Run(m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
 	if !res.Delivered {
 		t.Fatal("forged traffic must not break real delivery")
 	}
@@ -192,14 +192,14 @@ func TestSpooferGeocastRadiusDefense(t *testing.T) {
 		InjectRate:    2,
 		InjectHorizon: 1,
 	}
-	res := Run(m, city, silent{}, mkPacket(6, 7, 255), cfg)
+	res := run(t, m, city, silent{}, mkPacket(6, 7, 255), cfg)
 	if res.ForgedAccepts == 0 {
 		t.Fatal("unchecked spoofed geocast should recruit honest APs")
 	}
 	open := res.ForgedAccepts
 
 	cfg.Defense = Defense{MaxGeocastRadius: 2000}
-	res = Run(m, city, silent{}, mkPacket(6, 7, 255), cfg)
+	res = run(t, m, city, silent{}, mkPacket(6, 7, 255), cfg)
 	if res.RejectedGeocast == 0 {
 		t.Error("metro-scale geocast claim should be rejected")
 	}
@@ -225,9 +225,9 @@ func TestAdversaryRunsAreDeterministic(t *testing.T) {
 		cfg.Defense = Defense{MaxTTL: 64, TamperCheck: true, NeighborRate: 4}
 		return cfg
 	}
-	a := Run(m, city, floodAll{}, mkPacket(0, 9, 64), mk())
+	a := run(t, m, city, floodAll{}, mkPacket(0, 9, 64), mk())
 	for i := 0; i < 3; i++ {
-		b := Run(m, city, floodAll{}, mkPacket(0, 9, 64), mk())
+		b := run(t, m, city, floodAll{}, mkPacket(0, 9, 64), mk())
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("run %d diverged:\n%+v\n%+v", i, a, b)
 		}
@@ -281,6 +281,7 @@ func TestByzantineChurnMobilityStress(t *testing.T) {
 		InjectRate: 2, InjectHorizon: 2,
 	}
 	var wg sync.WaitGroup
+	eng := NewEngine(m, city, floodAll{}) // one engine, shared by every goroutine
 	errs := make(chan string, 64)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -297,7 +298,9 @@ func TestByzantineChurnMobilityStress(t *testing.T) {
 				}
 				ic := NewInvariantChecker(m.NumAPs(), cfg)
 				cfg.Probe = ic.Probe
-				Run(m, city, floodAll{}, mkPacket(0, 5, 32), cfg)
+				if _, err := eng.Run(mkPacket(0, 5, 32), cfg); err != nil {
+					errs <- err.Error()
+				}
 				for _, v := range ic.Violations() {
 					errs <- v
 				}

@@ -1,12 +1,12 @@
 // The reusable metro-scale simulation core.
 //
 // An Engine is constructed once per (mesh, city, policy) and amortizes
-// everything a single sim.Run used to rebuild per call: struct-of-arrays
-// AP state (positions and building ids copied out of the mesh's
+// everything a one-shot run would rebuild per call: struct-of-arrays AP
+// state (positions and building ids copied out of the mesh's
 // array-of-structs), the default radio model, and a pool of per-run
 // scratch — the seen/hops/ttl/lastArrival slices, the event-heap backing
-// array, the reception arena, the rate gate's buckets, the RNG, and the
-// failure/blackhole bitsets — reused across runs instead of reallocated.
+// array, the reception arena, the rate gate's buckets and the RNG — reused
+// across runs instead of reallocated.
 //
 // A transmission's receptions are one heap event, not one each: the
 // receivers that pass the radio and loss coins are appended to an arena on
@@ -31,6 +31,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"citymesh/internal/fwd"
 	"citymesh/internal/geo"
@@ -61,7 +62,14 @@ type Engine struct {
 
 	defaultRadio RadioModel
 
-	pool sync.Pool // of *scratch
+	// spare holds the last released scratch outside the pool. A sync.Pool
+	// Get misses when the caller's goroutine has moved to another P since
+	// the Put, and the pool drops what sits idle across two GCs; each miss
+	// rebuilds the per-AP slices (1.9 MB on the 10^5-AP metro preset). A
+	// serial caller always finds the spare; concurrent runs overflow into
+	// the pool.
+	spare atomic.Pointer[scratch]
+	pool  sync.Pool // of *scratch
 }
 
 // NewEngine precomputes the per-mesh state for repeated runs. pol is the
@@ -114,11 +122,16 @@ func (e *Engine) RunPolicy(pol Policy, pkt *packet.Packet, cfg Config) (Result, 
 	if src < 0 || src >= e.city.NumBuildings() || len(e.mesh.APsInBuilding(src)) == 0 {
 		return Result{SourceAP: -1}, fmt.Errorf("%w (source building %d)", ErrNoSourceAP, src)
 	}
-	s := e.pool.Get().(*scratch)
+	s := e.spare.Swap(nil)
+	if s == nil {
+		s = e.pool.Get().(*scratch)
+	}
 	s.reset(pol, pkt, cfg)
 	res := s.run()
 	s.release()
-	e.pool.Put(s)
+	if !e.spare.CompareAndSwap(nil, s) {
+		e.pool.Put(s)
+	}
 	return res, nil
 }
 
@@ -145,13 +158,6 @@ type scratch struct {
 	src rand.Source
 	rng *rand.Rand
 	ctx Context
-
-	// failed/black are the merged failure and blackhole sets consulted on
-	// the hot path. They alias the Config's NodeSets directly when no
-	// legacy map is present, or the reusable merge buffers below when one
-	// is (the map is folded in once per run, at reset).
-	failed, black       NodeSet
-	failedBuf, blackBuf NodeSet
 
 	seen        []bool
 	hops        []int
@@ -273,46 +279,22 @@ func (s *scratch) reset(pol Policy, pkt *packet.Packet, cfg Config) {
 	s.forged = s.forged[:0]
 	s.gate.reset(cfg.Defense)
 
-	s.failed = mergeSet(&s.failedBuf, cfg.FailedSet, cfg.FailedAPs)
-	s.black = mergeSet(&s.blackBuf, cfg.BlackholeSet, cfg.Blackholes)
-
 	s.res = Result{SourceAP: -1}
 }
 
 // release drops references the pooled scratch must not pin between runs
-// (the caller's Config maps, packet, policy, and the returned Transcript).
+// (the caller's Config sets, packet, policy, and the returned Transcript).
 func (s *scratch) release() {
 	s.cfg = Config{}
 	s.pol = nil
 	s.pkt = nil
 	s.radio = nil
-	s.failed, s.black = nil, nil
 	for i := range s.forged {
 		s.forged[i] = forgedMsg{}
 	}
 	s.forged = s.forged[:0]
 	s.res = Result{}
 	s.ctx = Context{}
-}
-
-// mergeSet resolves the effective node set from the bitset and legacy map
-// forms of a Config field. With no map entries the Config's set is used
-// directly (zero copies); otherwise the map is folded into the reusable
-// buffer once, so repeated runs with legacy maps still allocate nothing.
-func mergeSet(buf *NodeSet, set NodeSet, legacy map[int]bool) NodeSet {
-	if len(legacy) == 0 {
-		return set
-	}
-	b := *buf
-	b.clearSet()
-	b = b.union(set)
-	for node, on := range legacy {
-		if on {
-			b = b.Add(node)
-		}
-	}
-	*buf = b
-	return b
 }
 
 // down folds the static failure set and the time-varying schedule. Mobile
@@ -322,7 +304,7 @@ func (s *scratch) down(node int, t float64) bool {
 	if node >= s.numAPs {
 		return false
 	}
-	if s.failed.Contains(node) {
+	if s.cfg.FailedSet.Contains(node) {
 		return true
 	}
 	return s.cfg.Schedule != nil && s.cfg.Schedule.Down(node, t)
@@ -405,10 +387,10 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// run executes the event loop. It mirrors the historical sim.Run exactly
-// — same defense-stack ordering, same forged-injection phase draws, same
-// jitter/radio/loss draw sequence — so a warm pooled run is byte-identical
-// to the free function it replaced.
+// run executes the event loop: the defense-stack ordering, the forged-
+// injection phase draws and the jitter/radio/loss draw sequence are fixed,
+// so a warm pooled run is byte-identical to a cold one (and to
+// testdata/engine_golden.json).
 func (s *scratch) run() Result {
 	e := s.eng
 	cfg := &s.cfg
@@ -575,7 +557,7 @@ func (s *scratch) deliver(ap, from int, t float64) {
 		res.Transcript[ap].ReceiveTime = t
 		res.Transcript[ap].Hops = s.hops[ap]
 	}
-	if s.black.Contains(ap) {
+	if cfg.BlackholeSet.Contains(ap) {
 		// Compromised node: consume silently; no delivery, no forward.
 		return
 	}
@@ -681,7 +663,7 @@ func (s *scratch) deliverForged(ap, from, msg int, t float64) {
 	remaining := senderTTL - 1
 	fm.ttl[ap] = remaining
 	res.ForgedAccepts++
-	if s.black.Contains(ap) || s.behavior(ap) == BehaviorBlackhole {
+	if cfg.BlackholeSet.Contains(ap) || s.behavior(ap) == BehaviorBlackhole {
 		return
 	}
 	if remaining <= 0 {

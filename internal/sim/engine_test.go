@@ -47,9 +47,8 @@ func engineConfigs(numAPs int) map[string]Config {
 	collide.CollisionWindow = 0.001
 
 	failed := DefaultConfig()
-	failed.FailedAPs = map[int]bool{2: true, 5: true}
-	failed.FailedSet = NewNodeSet(numAPs).Add(7).Add(11)
-	failed.BlackholeSet = NewNodeSet(numAPs).Add(13)
+	failed.FailedSet = mesh.NewNodeSet(numAPs).Add(2).Add(5).Add(7).Add(11)
+	failed.BlackholeSet = mesh.NewNodeSet(numAPs).Add(13)
 
 	adv := DefaultConfig()
 	adv.JitterMax = 0.01
@@ -110,25 +109,6 @@ func TestEngineWarmRunsMatchColdRuns(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesDeprecatedRun pins the compat wrapper to the engine:
-// both entry points must produce identical results.
-func TestEngineMatchesDeprecatedRun(t *testing.T) {
-	city, m := chainCity(12, 40)
-	cfg := DefaultConfig()
-	cfg.LossProb = 0.2
-	cfg.JitterMax = 0.01
-	cfg.RecordTranscript = true
-	cfg.Seed = 7
-	viaEngine, err := NewEngine(m, city, floodAll{}).Run(mkPacket(0, 11, 255), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRun := Run(m, city, floodAll{}, mkPacket(0, 11, 255), cfg)
-	if !reflect.DeepEqual(viaEngine, viaRun) {
-		t.Fatalf("Run and Engine.Run diverge:\n%+v\n%+v", viaEngine, viaRun)
-	}
-}
-
 // TestEngineRunAllocs pins the warm-path allocation budget on gridtown.
 // A warm Engine.Run with bitset failure sets and no transcript must not
 // allocate per run: scratch comes from the pool, the event heap backing
@@ -144,7 +124,7 @@ func TestEngineRunAllocs(t *testing.T) {
 	city, m := gridCity(t)
 	eng := NewEngine(m, city, floodAll{})
 	cfg := DefaultConfig()
-	cfg.FailedSet = NewNodeSet(m.NumAPs()).Add(3).Add(99)
+	cfg.FailedSet = mesh.NewNodeSet(m.NumAPs()).Add(3).Add(99)
 	pkt := mkPacket(0, city.NumBuildings()-1, 255)
 	if _, err := eng.Run(pkt, cfg); err != nil { // warm the pool
 		t.Fatal(err)
@@ -172,7 +152,7 @@ func TestEngineDefendedRunAllocs(t *testing.T) {
 	city, m := gridCity(t)
 	eng := NewEngine(m, city, floodAll{})
 	cfg := DefaultConfig()
-	cfg.FailedSet = NewNodeSet(m.NumAPs()).Add(3).Add(99)
+	cfg.FailedSet = mesh.NewNodeSet(m.NumAPs()).Add(3).Add(99)
 	cfg.Defense = Defense{MaxTTL: 255, TamperCheck: true, NeighborRate: 8, NeighborBurst: 16, MaxGeocastRadius: 2000}
 	pkt := mkPacket(0, city.NumBuildings()-1, 255)
 	warm, err := eng.Run(pkt, cfg) // sizes the gate's table
@@ -200,27 +180,29 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
-// TestEngineRunErrors covers the typed-error contract the deprecated Run
-// sentinel hid.
+// TestEngineRunErrors covers the typed-error contract: a run that never
+// starts says why, and its Result is the empty one (SourceAP == -1).
 func TestEngineRunErrors(t *testing.T) {
 	city, m := chainCity(4, 40)
 	eng := NewEngine(m, city, floodAll{})
 
 	// Unroutable source building: typed sentinel.
-	_, err := eng.Run(mkPacket(99, 1, 16), DefaultConfig())
+	res, err := eng.Run(mkPacket(99, 1, 16), DefaultConfig())
 	if !errors.Is(err, ErrNoSourceAP) {
 		t.Errorf("out-of-range source: err = %v, want ErrNoSourceAP", err)
+	}
+	if res.SourceAP != -1 {
+		t.Errorf("out-of-range source: SourceAP = %d, want -1", res.SourceAP)
 	}
 
 	// Invalid config: validation error before any event runs.
 	bad := DefaultConfig()
 	bad.LossProb = 1.5
-	if _, err := eng.Run(mkPacket(0, 1, 16), bad); err == nil {
-		t.Error("invalid config must error")
+	res, err = eng.Run(mkPacket(0, 1, 16), bad)
+	if !errors.Is(err, ErrBadLossProb) {
+		t.Errorf("invalid config: err = %v, want ErrBadLossProb", err)
 	}
-
-	// The deprecated wrapper folds both into the legacy sentinel.
-	if res := Run(m, city, floodAll{}, mkPacket(99, 1, 16), DefaultConfig()); res.SourceAP != -1 {
-		t.Errorf("deprecated Run sentinel: SourceAP = %d, want -1", res.SourceAP)
+	if res.SourceAP != -1 || res.Broadcasts != 0 {
+		t.Errorf("invalid config ran: %+v", res)
 	}
 }

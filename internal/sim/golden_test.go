@@ -17,6 +17,7 @@ import (
 	"citymesh/internal/citygen"
 	"citymesh/internal/core"
 	"citymesh/internal/geo"
+	"citymesh/internal/mesh"
 	"citymesh/internal/packet"
 	"citymesh/internal/routing"
 	"citymesh/internal/sim"
@@ -113,8 +114,8 @@ func goldenScenarios() []goldenScenario {
 		}
 		return a
 	}
-	failed := func(n *core.Network) sim.NodeSet {
-		s := sim.NewNodeSet(n.Mesh.NumAPs())
+	failed := func(n *core.Network) mesh.NodeSet {
+		s := mesh.NewNodeSet(n.Mesh.NumAPs())
 		for ap := 5; ap < n.Mesh.NumAPs(); ap += 11 {
 			s = s.Add(ap)
 		}
@@ -143,8 +144,7 @@ func goldenScenarios() []goldenScenario {
 		}, 0},
 		{"failed-churn", cityMesh, func(n *core.Network, pkt *packet.Packet) sim.Config {
 			c := sim.DefaultConfig()
-			c.FailedSet = failed(n)
-			c.FailedAPs = map[int]bool{3: true, 14: true}
+			c.FailedSet = failed(n).Add(3).Add(14)
 			c.Schedule = churn{period: 0.004}
 			return c
 		}, 0},

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"citymesh/internal/geo"
+	"citymesh/internal/mesh"
 )
 
 // MobilePath is a deterministic motion plan: position as a pure function
@@ -30,7 +31,7 @@ type MobilePath interface {
 }
 
 // OffsetPath shifts a MobilePath's time origin, the mobility analogue of
-// OffsetSchedule: each sim.Run starts its clock at zero, so a re-attempt
+// OffsetSchedule: each Engine.Run starts its clock at zero, so a re-attempt
 // at global time T wraps every path with Offset T — the run then sees the
 // bus where it actually is *now*, not back at its depot.
 type OffsetPath struct {
@@ -124,7 +125,7 @@ type ProbeEvent struct {
 //
 // Wire one up with:
 //
-//	ic := sim.NewInvariantChecker(cfg)
+//	ic := sim.NewInvariantChecker(m.NumAPs(), cfg)
 //	cfg.Probe = ic.Probe
 //	res, err := sim.NewEngine(m, city, pol).Run(pkt, cfg)
 //	violations := ic.Violations()
@@ -139,8 +140,7 @@ type ProbeEvent struct {
 // The checker is not safe for concurrent use; give each run its own.
 type InvariantChecker struct {
 	numAPs    int
-	failedAPs map[int]bool
-	failedSet NodeSet
+	failedSet mesh.NodeSet
 	schedule  FailureSchedule
 	adversary *Adversary
 
@@ -161,7 +161,6 @@ const maxViolations = 32
 func NewInvariantChecker(numAPs int, cfg Config) *InvariantChecker {
 	return &InvariantChecker{
 		numAPs:    numAPs,
-		failedAPs: cfg.FailedAPs,
 		failedSet: cfg.FailedSet,
 		schedule:  cfg.Schedule,
 		adversary: cfg.Adversary,
@@ -174,7 +173,7 @@ func (ic *InvariantChecker) down(node int, t float64) bool {
 	if node >= ic.numAPs {
 		return false // carriers never fail
 	}
-	if ic.failedAPs[node] || ic.failedSet.Contains(node) {
+	if ic.failedSet.Contains(node) {
 		return true
 	}
 	return ic.schedule != nil && ic.schedule.Down(node, t)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -60,14 +61,14 @@ func twoIslands() (*osm.City, *mesh.Mesh) {
 func TestMobileCarrierBridgesPartition(t *testing.T) {
 	city, m := twoIslands()
 	// Sanity: without a carrier the gap is final.
-	if res := Run(m, city, floodAll{}, mkPacket(0, 5, 255), DefaultConfig()); res.Delivered {
+	if res := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), DefaultConfig()); res.Delivered {
 		t.Fatal("220 m gap crossed without a carrier")
 	}
 	// A shuttle at 30 m/s starts inside the source island and crosses to
 	// the far one at t = 10 s, rebroadcasting once a second as it goes.
 	cfg := DefaultConfig()
 	cfg.Mobiles = []Mobile{{Path: pingPong{a: geo.Pt(40, 0), b: geo.Pt(340, 0), speed: 30}}}
-	res := Run(m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
 	if !res.Delivered {
 		t.Fatalf("shuttle failed to mule the packet across: %+v", res)
 	}
@@ -86,7 +87,7 @@ func TestParkedCarrierOutOfRangeHearsNothing(t *testing.T) {
 	city, m := twoIslands()
 	cfg := DefaultConfig()
 	cfg.Mobiles = []Mobile{{Path: parked{at: geo.Pt(190, 0)}}} // mid-gap, 110 m from both islands
-	res := Run(m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
 	if res.MobilesReached != 0 {
 		t.Errorf("out-of-range carrier picked the packet up: %+v", res)
 	}
@@ -99,8 +100,8 @@ func TestMobileRunsAreDeterministic(t *testing.T) {
 	city, m := twoIslands()
 	cfg := DefaultConfig()
 	cfg.Mobiles = []Mobile{{Path: pingPong{a: geo.Pt(40, 0), b: geo.Pt(340, 0), speed: 30}}}
-	a := Run(m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
-	b := Run(m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
+	a := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
+	b := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
 	if a.Delivered != b.Delivered || a.DeliveryTime != b.DeliveryTime ||
 		a.Broadcasts != b.Broadcasts || a.Receptions != b.Receptions {
 		t.Errorf("same config diverged:\n%+v\n%+v", a, b)
@@ -130,7 +131,11 @@ func TestValidateRejectsBadMobiles(t *testing.T) {
 	// Run must refuse rather than panic.
 	city, m := twoIslands()
 	cfg.Mobiles = []Mobile{{}}
-	if res := Run(m, city, floodAll{}, mkPacket(0, 5, 255), cfg); res.SourceAP != -1 {
+	res, err := NewEngine(m, city, floodAll{}).Run(mkPacket(0, 5, 255), cfg)
+	if !errors.Is(err, ErrBadMobile) {
+		t.Errorf("invalid mobile config: err = %v, want ErrBadMobile", err)
+	}
+	if res.SourceAP != -1 {
 		t.Error("invalid mobile config must yield the empty result")
 	}
 }
@@ -141,7 +146,7 @@ func runChecked(t testing.TB, m *mesh.Mesh, city *osm.City, cfg Config, src, dst
 	t.Helper()
 	ic := NewInvariantChecker(m.NumAPs(), cfg)
 	cfg.Probe = ic.Probe
-	Run(m, city, floodAll{}, mkPacket(src, dst, 32), cfg)
+	run(t, m, city, floodAll{}, mkPacket(src, dst, 32), cfg)
 	return ic.Violations()
 }
 
@@ -159,7 +164,7 @@ func TestInvariantsHoldUnderChurnAndMovement(t *testing.T) {
 }
 
 func TestInvariantCheckerFlagsBadStreams(t *testing.T) {
-	cfg := Config{FailedAPs: map[int]bool{7: true}}
+	cfg := Config{FailedSet: mesh.NewNodeSet(8).Add(7)}
 	cases := []struct {
 		name   string
 		events []ProbeEvent
@@ -267,7 +272,7 @@ func FuzzInvariantsUnderChurn(f *testing.F) {
 		}}
 		ic := NewInvariantChecker(m.NumAPs(), cfg)
 		cfg.Probe = ic.Probe
-		Run(m, city, floodAll{}, mkPacket(0, 5, 32), cfg)
+		run(t, m, city, floodAll{}, mkPacket(0, 5, 32), cfg)
 		if v := ic.Violations(); len(v) != 0 {
 			t.Fatalf("invariants violated:\n%v", v)
 		}
@@ -282,6 +287,7 @@ func TestChurnMobilityStress(t *testing.T) {
 	shared := fuzzSchedule{bits: 0b10110, start: 0.001, stagger: 0.003, width: 2}
 	path := pingPong{a: geo.Pt(40, 0), b: geo.Pt(340, 0), speed: 30}
 	var wg sync.WaitGroup
+	eng := NewEngine(m, city, floodAll{}) // one engine, shared by every goroutine
 	errs := make(chan string, 64)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -294,7 +300,9 @@ func TestChurnMobilityStress(t *testing.T) {
 				cfg.Mobiles = []Mobile{{Path: path}}
 				ic := NewInvariantChecker(m.NumAPs(), cfg)
 				cfg.Probe = ic.Probe
-				Run(m, city, floodAll{}, mkPacket(0, 5, 32), cfg)
+				if _, err := eng.Run(mkPacket(0, 5, 32), cfg); err != nil {
+					errs <- err.Error()
+				}
 				for _, v := range ic.Violations() {
 					errs <- v
 				}

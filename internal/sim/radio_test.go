@@ -3,6 +3,8 @@ package sim
 import (
 	"math/rand"
 	"testing"
+
+	"citymesh/internal/mesh"
 )
 
 func TestUnitDisk(t *testing.T) {
@@ -81,7 +83,7 @@ func TestRunWithPathLoss(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Radio = DefaultPathLoss()
 	cfg.Seed = 5
-	res := Run(m, city, floodAll{}, mkPacket(0, 7, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 7, 255), cfg)
 	// 40 m hops have prob (1 - 5/30)^3 ~ 0.58 per attempt with only one
 	// transmitter per hop, so full delivery is possible but not certain;
 	// what must hold is that the engine runs and respects the cutoff.
@@ -98,7 +100,7 @@ func TestRunPathLossExtendsReach(t *testing.T) {
 	// At 55 m spacing, unit disk (50 m) cannot cross, but a gentler path
 	// loss model with an 80 m cutoff usually can (p ~ 0.55 per hop).
 	city, m := chainCity(4, 55)
-	res := Run(m, city, floodAll{}, mkPacket(0, 3, 255), DefaultConfig())
+	res := run(t, m, city, floodAll{}, mkPacket(0, 3, 255), DefaultConfig())
 	if res.APsReached != 1 {
 		t.Fatalf("unit disk crossed a 55 m gap: %+v", res)
 	}
@@ -107,7 +109,7 @@ func TestRunPathLossExtendsReach(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Radio = PathLossModel{ReliableRange: 35, CutoffRange: 80, Exponent: 1}
 		cfg.Seed = seed
-		if r := Run(m, city, floodAll{}, mkPacket(0, 3, 255), cfg); r.APsReached > 1 {
+		if r := run(t, m, city, floodAll{}, mkPacket(0, 3, 255), cfg); r.APsReached > 1 {
 			crossed = true
 			break
 		}
@@ -120,8 +122,8 @@ func TestRunPathLossExtendsReach(t *testing.T) {
 func TestBlackholeConsumes(t *testing.T) {
 	city, m := chainCity(5, 40)
 	cfg := DefaultConfig()
-	cfg.Blackholes = map[int]bool{2: true}
-	res := Run(m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
+	cfg.BlackholeSet = mesh.NewNodeSet(m.NumAPs()).Add(2)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if res.Delivered {
 		t.Error("blackhole mid-chain should prevent delivery")
 	}
@@ -134,8 +136,8 @@ func TestBlackholeConsumes(t *testing.T) {
 func TestBlackholeAtDestinationNoDelivery(t *testing.T) {
 	city, m := chainCity(3, 40)
 	cfg := DefaultConfig()
-	cfg.Blackholes = map[int]bool{2: true}
-	res := Run(m, city, floodAll{}, mkPacket(0, 2, 255), cfg)
+	cfg.BlackholeSet = mesh.NewNodeSet(m.NumAPs()).Add(2)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 2, 255), cfg)
 	if res.Delivered {
 		t.Error("delivery to a compromised AP must not count")
 	}
@@ -152,13 +154,13 @@ func TestCollisionWindowLosesBackToBackFrames(t *testing.T) {
 	// rebroadcasts; AP1's second copy collides (dup anyway). To observe a
 	// real loss, fail AP1's forwarding via TTL... simpler: verify the
 	// engine still terminates and counts receptions sanely.
-	res := Run(m, city, floodAll{}, mkPacket(0, 2, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 2, 255), cfg)
 	if !res.Delivered {
 		// Collisions may legitimately destroy the chain with window 10s;
 		// the invariant is termination without panic.
 		t.Log("collision window prevented delivery (acceptable)")
 	}
-	noColl := Run(m, city, floodAll{}, mkPacket(0, 2, 255), DefaultConfig())
+	noColl := run(t, m, city, floodAll{}, mkPacket(0, 2, 255), DefaultConfig())
 	if res.Receptions > noColl.Receptions {
 		t.Errorf("collisions increased receptions: %d > %d", res.Receptions, noColl.Receptions)
 	}
@@ -166,10 +168,10 @@ func TestCollisionWindowLosesBackToBackFrames(t *testing.T) {
 
 func TestCollisionWindowZeroDisables(t *testing.T) {
 	city, m := chainCity(6, 40)
-	a := Run(m, city, floodAll{}, mkPacket(0, 5, 255), DefaultConfig())
+	a := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.CollisionWindow = 0
-	b := Run(m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
+	b := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
 	if a.Receptions != b.Receptions || a.Delivered != b.Delivered {
 		t.Error("zero collision window changed behavior")
 	}

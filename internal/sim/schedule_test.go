@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"citymesh/internal/mesh"
+)
 
 // stepSchedule takes an AP down at a fixed time, forever.
 type stepSchedule struct {
@@ -25,7 +29,7 @@ func TestScheduleCutsChainMidRun(t *testing.T) {
 	// Down from t=0: equivalent to a static failure of the midpoint.
 	cfg := DefaultConfig()
 	cfg.Schedule = stepSchedule{ap: 3, at: 0}
-	res := Run(m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
 	if res.Delivered {
 		t.Error("midpoint down from t=0 should cut the chain")
 	}
@@ -34,7 +38,7 @@ func TestScheduleCutsChainMidRun(t *testing.T) {
 	}
 	// Down only long after the packet passed: no effect.
 	cfg.Schedule = stepSchedule{ap: 3, at: 1e6}
-	if res := Run(m, city, floodAll{}, mkPacket(0, 5, 255), cfg); !res.Delivered {
+	if res := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), cfg); !res.Delivered {
 		t.Error("failure after propagation must not block delivery")
 	}
 }
@@ -45,7 +49,7 @@ func TestScheduleRecoveryDoesNotResurrectFrame(t *testing.T) {
 	// recovers afterwards — but the frame is gone: no delivery.
 	cfg := DefaultConfig()
 	cfg.Schedule = windowSchedule{ap: 3, from: 0, to: 0.05}
-	res := Run(m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), cfg)
 	if res.Delivered {
 		t.Error("an AP down exactly during the wave must drop the frame for good")
 	}
@@ -55,7 +59,7 @@ func TestScheduledSourceSuppressed(t *testing.T) {
 	city, m := chainCity(4, 40)
 	cfg := DefaultConfig()
 	cfg.Schedule = stepSchedule{ap: 0, at: 0}
-	res := Run(m, city, floodAll{}, mkPacket(0, 3, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 3, 255), cfg)
 	if res.APsReached != 0 || res.Delivered {
 		t.Errorf("scheduled-down source should inject nothing: %+v", res)
 	}
@@ -66,8 +70,8 @@ func TestLossDiagnosticsAttribution(t *testing.T) {
 
 	// Dead-AP losses: middle AP statically failed.
 	cfg := DefaultConfig()
-	cfg.FailedAPs = map[int]bool{2: true}
-	res := Run(m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
+	cfg.FailedSet = mesh.NewNodeSet(m.NumAPs()).Add(2)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if res.LostToDeadAP == 0 {
 		t.Error("static failure should count LostToDeadAP")
 	}
@@ -78,7 +82,7 @@ func TestLossDiagnosticsAttribution(t *testing.T) {
 	// Random losses: full loss probability, nothing else.
 	cfg = DefaultConfig()
 	cfg.LossProb = 1
-	res = Run(m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
+	res = run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if res.LostToLoss == 0 {
 		t.Error("LossProb drops should count LostToLoss")
 	}
@@ -91,7 +95,7 @@ func TestLossDiagnosticsAttribution(t *testing.T) {
 	cfg = DefaultConfig()
 	cfg.JitterMax = 0
 	cfg.CollisionWindow = 0.5
-	res = Run(m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
+	res = run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if res.LostToCollision == 0 {
 		t.Skipf("no collisions materialized: %+v", res)
 	}

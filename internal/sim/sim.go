@@ -74,7 +74,7 @@ type FailureSchedule interface {
 }
 
 // OffsetSchedule shifts a FailureSchedule's time origin: Down(ap, t)
-// consults the base schedule at t + Offset. Each sim.Run starts its own
+// consults the base schedule at t + Offset. Each Engine.Run starts its own
 // clock at zero, so a sender re-attempting a delivery at a later point of
 // a time-varying outage (core.SendEventually's healing scheduler) wraps
 // the schedule with the elapsed sim time — the run then sees the outage
@@ -98,26 +98,17 @@ type Config struct {
 	JitterMax float64
 	// LossProb is the independent per-reception loss probability.
 	LossProb float64
-	// FailedAPs marks crashed APs: they neither receive nor forward.
-	// Legacy map form; the engine folds it into a NodeSet once per run.
-	// Prefer FailedSet for metro-scale runs.
-	FailedAPs map[int]bool
-	// FailedSet marks crashed APs as a bitset — the allocation-free
-	// equivalent of FailedAPs. The engine consults the union of both.
-	FailedSet NodeSet
+	// FailedSet marks crashed APs: they neither receive nor forward.
+	FailedSet mesh.NodeSet
 	// Schedule is an optional time-varying failure model consulted in
-	// addition to FailedAPs; an AP down at time t neither receives nor
+	// addition to FailedSet; an AP down at time t neither receives nor
 	// rebroadcasts at t.
 	Schedule FailureSchedule
-	// Blackholes marks compromised APs (§1's security threat): they
+	// BlackholeSet marks compromised APs (§1's security threat): they
 	// receive and silently consume frames — never forwarding and never
 	// counting as delivery — which is strictly harder to route around
 	// than a crashed AP whose silence at least leaves the channel clear.
-	// Legacy map form; prefer BlackholeSet for metro-scale runs.
-	Blackholes map[int]bool
-	// BlackholeSet is the NodeSet equivalent of Blackholes; the engine
-	// consults the union of both.
-	BlackholeSet NodeSet
+	BlackholeSet mesh.NodeSet
 	// Radio selects the PHY model. nil uses the paper's unit-disk cutoff
 	// at the mesh's configured transmission range.
 	Radio RadioModel
@@ -141,7 +132,7 @@ type Config struct {
 	// InvariantChecker. Must not retain the events beyond the call.
 	Probe func(ProbeEvent)
 	// Adversary assigns Byzantine misbehaviors to APs (see APBehavior);
-	// nil means every AP is honest. Composes with FailedAPs/Schedule: a
+	// nil means every AP is honest. Composes with FailedSet/Schedule: a
 	// down AP stays silent whatever its behavior.
 	Adversary *Adversary
 	// Defense is the honest receivers' sanity stack; the zero value is the
@@ -285,23 +276,4 @@ type event struct {
 	kind   evKind
 	// replay marks a replayer's stale retransmission of the real packet.
 	replay bool
-}
-
-// Run simulates the propagation of pkt, injected at the first AP of the
-// source building, until the event queue drains or MaxEvents is hit. The
-// destination building is taken from the packet header. An invalid config
-// (see Config.Validate) yields the same empty not-delivered Result as an
-// out-of-range source: SourceAP == -1 and nothing simulated.
-//
-// Deprecated: Run builds a throwaway Engine per call, repaying none of
-// the per-mesh precomputation and pooled scratch that make repeated runs
-// cheap, and it swallows the reason a run never started. Construct an
-// Engine once per (mesh, city, policy) and call Engine.Run, which returns
-// a real error instead of the SourceAP == -1 sentinel.
-func Run(m *mesh.Mesh, city *osm.City, pol Policy, pkt *packet.Packet, cfg Config) Result {
-	res, err := NewEngine(m, city, pol).Run(pkt, cfg)
-	if err != nil {
-		return Result{SourceAP: -1}
-	}
-	return res
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"citymesh/internal/geo"
@@ -51,9 +52,20 @@ func mkPacket(src, dst int, ttl uint8) *packet.Packet {
 	}}
 }
 
+// run simulates pkt on a fresh Engine and fails the test if the engine
+// refuses the run; tests of the refusals themselves call Engine.Run.
+func run(t testing.TB, m *mesh.Mesh, city *osm.City, pol Policy, pkt *packet.Packet, cfg Config) Result {
+	t.Helper()
+	res, err := NewEngine(m, city, pol).Run(pkt, cfg)
+	if err != nil {
+		t.Fatalf("Engine.Run: %v", err)
+	}
+	return res
+}
+
 func TestFloodAlongChain(t *testing.T) {
 	city, m := chainCity(6, 40)
-	res := Run(m, city, floodAll{}, mkPacket(0, 5, 255), DefaultConfig())
+	res := run(t, m, city, floodAll{}, mkPacket(0, 5, 255), DefaultConfig())
 	if !res.Delivered {
 		t.Fatal("flood should traverse the chain")
 	}
@@ -74,7 +86,7 @@ func TestFloodAlongChain(t *testing.T) {
 
 func TestSilentPolicyOnlySource(t *testing.T) {
 	city, m := chainCity(4, 40)
-	res := Run(m, city, silent{}, mkPacket(0, 3, 255), DefaultConfig())
+	res := run(t, m, city, silent{}, mkPacket(0, 3, 255), DefaultConfig())
 	if res.Delivered {
 		t.Error("silent policy should not deliver across hops")
 	}
@@ -88,7 +100,7 @@ func TestSilentPolicyOnlySource(t *testing.T) {
 
 func TestSelfDelivery(t *testing.T) {
 	city, m := chainCity(3, 40)
-	res := Run(m, city, silent{}, mkPacket(2, 2, 255), DefaultConfig())
+	res := run(t, m, city, silent{}, mkPacket(2, 2, 255), DefaultConfig())
 	if !res.Delivered || res.DeliveryHops != 0 || res.DeliveryTime != 0 {
 		t.Errorf("self delivery = %+v", res)
 	}
@@ -97,25 +109,25 @@ func TestSelfDelivery(t *testing.T) {
 func TestTTLBoundsPropagation(t *testing.T) {
 	city, m := chainCity(10, 40)
 	// TTL 3: reaches AP 3 (hop 3) whose TTL hits 0 and stops forwarding.
-	res := Run(m, city, floodAll{}, mkPacket(0, 9, 3), DefaultConfig())
+	res := run(t, m, city, floodAll{}, mkPacket(0, 9, 3), DefaultConfig())
 	if res.Delivered {
 		t.Error("TTL 3 should not reach hop 9")
 	}
 	if res.APsReached != 4 { // hops 0..3
 		t.Errorf("reached = %d, want 4", res.APsReached)
 	}
-	res = Run(m, city, floodAll{}, mkPacket(0, 9, 9), DefaultConfig())
+	res = run(t, m, city, floodAll{}, mkPacket(0, 9, 9), DefaultConfig())
 	if !res.Delivered {
 		t.Error("TTL 9 should exactly reach hop 9")
 	}
 }
 
-func TestFailedAPsBlock(t *testing.T) {
+func TestFailedSetBlocks(t *testing.T) {
 	city, m := chainCity(5, 40)
 	// Fail the middle AP: the chain is cut.
 	cfg := DefaultConfig()
-	cfg.FailedAPs = map[int]bool{2: true}
-	res := Run(m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
+	cfg.FailedSet = mesh.NewNodeSet(m.NumAPs()).Add(2)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if res.Delivered {
 		t.Error("failed midpoint should cut the chain")
 	}
@@ -123,8 +135,8 @@ func TestFailedAPsBlock(t *testing.T) {
 		t.Errorf("reached = %d, want 2", res.APsReached)
 	}
 	// Failing the source suppresses everything.
-	cfg.FailedAPs = map[int]bool{0: true}
-	res = Run(m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
+	cfg.FailedSet = mesh.NewNodeSet(m.NumAPs()).Add(0)
+	res = run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if res.APsReached != 0 || res.Delivered {
 		t.Errorf("failed source: %+v", res)
 	}
@@ -134,13 +146,13 @@ func TestLossyLinks(t *testing.T) {
 	city, m := chainCity(8, 40)
 	cfg := DefaultConfig()
 	cfg.LossProb = 1.0 // every reception lost
-	res := Run(m, city, floodAll{}, mkPacket(0, 7, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 7, 255), cfg)
 	if res.Delivered || res.APsReached != 1 {
 		t.Errorf("total loss: %+v", res)
 	}
 	// Zero loss is the baseline.
 	cfg.LossProb = 0
-	if res := Run(m, city, floodAll{}, mkPacket(0, 7, 255), cfg); !res.Delivered {
+	if res := run(t, m, city, floodAll{}, mkPacket(0, 7, 255), cfg); !res.Delivered {
 		t.Error("lossless flood should deliver")
 	}
 }
@@ -150,8 +162,8 @@ func TestDeterministicRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LossProb = 0.3
 	cfg.Seed = 99
-	a := Run(m, city, floodAll{}, mkPacket(0, 7, 255), cfg)
-	b := Run(m, city, floodAll{}, mkPacket(0, 7, 255), cfg)
+	a := run(t, m, city, floodAll{}, mkPacket(0, 7, 255), cfg)
+	b := run(t, m, city, floodAll{}, mkPacket(0, 7, 255), cfg)
 	if a.Delivered != b.Delivered || a.Broadcasts != b.Broadcasts ||
 		a.Receptions != b.Receptions || a.DeliveryTime != b.DeliveryTime {
 		t.Errorf("nondeterministic: %+v vs %+v", a, b)
@@ -162,7 +174,7 @@ func TestTranscript(t *testing.T) {
 	city, m := chainCity(5, 40)
 	cfg := DefaultConfig()
 	cfg.RecordTranscript = true
-	res := Run(m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if len(res.Transcript) != m.NumAPs() {
 		t.Fatalf("transcript size = %d", len(res.Transcript))
 	}
@@ -178,7 +190,10 @@ func TestTranscript(t *testing.T) {
 
 func TestInvalidSource(t *testing.T) {
 	city, m := chainCity(3, 40)
-	res := Run(m, city, floodAll{}, mkPacket(99, 2, 255), DefaultConfig())
+	res, err := NewEngine(m, city, floodAll{}).Run(mkPacket(99, 2, 255), DefaultConfig())
+	if !errors.Is(err, ErrNoSourceAP) {
+		t.Errorf("invalid source: err = %v, want ErrNoSourceAP", err)
+	}
 	if res.SourceAP != -1 || res.Delivered {
 		t.Errorf("invalid source: %+v", res)
 	}
@@ -188,7 +203,7 @@ func TestMaxEventsCap(t *testing.T) {
 	city, m := chainCity(10, 40)
 	cfg := DefaultConfig()
 	cfg.MaxEvents = 3
-	res := Run(m, city, floodAll{}, mkPacket(0, 9, 255), cfg)
+	res := run(t, m, city, floodAll{}, mkPacket(0, 9, 255), cfg)
 	if res.Delivered {
 		t.Error("3-event budget cannot deliver over 9 hops")
 	}
@@ -208,7 +223,7 @@ func TestUnicastDecision(t *testing.T) {
 	city, m := chainCity(4, 40)
 	// Policy that unicasts to the next AP id (a static source route).
 	pol := unicastNext{}
-	res := Run(m, city, pol, mkPacket(0, 3, 255), DefaultConfig())
+	res := run(t, m, city, pol, mkPacket(0, 3, 255), DefaultConfig())
 	if !res.Delivered {
 		t.Fatal("unicast chain should deliver")
 	}
@@ -233,7 +248,7 @@ func BenchmarkRunFloodChain(b *testing.B) {
 	cfg := DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Run(m, city, floodAll{}, mkPacket(0, 199, 255), cfg)
+		res := run(b, m, city, floodAll{}, mkPacket(0, 199, 255), cfg)
 		if !res.Delivered {
 			b.Fatal("chain flood failed")
 		}
@@ -247,6 +262,6 @@ func BenchmarkRunPathLossChain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		Run(m, city, floodAll{}, mkPacket(0, 199, 255), cfg)
+		run(b, m, city, floodAll{}, mkPacket(0, 199, 255), cfg)
 	}
 }

@@ -94,9 +94,8 @@ func TestFlashCrowdRaisesOfferedLoad(t *testing.T) {
 func TestDeadNetworkChargesNetworkExhausted(t *testing.T) {
 	n := testNetwork(t)
 	simCfg := sim.DefaultConfig()
-	simCfg.FailedAPs = map[int]bool{}
 	for _, ap := range n.Mesh.APs {
-		simCfg.FailedAPs[ap.ID] = true
+		simCfg.FailedSet = simCfg.FailedSet.Add(ap.ID)
 	}
 	cfg := smallConfig()
 	cfg.Ticks = 8
