@@ -7,30 +7,19 @@ package citymesh_test
 // Parallelism=1 and Parallelism=GOMAXPROCS (output is byte-identical by
 // construction; only wall-clock differs).
 //
-//	go test -bench=. -benchmem                  # every experiment, reduced scale
-//	go test -bench=Parallel -benchmem           # just the speedup pair
-//	CITYMESH_BENCH=1 go test -run WriteBenchJSON # emit BENCH_sim.json
+//	go test -bench=. -benchmem        # every experiment, reduced scale
+//	go test -bench=Parallel -benchmem # just the speedup pair
 //
-// BENCH_sim.json records ns/op, allocs and the parallel-vs-serial speedup
-// together with the core count the numbers were taken on — the speedup is
-// only meaningful relative to that.
+// The speedup is only meaningful relative to the core count it was taken
+// on. The end-to-end and per-layer benchmark lives in bench/.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"testing"
-	"time"
 
-	"citymesh/internal/citygen"
-	"citymesh/internal/core"
 	"citymesh/internal/experiments"
-	"citymesh/internal/faults"
-	"citymesh/internal/geo"
-	"citymesh/internal/sim"
-	"citymesh/internal/trafficgen"
 )
 
 // benchRunConfig is the reduced-scale setting every registry benchmark
@@ -63,8 +52,8 @@ func BenchmarkExperiments(b *testing.B) {
 	}
 }
 
-// benchParallelisms is the serial/parallel pair the speedup benchmarks and
-// BENCH_sim.json compare.
+// benchParallelisms is the serial/parallel pair the speedup benchmarks
+// compare.
 func benchParallelisms() []int {
 	ps := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
@@ -117,224 +106,5 @@ func BenchmarkFigure5Render(b *testing.B) {
 		if err := experiments.Figure5("boston", 0.5, io.Discard, io.Discard); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchEntry is one row of BENCH_sim.json.
-type benchEntry struct {
-	Name        string  `json:"name"`
-	Parallelism int     `json:"parallelism"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Speedup     float64 `json:"speedup_vs_serial"`
-	// AdmissionRejectRate is the session layer's rejection fraction at the
-	// entry's fixed offered load (trafficgen entry only).
-	AdmissionRejectRate float64 `json:"admission_rejection_rate,omitempty"`
-}
-
-// benchReport is the whole BENCH_sim.json document.
-type benchReport struct {
-	Cores      int          `json:"cores"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	GoVersion  string       `json:"go_version"`
-	Note       string       `json:"note"`
-	Benchmarks []benchEntry `json:"benchmarks"`
-}
-
-// TestWriteBenchJSON emits BENCH_sim.json. Gated behind CITYMESH_BENCH=1
-// because it re-runs the sweeps several times via testing.Benchmark and is
-// far too slow for the ordinary test suite:
-//
-//	CITYMESH_BENCH=1 go test -run WriteBenchJSON -timeout 30m
-func TestWriteBenchJSON(t *testing.T) {
-	if os.Getenv("CITYMESH_BENCH") == "" {
-		t.Skip("set CITYMESH_BENCH=1 to regenerate BENCH_sim.json")
-	}
-
-	sweep := func(name string, par int) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			cfg := benchRunConfig()
-			cfg.Parallelism = par
-			cfg.Pairs = 20
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunByName(name, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	report := benchReport{
-		Cores:      runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Note: "speedup_vs_serial compares the same sweep at Parallelism=1 and " +
-			"Parallelism=GOMAXPROCS on this machine; outputs are byte-identical.",
-	}
-	for _, name := range []string{"resilience", "figure6"} {
-		serial := sweep(name, 1)
-		serialNs := serial.NsPerOp()
-		report.Benchmarks = append(report.Benchmarks, benchEntry{
-			Name: name, Parallelism: 1,
-			NsPerOp:     serialNs,
-			AllocsPerOp: serial.AllocsPerOp(),
-			BytesPerOp:  serial.AllocedBytesPerOp(),
-			Speedup:     1,
-		})
-		par := runtime.GOMAXPROCS(0)
-		if par <= 1 {
-			continue
-		}
-		parallel := sweep(name, par)
-		speedup := 0.0
-		if parallel.NsPerOp() > 0 {
-			speedup = float64(serialNs) / float64(parallel.NsPerOp())
-		}
-		report.Benchmarks = append(report.Benchmarks, benchEntry{
-			Name: name, Parallelism: par,
-			NsPerOp:     parallel.NsPerOp(),
-			AllocsPerOp: parallel.AllocsPerOp(),
-			BytesPerOp:  parallel.AllocedBytesPerOp(),
-			Speedup:     speedup,
-		})
-	}
-
-	// trafficgen: the closed-loop user-traffic generator at a fixed 4x
-	// flash-crowd load on a small healthy mesh. The rejection rate is the
-	// session layer's admission behavior at that load — deterministic, so
-	// one extra run outside the timer pins it exactly.
-	n, tcfg := benchTrafficSetup(t)
-	tg := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := trafficgen.Run(n, sim.DefaultConfig(), tcfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rep, err := trafficgen.Run(n, sim.DefaultConfig(), tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report.Benchmarks = append(report.Benchmarks, benchEntry{
-		Name: "trafficgen", Parallelism: 1,
-		NsPerOp:             tg.NsPerOp(),
-		AllocsPerOp:         tg.AllocsPerOp(),
-		BytesPerOp:          tg.AllocedBytesPerOp(),
-		Speedup:             1,
-		AdmissionRejectRate: rep.RejectRate(),
-	})
-
-	// metroscale: one full resilience cell on the 10^5-AP metro preset,
-	// network build included — the cost a CI smoke run pays end to end.
-	ms := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := runMetroCell(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	report.Benchmarks = append(report.Benchmarks, benchEntry{
-		Name: "metroscale", Parallelism: 1,
-		NsPerOp:     ms.NsPerOp(),
-		AllocsPerOp: ms.AllocsPerOp(),
-		BytesPerOp:  ms.AllocedBytesPerOp(),
-		Speedup:     1,
-	})
-
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile("BENCH_sim.json", out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_sim.json (%d cores, gomaxprocs %d)", report.Cores, report.GoMaxProcs)
-}
-
-// runMetroCell executes the metroscale unit of work: a single-fraction
-// uniform-failure resilience cell on the hidden metro preset (~10^5 APs),
-// including city generation, AP placement, and engine construction.
-func runMetroCell() ([]experiments.ResilienceRow, error) {
-	return experiments.Resilience(experiments.ResilienceConfig{
-		Cities:      []string{"metro"},
-		Mode:        faults.ModeUniform,
-		Fracs:       []float64{0.3},
-		Pairs:       3,
-		Seed:        1,
-		Parallelism: 1,
-	})
-}
-
-// TestMetroscaleSmoke is the CI regression gate on metro-scale wall time:
-// one metro resilience cell must finish inside 10 seconds and inside 2x
-// the committed BENCH_sim.json metroscale baseline. Gated behind
-// CITYMESH_METRO=1 so the ordinary test suite stays fast:
-//
-//	CITYMESH_METRO=1 go test -run TestMetroscaleSmoke
-func TestMetroscaleSmoke(t *testing.T) {
-	if os.Getenv("CITYMESH_METRO") == "" {
-		t.Skip("set CITYMESH_METRO=1 to run the metro-scale smoke benchmark")
-	}
-
-	raw, err := os.ReadFile("BENCH_sim.json")
-	if err != nil {
-		t.Fatalf("read committed baseline: %v", err)
-	}
-	var baseline benchReport
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		t.Fatalf("parse committed baseline: %v", err)
-	}
-	var baseNs int64
-	for _, e := range baseline.Benchmarks {
-		if e.Name == "metroscale" {
-			baseNs = e.NsPerOp
-		}
-	}
-	if baseNs <= 0 {
-		t.Fatal("BENCH_sim.json has no metroscale baseline; regenerate it with CITYMESH_BENCH=1")
-	}
-
-	start := time.Now()
-	rows, err := runMetroCell()
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if len(rows) == 0 || rows[0].Pairs == 0 {
-		t.Fatalf("metro cell ran no pairs: %+v", rows)
-	}
-	t.Logf("metro cell: %v (baseline %v, limit %v)",
-		elapsed, time.Duration(baseNs), 2*time.Duration(baseNs))
-	if elapsed > 10*time.Second {
-		t.Errorf("metro cell took %v, budget 10s", elapsed)
-	}
-	if elapsed > 2*time.Duration(baseNs) {
-		t.Errorf("metro cell took %v, >2x the committed baseline %v", elapsed, time.Duration(baseNs))
-	}
-}
-
-// benchTrafficSetup builds the small fixed-load scenario the trafficgen
-// bench entry measures: a shrunk featureless gridtown and a 4x flash crowd.
-func benchTrafficSetup(t *testing.T) (*core.Network, trafficgen.Config) {
-	spec, ok := citygen.Preset("gridtown")
-	if !ok {
-		t.Fatal("gridtown preset missing")
-	}
-	spec.Width, spec.Height = 260, 260
-	spec.Rivers, spec.Parks, spec.Highways = nil, nil, nil
-	spec.DowntownRect, spec.CampusRect = geo.Rect{}, geo.Rect{}
-	n, err := core.FromSpec(spec, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n, trafficgen.Config{
-		Users: 40, APs: 6, Ticks: 24,
-		FlashMultiplier: 4,
-		Seed:            1,
 	}
 }

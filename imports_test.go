@@ -85,10 +85,11 @@ func reaches(deps map[string]map[string]bool, from, to string) bool {
 // kernel sits below both worlds it serves, the simulator and the live
 // agents never depend on each other (which is why the AP set type,
 // NodeSet, lives in mesh: both consume it), and the experiment registry is
-// a leaf only the command-line tools link.
+// a leaf only the command-line tools link. The scratch free list and the
+// bounded FIFO map are leaves below everything that reuses them.
 func TestImportDAG(t *testing.T) {
 	deps := moduleImports(t)
-	for _, pkg := range []string{"internal/fwd", "internal/sim", "internal/agent", "internal/mesh"} {
+	for _, pkg := range []string{"internal/fwd", "internal/sim", "internal/agent", "internal/mesh", "internal/freelist", "internal/fifo"} {
 		if deps[pkg] == nil {
 			t.Fatalf("no sources found for %s: run from the module root", pkg)
 		}
@@ -103,6 +104,11 @@ func TestImportDAG(t *testing.T) {
 	}
 	if reaches(deps, "internal/agent", "internal/sim") {
 		t.Error("internal/agent imports internal/sim")
+	}
+	for _, leaf := range []string{"internal/freelist", "internal/fifo"} {
+		for imp := range deps[leaf] {
+			t.Errorf("%s imports citymesh/%s; it must import nothing from the module", leaf, imp)
+		}
 	}
 	for dir, imps := range deps {
 		if imps["internal/experiments"] && !strings.HasPrefix(dir, "cmd/") {

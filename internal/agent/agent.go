@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"citymesh/internal/fifo"
 	"citymesh/internal/fwd"
 	"citymesh/internal/geo"
 	"citymesh/internal/osm"
@@ -82,48 +83,17 @@ type Config struct {
 // DefaultDedupCap is the default dedup cache bound: 64k message IDs,
 // hours of city-scale traffic, yet fixed-size. A full cache holds ~2.8 MiB
 // (2.3 MiB of it the map, sized up front, plus the 512 KiB ring): the
-// HeapAlloc growth across newDedupSet and 64k inserts, measured after
+// HeapAlloc growth across creating a set and 64k inserts, measured after
 // runtime.GC with go1.24 on linux/amd64.
 const DefaultDedupCap = 64 << 10
 
-// dedupSet is a FIFO-evicting set of message IDs. Oldest entries are
-// forgotten first once the capacity is reached, which matches the traffic
-// pattern: a duplicate of a message arrives within its flood wave, not
-// hours later.
-type dedupSet struct {
-	cap  int
-	set  map[uint64]struct{}
-	ring []uint64
-	next int // ring slot the next insertion overwrites
+// insert adds id to the dedup set d and reports whether it was already present.
+func insert(d *fifo.Map[struct{}], id uint64) (dup bool) {
+	if _, dup = d.Get(id); !dup {
+		d.Put(id, struct{}{})
+	}
+	return dup
 }
-
-func newDedupSet(capacity int) *dedupSet {
-	if capacity <= 0 {
-		capacity = DefaultDedupCap
-	}
-	return &dedupSet{
-		cap: capacity,
-		set: make(map[uint64]struct{}, capacity),
-	}
-}
-
-// insert adds id and reports whether it was already present.
-func (d *dedupSet) insert(id uint64) (dup bool) {
-	if _, ok := d.set[id]; ok {
-		return true
-	}
-	if len(d.ring) < d.cap {
-		d.ring = append(d.ring, id)
-	} else {
-		delete(d.set, d.ring[d.next])
-		d.ring[d.next] = id
-		d.next = (d.next + 1) % d.cap
-	}
-	d.set[id] = struct{}{}
-	return false
-}
-
-func (d *dedupSet) len() int { return len(d.set) }
 
 // maxNeighborEntries bounds the last-seen neighbor table so forged beacon
 // sources cannot grow it without bound.
@@ -186,14 +156,17 @@ type Agent struct {
 	view fwd.MapView
 	self fwd.Self
 
-	mu   sync.Mutex
-	seen *dedupSet
+	mu sync.Mutex
+	// seen is the dedup set of message IDs. It forgets the oldest first once
+	// full, which matches the traffic pattern: a duplicate of a message
+	// arrives within its flood wave, not hours later.
+	seen *fifo.Map[struct{}]
 	// pairSeen remembers (source, message ID) pairs. A correct neighbor
 	// broadcasts a given message at most once, so a repeat pair is a
 	// replayed frame (dropped, counted per cause), while the same message
 	// arriving from *different* neighbors stays a benign flood-overlap
 	// duplicate. Same FIFO bound as the dedup cache.
-	pairSeen  *dedupSet
+	pairSeen  *fifo.Map[struct{}]
 	stats     Stats
 	neighbors map[string]time.Time
 	// onDeliver fires when a packet for this agent's building arrives.
@@ -221,6 +194,10 @@ func New(cfg Config, tr Transport) *Agent {
 	if burst == 0 && rate == DefaultNeighborRate {
 		burst = DefaultNeighborBurst
 	}
+	dedupCap := cfg.DedupCap
+	if dedupCap <= 0 {
+		dedupCap = DefaultDedupCap
+	}
 	a := &Agent{
 		cfg:     cfg,
 		tr:      tr,
@@ -233,8 +210,8 @@ func New(cfg Config, tr Transport) *Agent {
 			StrictSanity: cfg.StrictSanity,
 		}),
 		self:      fwd.Self{Pos: cfg.Pos, Building: cfg.Building},
-		seen:      newDedupSet(cfg.DedupCap),
-		pairSeen:  newDedupSet(cfg.DedupCap),
+		seen:      fifo.New[struct{}](dedupCap),
+		pairSeen:  fifo.New[struct{}](dedupCap),
 		neighbors: make(map[string]time.Time),
 	}
 	if cfg.City != nil {
@@ -312,7 +289,7 @@ func (a *Agent) Inject(pkt *packet.Packet) error {
 	}
 	v := a.kernel.Decide(a.view, &pkt.Header, a.self, true)
 	a.mu.Lock()
-	a.seen.insert(pkt.Header.MsgID)
+	insert(a.seen, pkt.Header.MsgID)
 	a.stats.Rebroadcast++
 	a.mu.Unlock()
 	if v.Deliver {
@@ -406,7 +383,7 @@ func (a *Agent) HandleFrameFrom(src string, frame []byte) {
 	// A repeat (source, message ID) pair is a replay: a correct neighbor
 	// broadcasts each message at most once. Checked before Received so a
 	// replay storm lands entirely in the drop partition.
-	if src != "" && a.pairSeen.insert(pairID(src, pkt.Header.MsgID)) {
+	if src != "" && insert(a.pairSeen, pairID(src, pkt.Header.MsgID)) {
 		a.stats.Dropped++
 		a.stats.DroppedReplayed++
 		a.mu.Unlock()
@@ -416,7 +393,7 @@ func (a *Agent) HandleFrameFrom(src string, frame []byte) {
 	if src != "" {
 		a.noteNeighborLocked(src, now)
 	}
-	if a.seen.insert(pkt.Header.MsgID) {
+	if insert(a.seen, pkt.Header.MsgID) {
 		a.stats.Duplicates++
 		a.mu.Unlock()
 		return

@@ -1,65 +1,69 @@
 package agent
 
-import "testing"
+import (
+	"testing"
+
+	"citymesh/internal/fifo"
+)
 
 func TestDedupSetDetectsDuplicates(t *testing.T) {
-	d := newDedupSet(8)
-	if d.insert(42) {
+	d := fifo.New[struct{}](8)
+	if insert(d, 42) {
 		t.Error("first insert must not be a duplicate")
 	}
-	if !d.insert(42) {
+	if !insert(d, 42) {
 		t.Error("second insert must be a duplicate")
 	}
-	if d.len() != 1 {
-		t.Errorf("len = %d, want 1", d.len())
+	if d.Len() != 1 {
+		t.Errorf("len = %d, want 1", d.Len())
 	}
 }
 
 func TestDedupSetEvictsOldestFirst(t *testing.T) {
-	d := newDedupSet(4)
+	d := fifo.New[struct{}](4)
 	for id := uint64(0); id < 4; id++ {
-		d.insert(id)
+		insert(d, id)
 	}
 	// Inserting a 5th evicts id 0 (FIFO), nothing else.
-	d.insert(100)
-	if d.len() != 4 {
-		t.Fatalf("len = %d, want capacity 4", d.len())
+	insert(d, 100)
+	if d.Len() != 4 {
+		t.Fatalf("len = %d, want capacity 4", d.Len())
 	}
-	if !d.insert(1) || !d.insert(2) || !d.insert(3) {
+	if !insert(d, 1) || !insert(d, 2) || !insert(d, 3) {
 		t.Error("recent ids must survive the eviction")
 	}
-	if d.insert(0) {
+	if insert(d, 0) {
 		t.Error("id 0 should have been evicted, but was still seen")
 	}
 }
 
 func TestDedupSetStaysBounded(t *testing.T) {
 	const capacity = 64
-	d := newDedupSet(capacity)
+	d := fifo.New[struct{}](capacity)
 	for id := uint64(0); id < 10*capacity; id++ {
-		d.insert(id)
-		if d.len() > capacity {
-			t.Fatalf("cache grew to %d past capacity %d", d.len(), capacity)
-		}
-		if len(d.ring) > capacity {
-			t.Fatalf("ring grew to %d past capacity %d", len(d.ring), capacity)
+		insert(d, id)
+		if d.Len() > capacity {
+			t.Fatalf("cache grew to %d past capacity %d", d.Len(), capacity)
 		}
 	}
-	if d.len() != capacity {
-		t.Errorf("steady-state len = %d, want %d", d.len(), capacity)
+	if d.Len() != capacity {
+		t.Errorf("steady-state len = %d, want %d", d.Len(), capacity)
 	}
 	// The newest window is exactly what survives.
 	for id := uint64(10*capacity - capacity); id < 10*capacity; id++ {
-		if !d.insert(id) {
+		if !insert(d, id) {
 			t.Fatalf("id %d from the newest window was evicted", id)
 		}
 	}
 }
 
 func TestDedupSetZeroCapUsesDefault(t *testing.T) {
-	d := newDedupSet(0)
-	if d.cap != DefaultDedupCap {
-		t.Errorf("cap = %d, want default %d", d.cap, DefaultDedupCap)
+	d := New(Config{ID: 1, Building: -1}, nil).seen
+	for id := uint64(0); id <= DefaultDedupCap; id++ {
+		insert(d, id)
+	}
+	if d.Len() != DefaultDedupCap {
+		t.Errorf("holds %d after %d inserts, want the default cap %d", d.Len(), DefaultDedupCap+1, DefaultDedupCap)
 	}
 }
 
@@ -67,13 +71,13 @@ func TestAgentDedupConfigurable(t *testing.T) {
 	// A tiny cache: after capacity distinct messages, the first message is
 	// forgotten and counted as fresh again.
 	a := New(Config{ID: 1, Building: -1, DedupCap: 2}, nil)
-	if a.seen.cap != 2 {
-		t.Fatalf("agent cache cap = %d, want 2", a.seen.cap)
+	insert(a.seen, 1)
+	insert(a.seen, 2)
+	insert(a.seen, 3) // evicts 1
+	if a.seen.Len() != 2 {
+		t.Fatalf("agent cache holds %d, want cap 2", a.seen.Len())
 	}
-	a.seen.insert(1)
-	a.seen.insert(2)
-	a.seen.insert(3) // evicts 1
-	if a.seen.insert(1) {
+	if insert(a.seen, 1) {
 		t.Error("evicted message should be treated as fresh")
 	}
 }

@@ -104,8 +104,8 @@ func TestMalformedFrameStorm(t *testing.T) {
 
 	// Bounded memory: every adversary-controlled table respects its cap.
 	a.mu.Lock()
-	dedupLen := a.seen.len()
-	pairLen := a.pairSeen.len()
+	dedupLen := a.seen.Len()
+	pairLen := a.pairSeen.Len()
 	neighborLen := len(a.neighbors)
 	a.mu.Unlock()
 	if dedupLen > 256 {

@@ -14,8 +14,8 @@ package buildinggraph
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"citymesh/internal/freelist"
 	"citymesh/internal/geo"
 	"citymesh/internal/osm"
 )
@@ -58,12 +58,13 @@ type Graph struct {
 	// centroids indexes building centroids for nearest-building queries.
 	centroids *geo.Grid
 	numEdges  int
-	// scratch pools per-call Dijkstra state (dist/prev/done arrays and the
+	// scratch keeps per-call Dijkstra state (dist/prev/done arrays and the
 	// frontier heap's backing array) so repeated planning queries — the
-	// dominant cost of the resilience and multipath sweeps — allocate
-	// nothing per call. Safe for concurrent queries: each call takes its
-	// own scratch from the pool.
-	scratch sync.Pool
+	// dominant cost of the resilience and multipath sweeps — allocate only
+	// the path they return. Safe for concurrent queries: each call takes
+	// its own scratch from the free list, which keeps one per query that
+	// was ever in flight at once.
+	scratch freelist.List[dijkstraScratch]
 }
 
 // Build constructs the building graph. Candidate pairs come from a spatial
@@ -239,7 +240,7 @@ func pqPop(h *[]pqItem) pqItem {
 	return it
 }
 
-// dijkstraScratch is the pooled per-call state of shortestPathPenalized.
+// dijkstraScratch is the reused per-call state of shortestPathPenalized.
 type dijkstraScratch struct {
 	dist []float64
 	prev []int32
@@ -247,20 +248,14 @@ type dijkstraScratch struct {
 	heap []pqItem
 }
 
-// getScratch takes a scratch sized for n vertices from the pool, reset for
-// a fresh run.
-func (g *Graph) getScratch(n int) *dijkstraScratch {
-	s, _ := g.scratch.Get().(*dijkstraScratch)
-	if s == nil || cap(s.dist) < n {
-		s = &dijkstraScratch{
-			dist: make([]float64, n),
-			prev: make([]int32, n),
-			done: make([]bool, n),
-		}
+// getScratch takes a scratch from the free list, or builds one for the
+// graph's vertex count, reset for a fresh run.
+func (g *Graph) getScratch() *dijkstraScratch {
+	s := g.scratch.Get()
+	if s == nil {
+		n := len(g.adj)
+		s = &dijkstraScratch{dist: make([]float64, n), prev: make([]int32, n), done: make([]bool, n)}
 	}
-	s.dist = s.dist[:n]
-	s.prev = s.prev[:n]
-	s.done = s.done[:n]
 	for i := range s.dist {
 		s.dist[i] = math.Inf(1)
 		s.prev[i] = -1
@@ -291,7 +286,7 @@ func (g *Graph) shortestPathPenalized(src, dst int, penalty map[[2]int32]float64
 	if src == dst {
 		return []int{src}, 0, nil
 	}
-	sc := g.getScratch(n)
+	sc := g.getScratch()
 	defer g.scratch.Put(sc)
 	dist, prev, done := sc.dist, sc.prev, sc.done
 	dist[src] = 0

@@ -298,3 +298,36 @@ func planCity(p *citygen.Plan) *osm.City {
 	}
 	return city
 }
+
+// TestShortestPathWarmCallAllocatesOnlyThePath pins the reused Dijkstra
+// scratch: after one call has sized it, a search on a fixed gridtown pair
+// allocates nothing but the path it returns. The path is grown by append,
+// so its 140 buildings cost 9 allocations (capacities 1, 2, 4, ... 256).
+func TestShortestPathWarmCallAllocatesOnlyThePath(t *testing.T) {
+	spec, ok := citygen.Preset("gridtown")
+	if !ok {
+		t.Fatal("no gridtown preset")
+	}
+	plan, err := citygen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Build(planCity(plan), DefaultConfig())
+	src, dst := 0, len(g.adj)-1
+	path, _, err := g.ShortestPath(src, dst) // size the scratch
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(path) != 140 {
+		t.Fatalf("the pinned pair's path has %d buildings, want 140: re-measure the budget", len(path))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := g.ShortestPath(src, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm ShortestPath %d→%d (%d buildings on the path): %.1f allocs", src, dst, len(path), allocs)
+	if allocs != 9 {
+		t.Errorf("warm ShortestPath allocates %.1f, want 9", allocs)
+	}
+}

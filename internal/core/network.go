@@ -285,7 +285,7 @@ func (s SendResult) Overhead() float64 {
 // sim.Engine per Network, built lazily on first use, backed by one
 // kernel-backed CityMesh policy. Every ladder rung, experiment sweep,
 // and application send over this Network reuses it, so the per-mesh
-// struct-of-arrays precomputation and pooled per-run scratch are paid
+// struct-of-arrays precomputation and reused per-run scratch are paid
 // once. Safe for concurrent use; when runs share the engine
 // concurrently, per-run Result.Decisions deltas are approximate (see
 // sim.DecisionCounter) while every other Result field stays exact.

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"citymesh/internal/conduit"
+	"citymesh/internal/fifo"
 	"citymesh/internal/geo"
 	"citymesh/internal/packet"
 )
@@ -386,18 +387,13 @@ func (k *Kernel) Counts() Counts {
 func (k *Kernel) CacheLen() int { return k.cache.len() }
 
 // regionCache is a bounded FIFO map from message ID to prefiltered conduit
-// region. Oldest entries are evicted first — a message's flood wave is
-// short relative to cache capacity, so FIFO behaves like LRU here (the
-// same reasoning as the agent's dedup cache) without per-hit bookkeeping.
+// region; a message's flood wave is short relative to cache capacity.
 // Unresolvable routes cache a nil region so a storm of bad-route frames
 // costs one reconstruction attempt, not one per AP per frame.
 type regionCache struct {
 	mu       sync.Mutex
-	cap      int
 	disabled bool
-	m        map[uint64]*conduit.Region
-	ring     []uint64
-	next     int
+	m        *fifo.Map[*conduit.Region]
 }
 
 func (c *regionCache) init(capacity int) {
@@ -408,8 +404,7 @@ func (c *regionCache) init(capacity int) {
 	if capacity == 0 {
 		capacity = DefaultCacheCap
 	}
-	c.cap = capacity
-	c.m = make(map[uint64]*conduit.Region, capacity)
+	c.m = fifo.New[*conduit.Region](capacity)
 }
 
 func (c *regionCache) get(view MapView, hdr *packet.Header) *conduit.Region {
@@ -417,7 +412,7 @@ func (c *regionCache) get(view MapView, hdr *packet.Header) *conduit.Region {
 		return BuildRegion(view, hdr)
 	}
 	c.mu.Lock()
-	if r, ok := c.m[hdr.MsgID]; ok {
+	if r, ok := c.m.Get(hdr.MsgID); ok {
 		c.mu.Unlock()
 		return r
 	}
@@ -428,24 +423,19 @@ func (c *regionCache) get(view MapView, hdr *packet.Header) *conduit.Region {
 	r := BuildRegion(view, hdr)
 
 	c.mu.Lock()
-	if prior, ok := c.m[hdr.MsgID]; ok {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if prior, ok := c.m.Get(hdr.MsgID); ok {
 		return prior
 	}
-	if len(c.ring) < c.cap {
-		c.ring = append(c.ring, hdr.MsgID)
-	} else {
-		delete(c.m, c.ring[c.next])
-		c.ring[c.next] = hdr.MsgID
-		c.next = (c.next + 1) % c.cap
-	}
-	c.m[hdr.MsgID] = r
-	c.mu.Unlock()
+	c.m.Put(hdr.MsgID, r)
 	return r
 }
 
 func (c *regionCache) len() int {
+	if c.disabled {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	return c.m.Len()
 }

@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
+	"citymesh/internal/freelist"
 	"citymesh/internal/geo"
 	"citymesh/internal/osm"
 )
@@ -65,7 +65,9 @@ type Mesh struct {
 	// sweep; every row is a window of one backing array (see buildGraph).
 	adj [][]int32
 
-	minTxPool sync.Pool // of *minTxScratch
+	// minTxFree keeps one MinTransmissions scratch per search that was ever
+	// in flight at once.
+	minTxFree freelist.List[minTxScratch]
 }
 
 // Place samples AP locations inside every building footprint via rejection
@@ -257,8 +259,8 @@ var ErrUnreachable = fmt.Errorf("mesh: destination unreachable in AP graph")
 // along an edge (consistent); f = g + h is a small integer, so the open list
 // is an array of buckets. Source APs that the union-find says cannot reach
 // dst are never seeded, which is also the unreachable check. All state lives
-// in a pooled scratch, so a warm call allocates nothing. Safe for concurrent
-// callers.
+// in a scratch reused from a free list, so a warm call allocates nothing.
+// Safe for concurrent callers.
 func (m *Mesh) MinTransmissions(src, dst int) (int, error) {
 	if src == dst {
 		return 0, nil
@@ -270,11 +272,11 @@ func (m *Mesh) MinTransmissions(src, dst int) (int, error) {
 	if len(goals) == 0 {
 		return 0, ErrUnreachable
 	}
-	sc, _ := m.minTxPool.Get().(*minTxScratch)
+	sc := m.minTxFree.Get()
 	if sc == nil {
 		sc = new(minTxScratch)
 	}
-	defer m.minTxPool.Put(sc)
+	defer m.minTxFree.Put(sc)
 	sc.begin(len(m.APs))
 
 	var c geo.Point

@@ -9,7 +9,6 @@ import (
 	"citymesh/internal/citygen"
 	"citymesh/internal/geo"
 	"citymesh/internal/osm"
-	"citymesh/internal/raceflag"
 )
 
 // minTransmissionsBFS is the reference MinTransmissions: the plain
@@ -166,12 +165,9 @@ func TestMinTransmissionsMatchesBFSOracle(t *testing.T) {
 	})
 }
 
-// TestMinTransmissionsWarmCallAllocatesNothing pins the pooled scratch: after
+// TestMinTransmissionsWarmCallAllocatesNothing pins the reused scratch: after
 // one call has sized it, a search allocates nothing, reachable or not.
 func TestMinTransmissionsWarmCallAllocatesNothing(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("sync.Pool drops scratch at random under the race detector")
-	}
 	m := presetMesh(t, "gridtown")
 	nb := len(m.byBuilding)
 	pairs := [][2]int{{0, nb - 1}, {nb / 3, nb / 2}, {nb - 1, 1}}

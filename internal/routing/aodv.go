@@ -36,7 +36,7 @@ func AODVDiscover(m *mesh.Mesh, city *osm.City, src, dst int, cfg sim.Config) AO
 }
 
 // AODVDiscoverEngine is AODVDiscover over a prebuilt engine, so sweeps
-// amortize the per-mesh precomputation and pooled scratch across pairs.
+// amortize the per-mesh precomputation and reused scratch across pairs.
 // The engine's own policy is ignored: the RREQ always floods.
 func AODVDiscoverEngine(eng *sim.Engine, src, dst int, cfg sim.Config) AODVCost {
 	pkt := &packet.Packet{

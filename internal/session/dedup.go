@@ -4,11 +4,12 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 
+	"citymesh/internal/fifo"
 	"citymesh/internal/postbox"
 )
 
 // Dedup window defaults. The window mirrors the relay daemon's
-// duplicate-suppression cache (internal/agent's dedupSet), adapted for the
+// duplicate-suppression cache (internal/agent's dedup set), adapted for the
 // session layer: the mesh dedups by message ID, but a phone that never saw
 // its TAccept reply resubmits the *same content* under a fresh submission —
 // so here the key is a content hash and entries expire, letting a user
@@ -39,15 +40,11 @@ func submitKey(clientID uint64, dst int, to postbox.Address, payload []byte) uin
 
 // dedupWindow is a FIFO-evicting content-hash set with per-entry
 // timestamps: a hit only counts as duplicate while its entry is younger
-// than the window. Eviction is FIFO over insertion order — the same
-// reasoning as the agent's dedup cache: a retry burst is short relative to
-// capacity, so FIFO behaves like LRU without per-hit bookkeeping.
+// than the window. A retry burst is short relative to capacity, so FIFO
+// eviction loses nothing. A nil window is disabled dedup.
 type dedupWindow struct {
-	cap     int
 	windowS float64
-	at      map[uint64]float64
-	ring    []uint64
-	next    int
+	at      *fifo.Map[float64]
 }
 
 func newDedupWindow(capacity int, windowS float64) *dedupWindow {
@@ -60,11 +57,7 @@ func newDedupWindow(capacity int, windowS float64) *dedupWindow {
 	if windowS <= 0 {
 		windowS = DefaultDedupWindowS
 	}
-	return &dedupWindow{
-		cap:     capacity,
-		windowS: windowS,
-		at:      make(map[uint64]float64, capacity),
-	}
+	return &dedupWindow{windowS: windowS, at: fifo.New[float64](capacity)}
 }
 
 // seen reports whether key was recorded within the window before now.
@@ -72,32 +65,14 @@ func (d *dedupWindow) seen(key uint64, now float64) bool {
 	if d == nil {
 		return false
 	}
-	at, ok := d.at[key]
+	at, ok := d.at.Get(key)
 	return ok && now-at < d.windowS
 }
 
-// record stamps key at now, evicting the oldest insertion at capacity.
+// record stamps key at now, evicting the oldest insertion at capacity. A
+// key already held (expired, or racing) is refreshed in place.
 func (d *dedupWindow) record(key uint64, now float64) {
-	if d == nil {
-		return
+	if d != nil {
+		d.at.Put(key, now)
 	}
-	if _, ok := d.at[key]; ok {
-		d.at[key] = now // refresh an expired (or racing) entry in place
-		return
-	}
-	if len(d.ring) < d.cap {
-		d.ring = append(d.ring, key)
-	} else {
-		delete(d.at, d.ring[d.next])
-		d.ring[d.next] = key
-		d.next = (d.next + 1) % d.cap
-	}
-	d.at[key] = now
-}
-
-func (d *dedupWindow) len() int {
-	if d == nil {
-		return 0
-	}
-	return len(d.at)
 }

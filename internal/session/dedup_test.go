@@ -136,7 +136,7 @@ func TestDedupWindowBounded(t *testing.T) {
 			t.Fatalf("submit %d: %+v", i, r)
 		}
 	}
-	if n := s.recent.len(); n != 8 {
+	if n := s.recent.at.Len(); n != 8 {
 		t.Fatalf("window grew to %d entries, cap is 8", n)
 	}
 	// The newest entry is still deduped; the oldest was evicted, so its

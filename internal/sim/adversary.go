@@ -271,7 +271,7 @@ type pairBucket struct {
 // rateGate is the Defense.NeighborRate enforcement: one lazily-created
 // token bucket per communicating pair, refilled in sim time. Bounded by the
 // number of in-range pairs that actually exchange frames in one run. It
-// lives on the pooled scratch with its buckets held by value, so a defended
+// lives on the reused scratch with its buckets held by value, so a defended
 // run reuses the previous run's table instead of allocating a bucket per
 // pair.
 type rateGate struct {

@@ -3,7 +3,7 @@
 // An Engine is constructed once per (mesh, city, policy) and amortizes
 // everything a one-shot run would rebuild per call: struct-of-arrays AP
 // state (positions and building ids copied out of the mesh's
-// array-of-structs), the default radio model, and a pool of per-run
+// array-of-structs), the default radio model, and a free list of per-run
 // scratch — the seen/hops/ttl/lastArrival slices, the event-heap backing
 // array, the reception arena, the rate gate's buckets and the RNG — reused
 // across runs instead of reallocated.
@@ -17,11 +17,11 @@
 // one a queue of single receptions produces (DESIGN.md §11 has the
 // argument).
 //
-// Determinism is unaffected by pooling: every run fully re-seeds the
-// pooled RNG from Config.Seed, every scratch slice is cleared (or, for
+// Determinism is unaffected by reuse: every run fully re-seeds the
+// scratch's RNG from Config.Seed, every scratch slice is cleared (or, for
 // lastArrival, refilled) before use, and the event heap orders events by
 // the strict total order (t, seq), so the pop sequence — and therefore
-// every RNG draw — is independent of which pooled buffers a run happens
+// every RNG draw — is independent of which reused buffers a run happens
 // to receive. A warm Engine.Run is byte-identical to a cold one.
 package sim
 
@@ -30,9 +30,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"citymesh/internal/freelist"
 	"citymesh/internal/fwd"
 	"citymesh/internal/geo"
 	"citymesh/internal/mesh"
@@ -42,7 +41,7 @@ import (
 
 // Engine is a reusable simulator for one (mesh, city, policy) triple.
 // Construct it once with NewEngine and call Run per packet; runs may be
-// issued concurrently (each takes its own scratch from an internal pool),
+// issued concurrently (each takes its own scratch from a free list),
 // provided the policy itself tolerates concurrent OnReceive calls — the
 // kernel-backed CityMesh policy does.
 type Engine struct {
@@ -62,14 +61,10 @@ type Engine struct {
 
 	defaultRadio RadioModel
 
-	// spare holds the last released scratch outside the pool. A sync.Pool
-	// Get misses when the caller's goroutine has moved to another P since
-	// the Put, and the pool drops what sits idle across two GCs; each miss
-	// rebuilds the per-AP slices (1.9 MB on the 10^5-AP metro preset). A
-	// serial caller always finds the spare; concurrent runs overflow into
-	// the pool.
-	spare atomic.Pointer[scratch]
-	pool  sync.Pool // of *scratch
+	// free holds the scratch of finished runs: one per run that was ever in
+	// flight at once (1.9 MB each on the 10^5-AP metro preset), kept for the
+	// life of the Engine.
+	free freelist.List[scratch]
 }
 
 // NewEngine precomputes the per-mesh state for repeated runs. pol is the
@@ -90,7 +85,6 @@ func NewEngine(m *mesh.Mesh, city *osm.City, pol Policy) *Engine {
 		e.pos[i] = m.APs[i].Pos
 		e.building[i] = int32(m.APs[i].Building)
 	}
-	e.pool.New = func() any { return newScratch(e) }
 	return e
 }
 
@@ -122,21 +116,19 @@ func (e *Engine) RunPolicy(pol Policy, pkt *packet.Packet, cfg Config) (Result, 
 	if src < 0 || src >= e.city.NumBuildings() || len(e.mesh.APsInBuilding(src)) == 0 {
 		return Result{SourceAP: -1}, fmt.Errorf("%w (source building %d)", ErrNoSourceAP, src)
 	}
-	s := e.spare.Swap(nil)
+	s := e.free.Get()
 	if s == nil {
-		s = e.pool.Get().(*scratch)
+		s = newScratch(e)
 	}
 	s.reset(pol, pkt, cfg)
 	res := s.run()
 	s.release()
-	if !e.spare.CompareAndSwap(nil, s) {
-		e.pool.Put(s)
-	}
+	e.free.Put(s)
 	return res, nil
 }
 
-// scratch is one run's worth of mutable state, pooled and reused across
-// runs. Every field is either re-derived from the Config in reset or
+// scratch is one run's worth of mutable state, kept on the Engine's free
+// list and reused across runs. Every field is either re-derived from the Config in reset or
 // cleared there; nothing observable survives from the previous run.
 type scratch struct {
 	eng *Engine
@@ -282,7 +274,7 @@ func (s *scratch) reset(pol Policy, pkt *packet.Packet, cfg Config) {
 	s.res = Result{SourceAP: -1}
 }
 
-// release drops references the pooled scratch must not pin between runs
+// release drops references the reused scratch must not pin between runs
 // (the caller's Config sets, packet, policy, and the returned Transcript).
 func (s *scratch) release() {
 	s.cfg = Config{}
@@ -389,7 +381,7 @@ func eventLess(a, b event) bool {
 
 // run executes the event loop: the defense-stack ordering, the forged-
 // injection phase draws and the jitter/radio/loss draw sequence are fixed,
-// so a warm pooled run is byte-identical to a cold one (and to
+// so a warm reused run is byte-identical to a cold one (and to
 // testdata/engine_golden.json).
 func (s *scratch) run() Result {
 	e := s.eng

@@ -9,7 +9,6 @@ import (
 	"citymesh/internal/citygen"
 	"citymesh/internal/mesh"
 	"citymesh/internal/osm"
-	"citymesh/internal/raceflag"
 )
 
 // gridCity generates the gridtown preset — the allocation-budget and
@@ -34,7 +33,7 @@ func gridCity(t testing.TB) (*osm.City, *mesh.Mesh) {
 	return city, mesh.Place(city, mesh.DefaultConfig())
 }
 
-// engineConfigs is the determinism matrix: every scratch-pool code path
+// engineConfigs is the determinism matrix: every scratch-reuse code path
 // that could leak state between runs (RNG, event heap, per-AP slices,
 // collision clocks, adversary taint, failure sets) gets a config that
 // exercises it.
@@ -73,8 +72,8 @@ func engineConfigs(numAPs int) map[string]Config {
 	}
 }
 
-// TestEngineWarmRunsMatchColdRuns is the pooled-scratch determinism
-// guarantee: re-running on a warm engine (scratch reused from the pool)
+// TestEngineWarmRunsMatchColdRuns is the reused-scratch determinism
+// guarantee: re-running on a warm engine (scratch reused from its free list)
 // must be byte-identical to a cold engine's first run, for every config in
 // the matrix and across seeds.
 func TestEngineWarmRunsMatchColdRuns(t *testing.T) {
@@ -86,7 +85,7 @@ func TestEngineWarmRunsMatchColdRuns(t *testing.T) {
 			warm := NewEngine(m, city, floodAll{})
 			for seed := int64(1); seed <= 3; seed++ {
 				cfg.Seed = seed
-				// Warm the pool, then run again: the second run reuses
+				// Run once, then again: the second run reuses
 				// the first's scratch.
 				first, err := warm.Run(mkPacket(0, 19, 255), cfg)
 				if err != nil {
@@ -110,23 +109,18 @@ func TestEngineWarmRunsMatchColdRuns(t *testing.T) {
 }
 
 // TestEngineRunAllocs pins the warm-path allocation budget on gridtown.
-// A warm Engine.Run with bitset failure sets and no transcript must not
-// allocate per run: scratch comes from the pool, the event heap backing
-// array is retained, and the RNG is re-seeded in place. The budget of 4
-// leaves headroom for runtime noise (pool repopulation after a GC), not
-// for per-run garbage — a real regression (per-run maps, heap boxing,
-// closures) costs hundreds of allocations and trips this immediately.
+// A warm Engine.Run with bitset failure sets and no transcript allocates
+// nothing: scratch comes back from the engine's free list, the event heap
+// backing array is retained, and the RNG is re-seeded in place. A real
+// regression (per-run maps, heap boxing, closures) costs hundreds of
+// allocations and trips this immediately.
 func TestEngineRunAllocs(t *testing.T) {
-	if raceflag.Enabled {
-		// Two runs in five exceeded the budget there, flakily.
-		t.Skip("sync.Pool drops scratch at random under the race detector")
-	}
 	city, m := gridCity(t)
 	eng := NewEngine(m, city, floodAll{})
 	cfg := DefaultConfig()
 	cfg.FailedSet = mesh.NewNodeSet(m.NumAPs()).Add(3).Add(99)
 	pkt := mkPacket(0, city.NumBuildings()-1, 255)
-	if _, err := eng.Run(pkt, cfg); err != nil { // warm the pool
+	if _, err := eng.Run(pkt, cfg); err != nil { // size the scratch
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
@@ -135,20 +129,17 @@ func TestEngineRunAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("warm Engine.Run on gridtown (%d APs): %.1f allocs/run", m.NumAPs(), allocs)
-	if allocs > 4 {
-		t.Errorf("warm Engine.Run allocates %.1f/run, budget 4", allocs)
+	if allocs != 0 {
+		t.Errorf("warm Engine.Run allocates %.1f/run, want 0", allocs)
 	}
 }
 
 // TestEngineDefendedRunAllocs extends the budget to a run with the whole
 // defense stack on. The rate gate keeps one token bucket per communicating
-// pair; it lives on the pooled scratch and is cleared, not rebuilt, so the
+// pair; it lives on the reused scratch and is cleared, not rebuilt, so the
 // second defended run over the same wave allocates nothing (the gate used to
 // cost a fresh map, and a heap bucket per pair, on every run).
 func TestEngineDefendedRunAllocs(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("sync.Pool drops scratch at random under the race detector")
-	}
 	city, m := gridCity(t)
 	eng := NewEngine(m, city, floodAll{})
 	cfg := DefaultConfig()

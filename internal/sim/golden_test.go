@@ -246,7 +246,7 @@ func goldenRuns(t *testing.T) goldenFile {
 	out := goldenFile{Scenarios: map[string][]sim.Result{}, MaxEvents: map[string][]string{}}
 	for _, sc := range goldenScenarios() {
 		// One engine per scenario: the second and later runs reuse the
-		// pooled scratch, so the goldens also pin warm == cold.
+		// first run's scratch, so the goldens also pin warm == cold.
 		eng := sim.NewEngine(n.Mesh, n.City, sc.pol())
 		for _, pkt := range pkts {
 			for seed := int64(1); seed <= 2; seed++ {
