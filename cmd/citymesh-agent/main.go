@@ -66,7 +66,6 @@ func main() {
 		hello     = flag.Duration("hello", agent.DefaultBeaconInterval, "HELLO liveness beacon interval (0: off)")
 		nbrRate   = flag.Float64("neighbor-rate", agent.DefaultNeighborRate, "per-neighbor inbound frames/sec (negative: unlimited)")
 		budget    = flag.Float64("inbound-budget", 4<<20, "global inbound byte budget, bytes/sec (0: unlimited)")
-		cacheCap  = flag.Int("conduit-cache", 0, "conduit-region cache capacity in messages (0: default, negative: disable)")
 		maxTTL    = flag.Int("max-ttl", 0, "reject frames whose received TTL exceeds this (0: off); set to the network TTL to stop TTL-reset attacks")
 		strictSan = flag.Bool("strict-sanity", false, "reject frames with conduit waypoints unmappable on this AP's map (corrupt route bytes)")
 
@@ -138,7 +137,6 @@ func main() {
 		Store:              store,
 		NeighborRate:       *nbrRate,
 		InboundBytesPerSec: *budget,
-		ConduitCacheCap:    *cacheCap,
 		MaxTTL:             clampTTL(*maxTTL),
 		StrictSanity:       *strictSan,
 	}, nil)

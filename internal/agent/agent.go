@@ -47,10 +47,6 @@ type Config struct {
 	// IDs remembered); 0 means DefaultDedupCap. APs run for months on
 	// 32 MB routers — the cache must not grow with traffic.
 	DedupCap int
-	// ConduitCacheCap bounds the forwarding kernel's per-message conduit
-	// cache; 0 means fwd.DefaultCacheCap, negative disables caching (every
-	// frame reconstructs its conduits).
-	ConduitCacheCap int
 	// Store optionally supplies the postbox store (e.g. one opened with
 	// postbox.OpenDir for crash-safe persistence); nil creates a fresh
 	// in-memory store.
@@ -205,7 +201,6 @@ func New(cfg Config, tr Transport) *Agent {
 		clock:   clock,
 		limiter: newLimiter(rate, burst, cfg.InboundBytesPerSec, cfg.InboundBurstBytes, 0),
 		kernel: fwd.NewKernel(fwd.Options{
-			CacheCap:     cfg.ConduitCacheCap,
 			MaxTTL:       cfg.MaxTTL,
 			StrictSanity: cfg.StrictSanity,
 		}),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"citymesh/internal/core"
-	"citymesh/internal/fwd"
 	"citymesh/internal/geo"
 	"citymesh/internal/packet"
 	"citymesh/internal/routing"
@@ -20,30 +19,17 @@ import (
 // (internal/fwd), which evaluates the geocast branch for every
 // FlagGeocast packet — so this policy is the plain CityMesh adapter under
 // a distinct name, kept so transcripts and tables can label geocast runs.
-type GeocastPolicy struct {
-	inner sim.Policy
-}
+type GeocastPolicy struct{}
 
 // NewGeocastPolicy returns the geocast forwarding policy.
-func NewGeocastPolicy() *GeocastPolicy {
-	return &GeocastPolicy{inner: routing.NewCityMesh()}
-}
+func NewGeocastPolicy() *GeocastPolicy { return &GeocastPolicy{} }
 
 // Name implements sim.Policy.
 func (*GeocastPolicy) Name() string { return "geocast" }
 
 // OnReceive implements sim.Policy.
-func (g *GeocastPolicy) OnReceive(ctx *sim.Context, ap int, pkt *packet.Packet, from int) sim.Decision {
-	return g.inner.OnReceive(ctx, ap, pkt, from)
-}
-
-// DecisionCounts implements sim.DecisionCounter by delegating to the
-// kernel-backed inner policy.
-func (g *GeocastPolicy) DecisionCounts() fwd.Counts {
-	if dc, ok := g.inner.(sim.DecisionCounter); ok {
-		return dc.DecisionCounts()
-	}
-	return fwd.Counts{}
+func (*GeocastPolicy) OnReceive(ctx *sim.Context, ap int, pkt *packet.Packet, from int) sim.Decision {
+	return routing.CityMesh{}.OnReceive(ctx, ap, pkt, from)
 }
 
 // GeocastResult summarizes one geocast.

@@ -164,7 +164,8 @@ func Contains(conduits []geo.OrientedRect, p geo.Point) bool {
 }
 
 // Region is a conduit set prepared for repeated containment tests — the
-// form the forwarding kernel caches per message. Each oriented rectangle
+// form a message's conduits take once per simulator run, or once per
+// message at a live AP. Each oriented rectangle
 // is paired with its precomputed axis-aligned bounding box, and the union
 // box rejects far-away points with four comparisons before any per-rect
 // work. A Region is immutable after construction and safe for concurrent

@@ -78,8 +78,9 @@ type Network struct {
 
 	// msgSeq is atomic so concurrent sends over one Network mint unique
 	// message ids without a race. MsgID values never influence simulation
-	// outcomes (the RNG comes from sim.Config.Seed; policies only need ids
-	// to be distinct), so allocation order doesn't affect determinism.
+	// outcomes (the RNG comes from sim.Config.Seed, and nothing in a run
+	// keys on the id); only a live agent's dedup set reads them, so
+	// allocation order doesn't affect determinism.
 	msgSeq atomic.Uint64
 	// parked holds messages awaiting mesh healing for partitioned
 	// destinations (see SendEventually); lazily created by ParkedStore.
@@ -283,15 +284,13 @@ func (s SendResult) Overhead() float64 {
 
 // Engine returns the network's shared simulation engine: one
 // sim.Engine per Network, built lazily on first use, backed by one
-// kernel-backed CityMesh policy. Every ladder rung, experiment sweep,
-// and application send over this Network reuses it, so the per-mesh
-// struct-of-arrays precomputation and reused per-run scratch are paid
-// once. Safe for concurrent use; when runs share the engine
-// concurrently, per-run Result.Decisions deltas are approximate (see
-// sim.DecisionCounter) while every other Result field stays exact.
+// CityMesh policy. Every ladder rung, experiment sweep, and application
+// send over this Network reuses it, so the per-mesh struct-of-arrays
+// precomputation and reused per-run scratch are paid once. Safe for
+// concurrent use: a run's result does not depend on what else runs.
 func (n *Network) Engine() *sim.Engine {
 	n.engineOnce.Do(func() {
-		n.engine = sim.NewEngine(n.Mesh, n.City, routing.NewCityMesh())
+		n.engine = sim.NewEngine(n.Mesh, n.City, routing.CityMesh{})
 	})
 	return n.engine
 }

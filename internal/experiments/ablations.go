@@ -208,7 +208,7 @@ func BaselineComparison(cityName string, scale float64, seed int64, pairCount, p
 	}
 
 	policies := []sim.Policy{
-		routing.NewCityMesh(),
+		routing.CityMesh{},
 		routing.Flood{},
 		routing.Gossip{P: 0.65},
 		routing.GreedyGeo{},

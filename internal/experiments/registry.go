@@ -11,10 +11,12 @@ import (
 // Zero values select each experiment's own defaults, so `RunConfig{}` runs
 // the paper's evaluation setting.
 type RunConfig struct {
-	// City is the preset for single-city experiments (default "boston").
+	// City is the preset for single-city experiments; empty selects each
+	// experiment's own default ("boston" for most).
 	City string
 	// Cities lists presets for multi-city experiments (figure6,
-	// resilience); empty means all presets.
+	// resilience); empty means all presets. A single-city experiment runs
+	// the first of them, ahead of City.
 	Cities []string
 	// Scale shrinks preset extents (0 < Scale <= 1); 0 means full size.
 	Scale float64
@@ -39,13 +41,22 @@ type RunConfig struct {
 
 // withDefaults fills the zero fields shared across experiments.
 func (c RunConfig) withDefaults() RunConfig {
-	if c.City == "" {
-		c.City = "boston"
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
+}
+
+// city is the preset a single-city experiment runs: the first of Cities,
+// else City, else def, the experiment's own default.
+func (c RunConfig) city(def string) string {
+	switch {
+	case len(c.Cities) > 0:
+		return c.Cities[0]
+	case c.City != "":
+		return c.City
+	}
+	return def
 }
 
 // Result is what every experiment returns: a rendered text table and a CSV
@@ -148,11 +159,7 @@ func Registry() []Experiment {
 		expFunc{"selfhealing", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
 			sc := DefaultSelfHealingConfig()
-			if len(cfg.Cities) > 0 {
-				sc.City = cfg.Cities[0]
-			} else if cfg.City != "boston" {
-				sc.City = cfg.City
-			}
+			sc.City = cfg.city(sc.City)
 			sc.Seed = cfg.Seed
 			sc.Scale = cfg.Scale
 			sc.Parallelism = cfg.Parallelism
@@ -167,7 +174,7 @@ func Registry() []Experiment {
 		}},
 		expFunc{"headers", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
-			res, err := HeaderSizes(cfg.City, cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
+			res, err := HeaderSizes(cfg.city("boston"), cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +182,7 @@ func Registry() []Experiment {
 		}},
 		expFunc{"conduit-width", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
-			rows, err := ConduitWidthSweep(cfg.City, cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
+			rows, err := ConduitWidthSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -186,7 +193,7 @@ func Registry() []Experiment {
 		}},
 		expFunc{"weight-exponent", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
-			rows, err := WeightExponentSweep(cfg.City, cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
+			rows, err := WeightExponentSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -197,7 +204,7 @@ func Registry() []Experiment {
 		}},
 		expFunc{"baselines", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
-			rows, err := BaselineComparison(cfg.City, cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
+			rows, err := BaselineComparison(cfg.city("boston"), cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -208,7 +215,7 @@ func Registry() []Experiment {
 		}},
 		expFunc{"failure-injection", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
-			rows, err := FailureInjection(cfg.City, cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
+			rows, err := FailureInjection(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -219,7 +226,7 @@ func Registry() []Experiment {
 		}},
 		expFunc{"security", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
-			rows, err := MultipathUnderAttack(cfg.City, cfg.Scale, cfg.Seed, nil, nil, cfg.Pairs, cfg.Parallelism)
+			rows, err := MultipathUnderAttack(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, nil, cfg.Pairs, cfg.Parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -227,7 +234,7 @@ func Registry() []Experiment {
 		}},
 		expFunc{"radio", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
-			rows, err := RadioModelSweep(cfg.City, cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
+			rows, err := RadioModelSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -243,11 +250,7 @@ func Registry() []Experiment {
 		expFunc{"overload", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
 			oc := DefaultOverloadConfig()
-			if len(cfg.Cities) > 0 {
-				oc.City = cfg.Cities[0]
-			} else if cfg.City != "boston" {
-				oc.City = cfg.City
-			}
+			oc.City = cfg.city(oc.City)
 			oc.Seed = cfg.Seed
 			if cfg.Scale > 0 {
 				oc.Scale = cfg.Scale
@@ -265,16 +268,11 @@ func Registry() []Experiment {
 		}},
 		expFunc{"datamule", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
+			// An empty City selects DataMule's own default ("dc"), a
+			// river-split city.
 			dc := DataMuleConfig{
-				Scale: cfg.Scale, Seed: cfg.Seed,
+				City: cfg.city(""), Scale: cfg.Scale, Seed: cfg.Seed,
 				Pairs: cfg.Pairs, Parallelism: cfg.Parallelism,
-			}
-			if len(cfg.Cities) > 0 {
-				dc.City = cfg.Cities[0]
-			} else if cfg.City != "boston" {
-				// The shared default ("boston") is not a river-split city;
-				// the experiment's own default ("dc") is.
-				dc.City = cfg.City
 			}
 			rows, err := DataMule(dc)
 			if err != nil {
@@ -285,11 +283,8 @@ func Registry() []Experiment {
 		expFunc{"floodfront", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
 			fc := FloodFrontStudyConfig{
-				City: cfg.City, Scale: cfg.Scale, Seed: cfg.Seed,
+				City: cfg.city("boston"), Scale: cfg.Scale, Seed: cfg.Seed,
 				Pairs: cfg.Pairs, Parallelism: cfg.Parallelism,
-			}
-			if len(cfg.Cities) > 0 {
-				fc.City = cfg.Cities[0]
 			}
 			rows, err := FloodFrontStudy(fc)
 			if err != nil {
@@ -300,14 +295,7 @@ func Registry() []Experiment {
 		expFunc{"byzantine", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
 			bc := DefaultByzantineConfig()
-			if len(cfg.Cities) > 0 {
-				bc.City = cfg.Cities[0]
-			} else if cfg.City != "boston" {
-				// The shared default ("boston") is overridden by the
-				// experiment's own default ("gridtown") unless the user
-				// asked for a specific city.
-				bc.City = cfg.City
-			}
+			bc.City = cfg.city(bc.City)
 			bc.Seed = cfg.Seed
 			bc.Scale = cfg.Scale
 			bc.Parallelism = cfg.Parallelism
@@ -349,7 +337,7 @@ func Registry() []Experiment {
 		}},
 		expFunc{"geocast", func(cfg RunConfig) (Result, error) {
 			cfg = cfg.withDefaults()
-			rows, err := GeocastSweep(cfg.City, cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
+			rows, err := GeocastSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
 			if err != nil {
 				return nil, err
 			}

@@ -67,3 +67,26 @@ func TestRunByNameUnknownCityPropagates(t *testing.T) {
 		t.Fatal("expected unknown-city error to propagate through the registry")
 	}
 }
+
+func TestExplicitBostonRunsBoston(t *testing.T) {
+	// An explicit City runs that city, also in the experiments with a
+	// default city of their own and when it is "boston", the default of
+	// most others. Cities[0] names the city it runs, so the two spellings
+	// must give the same result.
+	for _, name := range []string{"selfhealing", "overload", "datamule", "byzantine"} {
+		run := func(cfg RunConfig) string {
+			cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism = 0.1, 1, 2, 1
+			res, err := RunByName(name, cfg)
+			if err != nil {
+				// At this size no river splits boston, and the datamule
+				// study says so.
+				return err.Error()
+			}
+			return res.CSV()
+		}
+		city, cities := run(RunConfig{City: "boston"}), run(RunConfig{Cities: []string{"boston"}})
+		if city != cities {
+			t.Errorf("%s: City \"boston\" gave\n%s\nCities [boston] gave\n%s", name, city, cities)
+		}
+	}
+}

@@ -7,22 +7,22 @@
 // internal/routing (the simulator's CityMesh policy) and once in
 // internal/agent (the live AP runtime), so every experiment result
 // silently assumed the two copies agreed. Both are now thin adapters over
-// Decide/Kernel here, and internal/fwd/parity drives identical workloads
-// through the simulator and an in-process hub of live agents to prove the
-// paths cannot drift.
+// this package's one decision table, and internal/fwd/parity drives
+// identical workloads through the simulator and an in-process hub of live
+// agents to prove the paths cannot drift.
 //
-// The decision is pure and stateless given the map view: Decide is a free
-// function. The only state worth keeping is the reconstructed conduit
-// geometry per message — Kernel adds a bounded, concurrency-safe FIFO
-// cache of prefiltered conduit regions plus per-reason decision counters.
+// The decision is pure and stateless given the map view: Decide and
+// DecideIn are free functions, and the package keeps no per-message state.
+// The reconstructed conduit region belongs to whoever decides on a
+// message: a simulator run builds it once for all its APs, a live agent
+// once per message it has not seen before. Kernel adds only the live AP's
+// sanity rejections and per-reason decision counters.
 package fwd
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"citymesh/internal/conduit"
-	"citymesh/internal/fifo"
 	"citymesh/internal/geo"
 	"citymesh/internal/packet"
 )
@@ -124,8 +124,8 @@ type Verdict struct {
 	Reason Reason
 }
 
-// Counts is a snapshot of per-reason decision totals. The zero value is
-// empty; Sub supports windowed readings over a shared kernel.
+// Counts is a tally of per-reason decision totals. The zero value is
+// empty.
 type Counts struct {
 	FirstHop     uint64
 	TTLExpired   uint64
@@ -151,28 +151,37 @@ func (c Counts) Rebroadcasts() uint64 { return c.FirstHop + c.Geocast + c.InCond
 // evidence of tampering.
 func (c Counts) Rejected() uint64 { return c.TTLInflated + c.BadConduit }
 
-// Sub returns c - o field-wise (for diffing two snapshots of one kernel).
-func (c Counts) Sub(o Counts) Counts {
-	return Counts{
-		FirstHop:     c.FirstHop - o.FirstHop,
-		TTLExpired:   c.TTLExpired - o.TTLExpired,
-		Geocast:      c.Geocast - o.Geocast,
-		InConduit:    c.InConduit - o.InConduit,
-		OutOfConduit: c.OutOfConduit - o.OutOfConduit,
-		BadRoute:     c.BadRoute - o.BadRoute,
-		TTLInflated:  c.TTLInflated - o.TTLInflated,
-		BadConduit:   c.BadConduit - o.BadConduit,
+// Add tallies n decisions for reason r — the one mapping from a Reason to
+// its Counts field.
+func (c *Counts) Add(r Reason, n uint64) {
+	switch r {
+	case ReasonFirstHop:
+		c.FirstHop += n
+	case ReasonTTLExpired:
+		c.TTLExpired += n
+	case ReasonGeocast:
+		c.Geocast += n
+	case ReasonInConduit:
+		c.InConduit += n
+	case ReasonOutOfConduit:
+		c.OutOfConduit += n
+	case ReasonBadRoute:
+		c.BadRoute += n
+	case ReasonTTLInflated:
+		c.TTLInflated += n
+	case ReasonBadConduit:
+		c.BadConduit += n
 	}
 }
 
-// Decide evaluates the paper's stateless forwarding rule with no cache and
-// no counters: reconstruct the conduits from the header against the map
-// view and test this AP. It is a pure function of its inputs — the
-// property the parity harness leans on. hdr.TTL must be the TTL as
-// received off the wire; callers that track remaining TTL out of band
-// (the simulator) use Kernel.DecideTTL.
+// Decide evaluates the paper's stateless forwarding rule: reconstruct the
+// conduits from the header against the map view and test this AP. It is a
+// pure function of its inputs — the property the parity harness leans on.
+// hdr.TTL must be the TTL as received off the wire; callers that track
+// remaining TTL out of band, or that already hold the message's region
+// (the simulator), use DecideIn.
 func Decide(view MapView, hdr *packet.Header, self Self, firstHop bool) Verdict {
-	return verdict(view, hdr, int(hdr.TTL), self, firstHop, func() *conduit.Region {
+	return DecideIn(view, hdr, int(hdr.TTL), self, firstHop, func() *conduit.Region {
 		return BuildRegion(view, hdr)
 	})
 }
@@ -231,10 +240,12 @@ func inGeocastArea(hdr *packet.Header, pos geo.Point) bool {
 	return pos.Dist(center) <= float64(hdr.Target.Radius)
 }
 
-// verdict is the decision table shared by the pure and cached entry
-// points. region is consulted lazily: only the conduit branch pays for
-// reconstruction.
-func verdict(view MapView, hdr *packet.Header, ttl int, self Self, firstHop bool, region func() *conduit.Region) Verdict {
+// DecideIn is the decision table every entry point shares, with the
+// as-received TTL and the message's conduit region supplied by the caller:
+// region returns what BuildRegion(view, hdr) would, and is consulted
+// lazily, so only the conduit branch pays for it. A caller deciding many
+// APs on one header builds the region once and hands it to each call.
+func DecideIn(view MapView, hdr *packet.Header, ttl int, self Self, firstHop bool, region func() *conduit.Region) Verdict {
 	if len(hdr.Waypoints) == 0 {
 		return Verdict{Reason: ReasonBadRoute}
 	}
@@ -260,17 +271,8 @@ func verdict(view MapView, hdr *packet.Header, ttl int, self Self, firstHop bool
 	return Verdict{Deliver: deliver, Reason: ReasonOutOfConduit}
 }
 
-// DefaultCacheCap is the default bound on the kernel's per-message conduit
-// cache. 1024 messages of a few rectangles each is tens of kilobytes —
-// safe for a 32 MB router — while covering far more concurrent flood
-// waves than a city sees at once.
-const DefaultCacheCap = 1024
-
 // Options parameterizes a Kernel.
 type Options struct {
-	// CacheCap bounds the conduit-region cache (number of message IDs);
-	// 0 means DefaultCacheCap, negative disables caching entirely.
-	CacheCap int
 	// MaxTTL, when non-zero, rejects non-first-hop frames whose
 	// as-received TTL exceeds it (ReasonTTLInflated). Set it to the
 	// deployment's network TTL: no honest frame can arrive above it, so
@@ -283,13 +285,12 @@ type Options struct {
 	StrictSanity bool
 }
 
-// Kernel is the shared forwarding engine: the pure decision table plus a
-// bounded FIFO cache of reconstructed conduit regions (keyed by message
-// ID) and atomic per-reason counters. A Kernel is safe for concurrent use;
-// one instance assumes one map view (message IDs are unique across
-// traffic, so entries never collide across cities in practice).
+// Kernel is a live AP's forwarding engine: the pure decision table behind
+// its sanity rejections, with atomic per-reason counters. It keeps
+// no per-message state: an AP's dedup set lets one Decide per message
+// through, so the conduit region is built once per message anyway. A
+// Kernel is safe for concurrent use.
 type Kernel struct {
-	cache  regionCache
 	counts [numReasons]atomic.Uint64
 	maxTTL int
 	strict bool
@@ -297,9 +298,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the given options.
 func NewKernel(opts Options) *Kernel {
-	k := &Kernel{maxTTL: int(opts.MaxTTL), strict: opts.StrictSanity}
-	k.cache.init(opts.CacheCap)
-	return k
+	return &Kernel{maxTTL: int(opts.MaxTTL), strict: opts.StrictSanity}
 }
 
 // sanity runs the kernel's cheap adversarial rejections on a received
@@ -307,11 +306,11 @@ func NewKernel(opts Options) *Kernel {
 // deliver nor rebroadcast). First-hop frames are exempt: the injecting AP
 // vouches for its own submission, and the source header legitimately
 // carries the full network TTL.
-func (k *Kernel) sanity(view MapView, hdr *packet.Header, ttl int, firstHop bool) (Verdict, bool) {
+func (k *Kernel) sanity(view MapView, hdr *packet.Header, firstHop bool) (Verdict, bool) {
 	if firstHop {
 		return Verdict{}, true
 	}
-	if k.maxTTL > 0 && ttl > k.maxTTL {
+	if k.maxTTL > 0 && int(hdr.TTL) > k.maxTTL {
 		return Verdict{Reason: ReasonTTLInflated}, false
 	}
 	if k.strict && view != nil {
@@ -332,110 +331,31 @@ func (k *Kernel) sanity(view MapView, hdr *packet.Header, ttl int, firstHop bool
 // follow a failed Sanity with Decide for the same frame, which would
 // double-count.
 func (k *Kernel) Sanity(view MapView, hdr *packet.Header, firstHop bool) (Verdict, bool) {
-	v, ok := k.sanity(view, hdr, int(hdr.TTL), firstHop)
+	v, ok := k.sanity(view, hdr, firstHop)
 	if !ok {
 		k.counts[v.Reason].Add(1)
 	}
 	return v, ok
 }
 
-// Decide is the cached, counted form of the package-level Decide: same
-// verdict, but conduit reconstruction is amortized across every AP that
-// shares this kernel and the decision is tallied into Counts.
+// Decide is the sanity-checked, counted form of the package-level Decide:
+// a frame that passes the kernel's rejections gets the same verdict, and
+// every decision is tallied into Counts.
 func (k *Kernel) Decide(view MapView, hdr *packet.Header, self Self, firstHop bool) Verdict {
-	return k.DecideTTL(view, hdr, int(hdr.TTL), self, firstHop)
-}
-
-// DecideTTL is Decide with the as-received TTL supplied out of band, for
-// callers whose header field does not carry it (the simulator tracks
-// remaining TTL per AP instead of rewriting the shared packet).
-func (k *Kernel) DecideTTL(view MapView, hdr *packet.Header, ttl int, self Self, firstHop bool) Verdict {
-	if v, ok := k.sanity(view, hdr, ttl, firstHop); !ok {
-		k.counts[v.Reason].Add(1)
-		return v
+	v, ok := k.sanity(view, hdr, firstHop)
+	if ok {
+		v = Decide(view, hdr, self, firstHop)
 	}
-	v := verdict(view, hdr, ttl, self, firstHop, func() *conduit.Region {
-		return k.cache.get(view, hdr)
-	})
 	k.counts[v.Reason].Add(1)
 	return v
-}
-
-// Region returns the (cached) conduit region for hdr, or nil for an
-// unresolvable route.
-func (k *Kernel) Region(view MapView, hdr *packet.Header) *conduit.Region {
-	return k.cache.get(view, hdr)
 }
 
 // Counts snapshots the per-reason decision totals since the kernel was
 // created.
 func (k *Kernel) Counts() Counts {
-	return Counts{
-		FirstHop:     k.counts[ReasonFirstHop].Load(),
-		TTLExpired:   k.counts[ReasonTTLExpired].Load(),
-		Geocast:      k.counts[ReasonGeocast].Load(),
-		InConduit:    k.counts[ReasonInConduit].Load(),
-		OutOfConduit: k.counts[ReasonOutOfConduit].Load(),
-		BadRoute:     k.counts[ReasonBadRoute].Load(),
-		TTLInflated:  k.counts[ReasonTTLInflated].Load(),
-		BadConduit:   k.counts[ReasonBadConduit].Load(),
+	var c Counts
+	for r := range k.counts {
+		c.Add(Reason(r), k.counts[r].Load())
 	}
-}
-
-// CacheLen returns the number of cached conduit regions (bounded by the
-// configured capacity).
-func (k *Kernel) CacheLen() int { return k.cache.len() }
-
-// regionCache is a bounded FIFO map from message ID to prefiltered conduit
-// region; a message's flood wave is short relative to cache capacity.
-// Unresolvable routes cache a nil region so a storm of bad-route frames
-// costs one reconstruction attempt, not one per AP per frame.
-type regionCache struct {
-	mu       sync.Mutex
-	disabled bool
-	m        *fifo.Map[*conduit.Region]
-}
-
-func (c *regionCache) init(capacity int) {
-	if capacity < 0 {
-		c.disabled = true
-		return
-	}
-	if capacity == 0 {
-		capacity = DefaultCacheCap
-	}
-	c.m = fifo.New[*conduit.Region](capacity)
-}
-
-func (c *regionCache) get(view MapView, hdr *packet.Header) *conduit.Region {
-	if c.disabled {
-		return BuildRegion(view, hdr)
-	}
-	c.mu.Lock()
-	if r, ok := c.m.Get(hdr.MsgID); ok {
-		c.mu.Unlock()
-		return r
-	}
-	c.mu.Unlock()
-
-	// Build outside the lock: reconstruction is the expensive part, and a
-	// duplicate build on a race is deterministic and harmless.
-	r := BuildRegion(view, hdr)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prior, ok := c.m.Get(hdr.MsgID); ok {
-		return prior
-	}
-	c.m.Put(hdr.MsgID, r)
-	return r
-}
-
-func (c *regionCache) len() int {
-	if c.disabled {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m.Len()
+	return c
 }

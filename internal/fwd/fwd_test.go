@@ -214,74 +214,11 @@ func TestKernelCountsBreakdown(t *testing.T) {
 	if c.Rebroadcasts() != 2 {
 		t.Fatalf("rebroadcasts = %d, want 2", c.Rebroadcasts())
 	}
-	if d := c.Sub(Counts{FirstHop: 1}); d.FirstHop != 0 || d.InConduit != 1 {
-		t.Fatalf("sub = %+v", d)
-	}
-}
-
-func TestKernelCacheBoundedAndCorrectAcrossEviction(t *testing.T) {
-	view := lineCity(3)
-	const cap = 8
-	k := NewKernel(Options{CacheCap: cap})
-	self := Self{Pos: geo.Pt(100, 0), Building: 1}
-
-	for i := 0; i < 10*cap; i++ {
-		hdr := header(8, 0, 2)
-		hdr.MsgID = uint64(i + 1)
-		if v := k.Decide(view, hdr, self, false); !v.Rebroadcast {
-			t.Fatalf("msg %d: got %+v", i, v)
-		}
-		if n := k.CacheLen(); n > cap {
-			t.Fatalf("cache grew to %d entries, cap %d", n, cap)
-		}
-	}
-	if n := k.CacheLen(); n != cap {
-		t.Fatalf("cache len = %d, want full at %d", n, cap)
-	}
-	// An evicted message decides identically when it comes back (rebuild).
-	old := header(8, 0, 2)
-	old.MsgID = 1
-	if v := k.Decide(view, old, self, false); !v.Rebroadcast || v.Reason != ReasonInConduit {
-		t.Fatalf("evicted msg re-decide: got %+v", v)
-	}
-}
-
-func TestKernelCacheDisabled(t *testing.T) {
-	view := lineCity(3)
-	k := NewKernel(Options{CacheCap: -1})
-	self := Self{Pos: geo.Pt(100, 0), Building: 1}
-	for i := 0; i < 4; i++ {
-		hdr := header(8, 0, 2)
-		hdr.MsgID = uint64(i + 1)
-		if v := k.Decide(view, hdr, self, false); !v.Rebroadcast {
-			t.Fatalf("msg %d: got %+v", i, v)
-		}
-	}
-	if n := k.CacheLen(); n != 0 {
-		t.Fatalf("disabled cache holds %d entries", n)
-	}
-}
-
-func TestKernelCachesBadRoutes(t *testing.T) {
-	view := lineCity(3)
-	k := NewKernel(Options{CacheCap: 4})
-	self := Self{Pos: geo.Pt(0, 0), Building: 0}
-	bad := header(8, 0, 99) // unknown waypoint
-	for i := 0; i < 3; i++ {
-		if v := k.Decide(view, bad, self, false); v.Rebroadcast || v.Reason != ReasonBadRoute {
-			t.Fatalf("bad route: got %+v", v)
-		}
-	}
-	// The nil region occupies a cache slot: one reconstruction attempt, not
-	// one per frame.
-	if n := k.CacheLen(); n != 1 {
-		t.Fatalf("bad-route cache len = %d, want 1", n)
-	}
 }
 
 func TestConcurrentKernelDecides(t *testing.T) {
 	view := lineCity(4)
-	k := NewKernel(Options{CacheCap: 16})
+	k := NewKernel(Options{})
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -303,9 +240,6 @@ func TestConcurrentKernelDecides(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := k.CacheLen(); n > 16 {
-		t.Fatalf("cache len %d exceeds cap", n)
-	}
 }
 
 func TestReasonStrings(t *testing.T) {
@@ -319,11 +253,11 @@ func TestReasonStrings(t *testing.T) {
 	}
 }
 
-// TestKernelCacheUnderMovement: the conduit-region cache is keyed by
-// message ID and stores pure geometry — the mover's own position enters
-// per decision via Self. A node drifting across the conduit boundary (a
-// relay on a moving vehicle) must see its verdict flip at the boundary
-// while the cache neither grows nor goes stale.
+// TestKernelCacheUnderMovement: a message's conduit region is pure
+// geometry — the mover's own position enters per decision via Self. A node
+// drifting across the conduit boundary (a relay on a moving vehicle) must
+// see its verdict flip at the boundary and agree with the pure decision at
+// every step.
 func TestKernelCacheUnderMovement(t *testing.T) {
 	view := lineCity(6)
 	k := NewKernel(Options{})
@@ -343,15 +277,12 @@ func TestKernelCacheUnderMovement(t *testing.T) {
 			prev = v.Reason
 		}
 		if want := Decide(view, hdr, Self{Pos: geo.Pt(250, y), Building: -1}, false); v != want {
-			t.Fatalf("y=%v: cached verdict %+v diverges from pure %+v", y, v, want)
+			t.Fatalf("y=%v: kernel verdict %+v diverges from pure %+v", y, v, want)
 		}
 	}
 	// On the spine it forwards; far abeam it suppresses; back on the spine
-	// it forwards again — three regimes, one cached region.
+	// it forwards again — three regimes.
 	if len(flips) != 3 || flips[0] != ReasonInConduit || flips[1] != ReasonOutOfConduit || flips[2] != ReasonInConduit {
 		t.Fatalf("verdict regimes along the drive = %v, want in/out/in", flips)
-	}
-	if n := k.CacheLen(); n != 1 {
-		t.Fatalf("cache holds %d regions after one message's movement, want 1", n)
 	}
 }

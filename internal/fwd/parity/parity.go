@@ -126,7 +126,7 @@ func Run(sc Scenario) (Result, error) {
 	// World A: the discrete-event simulator in its noise-free setting. The
 	// harness builds its own engine with a fresh kernel-backed policy so
 	// the decision tally diffed below covers exactly this run.
-	eng := sim.NewEngine(net.Mesh, net.City, routing.NewCityMesh())
+	eng := sim.NewEngine(net.Mesh, net.City, routing.CityMesh{})
 	simRes, err := eng.Run(pkt, sim.Config{
 		TxDelay:          0.001,
 		FailedSet:        inj.FailedSet,

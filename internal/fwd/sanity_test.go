@@ -12,7 +12,7 @@ func TestSanityTTLInflationRejected(t *testing.T) {
 	self := Self{Pos: geo.Pt(100, 0), Building: 1}
 
 	// An in-conduit transit frame at a legal TTL passes untouched.
-	v := k.DecideTTL(view, header(64, 0, 2), 64, self, false)
+	v := k.Decide(view, header(64, 0, 2), self, false)
 	if !v.Rebroadcast || v.Reason != ReasonInConduit {
 		t.Fatalf("legal TTL: got %+v, want in-conduit rebroadcast", v)
 	}
@@ -20,13 +20,13 @@ func TestSanityTTLInflationRejected(t *testing.T) {
 	// The same frame with TTL above the network maximum is rejected
 	// outright: no rebroadcast AND no delivery, even at the destination.
 	dst := Self{Pos: geo.Pt(200, 0), Building: 2}
-	v = k.DecideTTL(view, header(200, 0, 2), 200, dst, false)
+	v = k.Decide(view, header(200, 0, 2), dst, false)
 	if v.Rebroadcast || v.Deliver || v.Reason != ReasonTTLInflated {
 		t.Fatalf("inflated TTL: got %+v, want outright rejection", v)
 	}
 
 	// First hop is exempt: the source header carries the full network TTL.
-	v = k.DecideTTL(view, header(200, 1, 2), 200, self, true)
+	v = k.Decide(view, header(200, 1, 2), self, true)
 	if !v.Rebroadcast || v.Reason != ReasonFirstHop {
 		t.Fatalf("first hop exempt from MaxTTL: got %+v", v)
 	}
@@ -44,7 +44,7 @@ func TestSanityBadConduitRejected(t *testing.T) {
 
 	// A waypoint index beyond the building count is unmappable by any
 	// honest sender: strict sanity rejects instead of bad-route suppress.
-	v := k.DecideTTL(view, header(8, 0, 99), 8, self, false)
+	v := k.Decide(view, header(8, 0, 99), self, false)
 	if v.Rebroadcast || v.Deliver || v.Reason != ReasonBadConduit {
 		t.Fatalf("corrupt waypoints: got %+v, want bad-conduit rejection", v)
 	}
@@ -52,7 +52,7 @@ func TestSanityBadConduitRejected(t *testing.T) {
 	// Without strict sanity the same frame degrades to the legacy
 	// bad-route suppression (delivery still possible).
 	lax := NewKernel(Options{})
-	v = lax.DecideTTL(view, header(8, 0, 99), 8, self, false)
+	v = lax.Decide(view, header(8, 0, 99), self, false)
 	if v.Reason != ReasonBadRoute {
 		t.Fatalf("lax kernel: got %+v, want bad-route", v)
 	}

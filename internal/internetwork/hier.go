@@ -1,6 +1,7 @@
 package internetwork
 
 import (
+	"citymesh/internal/conduit"
 	"citymesh/internal/fwd"
 	"citymesh/internal/geo"
 	"citymesh/internal/packet"
@@ -25,8 +26,7 @@ import (
 // inside a widened conduit (mirroring the RungWiden step of the level-0
 // ladder), and further reroutes fall back to the unrestricted summary
 // graph (the level-1 analogue of RungFlood). Every classification is a
-// real fwd.Decide call on the level-1 kernel of the internetwork's
-// fwd.LevelKernel.
+// real call of the kernel's decision table, fwd.DecideIn.
 
 // DefaultL1WidthKm is the level-1 conduit width: 1.5× the default
 // federation city spacing, wide enough to recruit off-corridor neighbor
@@ -42,13 +42,14 @@ func (v regionView) Centroid(i int) geo.Point {
 	return v.in.regions[v.in.order[i]].Pos
 }
 
-// l1Allowed classifies every region through the level-1 kernel against a
+// l1Allowed classifies every region through the decision table against a
 // conduit-of-conduits header from region src to region dst, returning the
-// set a constrained reroute may traverse. A nil return means "no
+// set a constrained reroute may traverse. The level-1 region is built once
+// per call, on the federation as it stands. A nil return means "no
 // constraint": the federation's geometry is degenerate (anchors were never
 // set, or src and dst coincide) or the conduit recruits nothing beyond the
 // endpoints.
-func (in *Internetwork) l1Allowed(src, dst int, widthKm float64, seed int64, attempt int) map[int]bool {
+func (in *Internetwork) l1Allowed(src, dst int, widthKm float64) map[int]bool {
 	view := regionView{in}
 	if view.Centroid(src) == view.Centroid(dst) {
 		return nil
@@ -61,20 +62,16 @@ func (in *Internetwork) l1Allowed(src, dst int, widthKm float64, seed int64, att
 		w = packet.MaxWidthMeters
 	}
 	hdr := &packet.Header{
-		TTL: 16,
-		// The MsgID keys the kernel's conduit cache, so it must be unique
-		// per (topology, endpoints, width step, seed) — topology folds in
-		// via the region and link counts so a federation grown after a
-		// send never hits a stale cached region.
-		MsgID:     l1MsgID(seed, src, dst, attempt, len(in.order), len(in.links)),
+		TTL:       16,
 		Width:     uint8(w),
 		Waypoints: []uint32{uint32(src), uint32(dst)},
 	}
-	k := in.lk.Level(fwd.Level1Region)
+	region := fwd.BuildRegion(view, hdr)
+	regionFn := func() *conduit.Region { return region }
 	allowed := make(map[int]bool, len(in.order))
 	for r := range in.order {
 		self := fwd.Self{Pos: view.Centroid(r), Building: r}
-		v := k.Decide(view, hdr, self, false)
+		v := fwd.DecideIn(view, hdr, int(hdr.TTL), self, false, regionFn)
 		if v.Rebroadcast || v.Deliver {
 			allowed[r] = true
 		}
@@ -96,7 +93,7 @@ func (in *Internetwork) l1Path(from, to int, seed int64, attempt int, widthKm fl
 	}
 	if attempt <= 1 {
 		w := widthKm * float64(attempt+1)
-		if allowed := in.l1Allowed(from, to, w, seed, attempt); allowed != nil {
+		if allowed := in.l1Allowed(from, to, w); allowed != nil {
 			if r, l, _, ok := in.pathFrom(from, to, seed, payloadBytes, banned, allowed); ok {
 				return r, l, true
 			}
@@ -104,19 +101,4 @@ func (in *Internetwork) l1Path(from, to int, seed int64, attempt int, widthKm fl
 	}
 	r, l, _, ok := in.pathFrom(from, to, seed, payloadBytes, banned, nil)
 	return r, l, ok
-}
-
-// l1MsgID derives the deterministic cache key for one conduit-of-conduits
-// header (SplitMix64 finalizer over the packed parameters).
-func l1MsgID(seed int64, src, dst, attempt, nRegions, nLinks int) uint64 {
-	x := uint64(seed)
-	for _, v := range [...]int{src, dst, attempt, nRegions, nLinks} {
-		x += (uint64(v) + 1) * 0x9e3779b97f4a7c15
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-	}
-	return x
 }

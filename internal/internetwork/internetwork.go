@@ -33,7 +33,6 @@ import (
 	"fmt"
 
 	"citymesh/internal/core"
-	"citymesh/internal/fwd"
 	"citymesh/internal/geo"
 )
 
@@ -121,9 +120,6 @@ type Internetwork struct {
 	links []Link
 	// deadGW holds explicitly failed gateways (FailGateway).
 	deadGW map[RegionID]map[int]bool
-	// lk stacks the per-level fwd kernels: level 1 makes the
-	// conduit-of-conduits decisions and tallies level-aware counters.
-	lk *fwd.LevelKernel
 	// adj is the lazily built summary adjacency (summary.go); dirty marks
 	// it stale after AddRegion/AddLink. Link Down state is read through at
 	// search time, so FailLink needs no invalidation.
@@ -137,7 +133,6 @@ func New() *Internetwork {
 		regions: make(map[RegionID]*Region),
 		index:   make(map[RegionID]int),
 		deadGW:  make(map[RegionID]map[int]bool),
-		lk:      fwd.NewLevelKernel(),
 	}
 }
 

@@ -8,6 +8,7 @@ package routing
 import (
 	"math"
 
+	"citymesh/internal/conduit"
 	"citymesh/internal/fwd"
 	"citymesh/internal/packet"
 	"citymesh/internal/sim"
@@ -25,22 +26,15 @@ import (
 //
 // The decision itself lives in the shared forwarding kernel
 // (internal/fwd), the same code path the live AP agent executes; this
-// type is a thin sim.Policy adapter plus the kernel's bounded per-message
-// conduit cache.
-type CityMesh struct {
-	k *fwd.Kernel
-}
-
-// NewCityMesh returns the conduit policy.
-func NewCityMesh() *CityMesh {
-	return &CityMesh{k: fwd.NewKernel(fwd.Options{})}
-}
+// type is a thin sim.Policy adapter and holds no state. The message's
+// conduit region and the decision tally belong to the run's sim.Context.
+type CityMesh struct{}
 
 // Name implements sim.Policy.
-func (c *CityMesh) Name() string { return "citymesh" }
+func (CityMesh) Name() string { return "citymesh" }
 
 // OnReceive implements sim.Policy.
-func (c *CityMesh) OnReceive(ctx *sim.Context, ap int, pkt *packet.Packet, from int) sim.Decision {
+func (CityMesh) OnReceive(ctx *sim.Context, ap int, pkt *packet.Packet, from int) sim.Decision {
 	ttl := ctx.TTL
 	if ttl <= 0 {
 		// Direct caller that didn't thread the as-received TTL: trust the
@@ -48,14 +42,11 @@ func (c *CityMesh) OnReceive(ctx *sim.Context, ap int, pkt *packet.Packet, from 
 		ttl = int(pkt.Header.TTL)
 	}
 	a := ctx.Mesh.APs[ap]
-	v := c.k.DecideTTL(ctx.City, &pkt.Header, ttl,
-		fwd.Self{Pos: a.Pos, Building: a.Building}, from < 0)
+	v := fwd.DecideIn(ctx.City, &pkt.Header, ttl, fwd.Self{Pos: a.Pos, Building: a.Building}, from < 0,
+		func() *conduit.Region { return ctx.Region(&pkt.Header) })
+	ctx.Decisions.Add(v.Reason, 1)
 	return sim.Decision{Rebroadcast: v.Rebroadcast}
 }
-
-// DecisionCounts implements sim.DecisionCounter: cumulative kernel
-// decision totals since this policy was created.
-func (c *CityMesh) DecisionCounts() fwd.Counts { return c.k.Counts() }
 
 // Flood is blind flooding: every AP rebroadcasts every new packet until the
 // TTL expires. It is the delivery-probability upper bound and the overhead

@@ -101,7 +101,7 @@ func TestCityMeshDelivers(t *testing.T) {
 	city, g, m := testSetup(t, 51)
 	src, dst := reachablePair(t, city, g, m, 1)
 	pkt := buildPacket(t, city, g, src, dst, 50)
-	res := runSim(t, m, city, NewCityMesh(), pkt, sim.DefaultConfig())
+	res := runSim(t, m, city, CityMesh{}, pkt, sim.DefaultConfig())
 	if !res.Delivered {
 		t.Fatalf("CityMesh failed to deliver %d->%d", src, dst)
 	}
@@ -124,7 +124,7 @@ func TestCityMeshCheaperThanFlood(t *testing.T) {
 	city, g, m := testSetup(t, 53)
 	src, dst := reachablePair(t, city, g, m, 3)
 	pkt := buildPacket(t, city, g, src, dst, 50)
-	cm := runSim(t, m, city, NewCityMesh(), pkt, sim.DefaultConfig())
+	cm := runSim(t, m, city, CityMesh{}, pkt, sim.DefaultConfig())
 	fl := runSim(t, m, city, Flood{}, pkt.Clone(), sim.DefaultConfig())
 	if !cm.Delivered || !fl.Delivered {
 		t.Skipf("delivery cm=%v fl=%v", cm.Delivered, fl.Delivered)
@@ -141,7 +141,7 @@ func TestCityMeshOnlyConduitAPsForward(t *testing.T) {
 	pkt := buildPacket(t, city, g, src, dst, 50)
 	cfg := sim.DefaultConfig()
 	cfg.RecordTranscript = true
-	res := runSim(t, m, city, NewCityMesh(), pkt, cfg)
+	res := runSim(t, m, city, CityMesh{}, pkt, cfg)
 
 	wps := make([]int, len(pkt.Header.Waypoints))
 	for i, w := range pkt.Header.Waypoints {
@@ -265,7 +265,7 @@ func TestAODVUnreachable(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	names := map[string]sim.Policy{
-		"citymesh":        NewCityMesh(),
+		"citymesh":        CityMesh{},
 		"flood":           Flood{},
 		"gossip":          Gossip{P: 0.5},
 		"greedy":          GreedyGeo{},
@@ -283,7 +283,7 @@ func TestCityMeshBadWaypointsNoForward(t *testing.T) {
 	pkt := &packet.Packet{Header: packet.Header{
 		TTL: 16, MsgID: 7, Waypoints: []uint32{0, 1 << 30}, // dst building unknown
 	}}
-	cm := NewCityMesh()
+	cm := CityMesh{}
 	// from = -1 is the source injection: it always transmits.
 	if d := cm.OnReceive(&sim.Context{City: city, Mesh: m, Dst: 0}, 0, pkt, -1); !d.Rebroadcast {
 		t.Error("source injection must transmit")

@@ -32,7 +32,6 @@ import (
 	"sort"
 
 	"citymesh/internal/freelist"
-	"citymesh/internal/fwd"
 	"citymesh/internal/geo"
 	"citymesh/internal/mesh"
 	"citymesh/internal/osm"
@@ -41,9 +40,8 @@ import (
 
 // Engine is a reusable simulator for one (mesh, city, policy) triple.
 // Construct it once with NewEngine and call Run per packet; runs may be
-// issued concurrently (each takes its own scratch from a free list),
-// provided the policy itself tolerates concurrent OnReceive calls — the
-// kernel-backed CityMesh policy does.
+// issued concurrently: each takes its own scratch from a free list, and
+// with it its own Context, where a policy keeps whatever a run needs.
 type Engine struct {
 	mesh *mesh.Mesh
 	city *osm.City
@@ -387,14 +385,6 @@ func (s *scratch) run() Result {
 	e := s.eng
 	cfg := &s.cfg
 
-	// Kernel-backed policies expose decision counters; snapshot before and
-	// after so Result.Decisions covers exactly this run.
-	dc, hasDC := s.pol.(DecisionCounter)
-	var dcBefore fwd.Counts
-	if hasDC {
-		dcBefore = dc.DecisionCounts()
-	}
-
 	srcAP := int(e.mesh.APsInBuilding(s.pkt.Header.Src())[0])
 	s.res.SourceAP = srcAP
 	if cfg.RecordTranscript {
@@ -465,9 +455,7 @@ loop:
 			}
 		}
 	}
-	if hasDC {
-		s.res.Decisions = dc.DecisionCounts().Sub(dcBefore)
-	}
+	s.res.Decisions = s.ctx.Decisions
 	return s.res
 }
 

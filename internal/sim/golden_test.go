@@ -87,7 +87,7 @@ type goldenScenario struct {
 const wholeRun = -1
 
 func goldenScenarios() []goldenScenario {
-	cityMesh := func() sim.Policy { return routing.NewCityMesh() }
+	cityMesh := func() sim.Policy { return routing.CityMesh{} }
 	// Two carriers shuttle along the straight line between the packet's end
 	// buildings, fast enough to cross the wave while it lasts.
 	mobiles := func(n *core.Network, pkt *packet.Packet) []sim.Mobile {

@@ -13,6 +13,7 @@ package sim
 import (
 	"math/rand"
 
+	"citymesh/internal/conduit"
 	"citymesh/internal/fwd"
 	"citymesh/internal/mesh"
 	"citymesh/internal/osm"
@@ -44,6 +45,23 @@ type Context struct {
 	// consult this instead. 0 means "not set" (a direct test call) — fall
 	// back to the packet header.
 	TTL int
+	// Decisions tallies this run's forwarding-kernel verdicts by reason.
+	// Kernel-backed policies (CityMesh) add to it; the run returns it as
+	// Result.Decisions.
+	Decisions fwd.Counts
+
+	region      *conduit.Region
+	regionBuilt bool
+}
+
+// Region returns the conduit region hdr describes on City, built on the
+// first call and kept for the rest of the run: every OnReceive of a run
+// sees the run's one packet, so its APs share one reconstruction.
+func (c *Context) Region(hdr *packet.Header) *conduit.Region {
+	if !c.regionBuilt {
+		c.region, c.regionBuilt = fwd.BuildRegion(c.City, hdr), true
+	}
+	return c.region
 }
 
 // Policy decides forwarding at each AP. OnReceive runs exactly once per
@@ -53,15 +71,6 @@ type Policy interface {
 	// OnReceive is called when AP ap first receives pkt from AP from
 	// (from == -1 for the initial injection at the source).
 	OnReceive(ctx *Context, ap int, pkt *packet.Packet, from int) Decision
-}
-
-// DecisionCounter is implemented by policies backed by the shared
-// forwarding kernel (internal/fwd). Run snapshots the counts before and
-// after the simulation and records the delta in Result.Decisions, so a
-// transcript explains not just who forwarded but why. The delta is exact
-// when the policy instance is not shared across concurrent runs.
-type DecisionCounter interface {
-	DecisionCounts() fwd.Counts
 }
 
 // FailureSchedule is a time-varying AP failure model (see internal/faults):
@@ -179,8 +188,8 @@ type Result struct {
 	// SourceAP is the AP that injected the packet.
 	SourceAP int
 	// Decisions is the forwarding kernel's per-reason decision tally for
-	// this run, populated when the policy implements DecisionCounter
-	// (CityMesh does); zero for kernel-less baselines.
+	// this run (Context.Decisions), so a transcript explains not just who
+	// forwarded but why; zero for kernel-less baselines.
 	Decisions fwd.Counts
 
 	// Per-attempt loss diagnostics: why frames that were transmitted never
