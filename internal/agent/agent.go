@@ -77,19 +77,12 @@ type Config struct {
 }
 
 // DefaultDedupCap is the default dedup cache bound: 64k message IDs,
-// hours of city-scale traffic, yet fixed-size. A full cache holds ~2.8 MiB
-// (2.3 MiB of it the map, sized up front, plus the 512 KiB ring): the
+// hours of city-scale traffic, yet fixed-size. A set grows with the IDs it
+// holds, so an idle agent holds almost nothing; a full one holds 1.5 MiB
+// (a 1 MiB table of 128k slots plus the 512 KiB insertion ring): the
 // HeapAlloc growth across creating a set and 64k inserts, measured after
 // runtime.GC with go1.24 on linux/amd64.
 const DefaultDedupCap = 64 << 10
-
-// insert adds id to the dedup set d and reports whether it was already present.
-func insert(d *fifo.Map[struct{}], id uint64) (dup bool) {
-	if _, dup = d.Get(id); !dup {
-		d.Put(id, struct{}{})
-	}
-	return dup
-}
 
 // maxNeighborEntries bounds the last-seen neighbor table so forged beacon
 // sources cannot grow it without bound.
@@ -284,7 +277,7 @@ func (a *Agent) Inject(pkt *packet.Packet) error {
 	}
 	v := a.kernel.Decide(a.view, &pkt.Header, a.self, true)
 	a.mu.Lock()
-	insert(a.seen, pkt.Header.MsgID)
+	a.seen.Add(pkt.Header.MsgID)
 	a.stats.Rebroadcast++
 	a.mu.Unlock()
 	if v.Deliver {
@@ -308,6 +301,11 @@ func (a *Agent) HandleFrame(frame []byte) { a.HandleFrameFrom("", frame) }
 // rejection increments a per-cause drop counter, and a panic anywhere in
 // the handling path is absorbed (counted in PanicsRecovered) so a hostile
 // frame can never kill the agent process.
+//
+// HandleFrameFrom neither keeps nor modifies frame after it returns: a
+// delivered packet is a copy, and a rebroadcast is encoded afresh. So a
+// transport may reuse its receive buffer, and hand one frame to many
+// agents. A duplicate, replayed or dropped frame allocates nothing.
 func (a *Agent) HandleFrameFrom(src string, frame []byte) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -356,7 +354,8 @@ func (a *Agent) HandleFrameFrom(src string, frame []byte) {
 		return
 	}
 
-	pkt, err := packet.Decode(frame)
+	var wps [packet.MaxWaypoints]uint32
+	pkt, err := packet.DecodeTo(frame, wps[:])
 	if err != nil {
 		if packet.Oversize(err) {
 			a.drop(func(st *Stats) { st.DroppedOversized++ })
@@ -378,7 +377,7 @@ func (a *Agent) HandleFrameFrom(src string, frame []byte) {
 	// A repeat (source, message ID) pair is a replay: a correct neighbor
 	// broadcasts each message at most once. Checked before Received so a
 	// replay storm lands entirely in the drop partition.
-	if src != "" && insert(a.pairSeen, pairID(src, pkt.Header.MsgID)) {
+	if src != "" && a.pairSeen.Add(pairID(src, pkt.Header.MsgID)) {
 		a.stats.Dropped++
 		a.stats.DroppedReplayed++
 		a.mu.Unlock()
@@ -388,7 +387,7 @@ func (a *Agent) HandleFrameFrom(src string, frame []byte) {
 	if src != "" {
 		a.noteNeighborLocked(src, now)
 	}
-	if insert(a.seen, pkt.Header.MsgID) {
+	if a.seen.Add(pkt.Header.MsgID) {
 		a.stats.Duplicates++
 		a.mu.Unlock()
 		return
@@ -400,7 +399,9 @@ func (a *Agent) HandleFrameFrom(src string, frame []byte) {
 	// experiments measure is byte-for-byte what this agent executes.
 	v := a.kernel.Decide(a.view, &pkt.Header, a.self, false)
 	if v.Deliver {
-		a.deliver(pkt)
+		// pkt aliases frame and the stack: delivery is the one place a
+		// packet outlives this call, so it gets its own copy.
+		a.deliver(pkt.Clone())
 	}
 	if !v.Rebroadcast {
 		if v.Reason == fwd.ReasonOutOfConduit {
@@ -410,9 +411,8 @@ func (a *Agent) HandleFrameFrom(src string, frame []byte) {
 		}
 		return
 	}
-	next := pkt.Clone()
-	next.Header.TTL--
-	out, err := next.Encode(nil)
+	pkt.Header.TTL--
+	out, err := pkt.Encode(make([]byte, 0, len(frame)))
 	if err != nil {
 		return
 	}

@@ -132,12 +132,13 @@ func (t *hubTransport) Broadcast(frame []byte) error {
 	if h.closed {
 		return nil
 	}
+	// One copy per broadcast, so the caller may reuse frame. The receivers
+	// share it: HandleFrameFrom neither keeps nor modifies a frame.
+	f := append([]byte(nil), frame...)
 	for _, n := range h.adj[t.id] {
 		if h.failed.Contains(int(n)) {
 			continue
 		}
-		// Copy per receiver: agents may retain payload slices.
-		f := append([]byte(nil), frame...)
 		h.queue = append(h.queue, delivery{to: int(n), frame: f})
 		h.pending++
 	}

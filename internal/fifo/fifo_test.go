@@ -70,3 +70,71 @@ func TestLenNeverExceedsCap(t *testing.T) {
 		t.Errorf("steady-state Len = %d, want %d", m.Len(), capacity)
 	}
 }
+
+// TestAddIsInsertIfAbsent pins Add: absent keys go in with the zero value and
+// evict like Put; present keys keep their value and their age.
+func TestAddIsInsertIfAbsent(t *testing.T) {
+	m := New[int](2)
+	if m.Add(7) {
+		t.Fatal("Add of an absent key reported it present")
+	}
+	m.Put(7, 70)
+	if !m.Add(7) {
+		t.Fatal("Add of a present key reported it absent")
+	}
+	if v, _ := m.Get(7); v != 70 {
+		t.Fatalf("Add overwrote a present value: Get(7) = %d", v)
+	}
+	m.Add(0)
+	m.Add(8) // evicts 7, the oldest
+	if _, ok := m.Get(7); ok {
+		t.Error("Add did not evict the oldest key at cap")
+	}
+	if v, ok := m.Get(0); !ok || v != 0 {
+		t.Errorf("Get(0) = %d, %v after Add(0)", v, ok)
+	}
+}
+
+// maxProbes is the most slots a lookup of a present key walks.
+func maxProbes(m *Map[struct{}]) int {
+	mask := len(m.slots) - 1
+	longest := 0
+	for i, s := range m.slots {
+		if s.key != 0 {
+			longest = max(longest, (i-int(m.hash(s.key))&mask)&mask+1)
+		}
+	}
+	return longest
+}
+
+// TestProbeRunsStayShort fills a Map to its cap, and past it, with key sets
+// an unseeded or unmixed hash would pile into one run: sequential IDs,
+// multiples of the table size and keys that differ only in high bits. The
+// seeded mixer must keep every lookup short. Fixed seeds keep the test
+// deterministic; a fresh Map draws its own.
+func TestProbeRunsStayShort(t *testing.T) {
+	const capacity = 4096
+	const bound = 48 // the longest seen over these seeds and key sets is 28
+	keySets := map[string]func(i uint64) uint64{
+		"sequential":          func(i uint64) uint64 { return i },
+		"table-size multiple": func(i uint64) uint64 { return i * 2 * capacity },
+		"high bits":           func(i uint64) uint64 { return i << 40 },
+	}
+	for name, key := range keySets {
+		for s := uint64(0); s < 8; s++ {
+			m := New[struct{}](capacity)
+			m.seed = s * 0x9E3779B97F4A7C15
+			for i := uint64(1); i <= 3*capacity; i++ {
+				m.Add(key(i))
+				if i == capacity || i == 3*capacity {
+					if p := maxProbes(m); p > bound {
+						t.Errorf("%s keys, seed %d, %d inserted: a lookup walks %d slots, want <= %d", name, s, i, p, bound)
+					}
+				}
+			}
+			if len(m.slots) != 2*capacity {
+				t.Errorf("%s keys: table of %d slots at cap %d, want %d", name, len(m.slots), capacity, 2*capacity)
+			}
+		}
+	}
+}

@@ -158,51 +158,68 @@ func (p *Packet) Encode(dst []byte) ([]byte, error) {
 // Decode parses a CityMesh frame. The returned packet's Payload aliases b;
 // callers that retain the packet beyond the buffer's lifetime must copy.
 func Decode(b []byte) (*Packet, error) {
+	p, err := DecodeTo(b, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// DecodeTo is Decode into a packet value whose Waypoints reuse wps's
+// backing array when it is large enough (MaxWaypoints always is), so a
+// caller that decodes into a stack buffer allocates nothing. The packet's
+// Payload aliases b and its Waypoints alias wps: Clone it to keep it.
+func DecodeTo(b []byte, wps []uint32) (Packet, error) {
 	if len(b) > MaxFrameLen {
-		return nil, fmt.Errorf("packet: %d-byte frame: %w", len(b), ErrFrameTooLarge)
+		return Packet{}, fmt.Errorf("packet: %d-byte frame: %w", len(b), ErrFrameTooLarge)
 	}
 	if len(b) < 4 {
-		return nil, ErrShortBuffer
+		return Packet{}, ErrShortBuffer
 	}
 	body, trailer := b[:len(b)-4], b[len(b)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
-		return nil, ErrBadCRC
+		return Packet{}, ErrBadCRC
 	}
 	if len(body) < 14 {
-		return nil, ErrShortBuffer
+		return Packet{}, ErrShortBuffer
 	}
 	if body[0] != Magic {
-		return nil, fmt.Errorf("packet: magic 0x%02x: %w", body[0], ErrBadMagic)
+		return Packet{}, fmt.Errorf("packet: magic 0x%02x: %w", body[0], ErrBadMagic)
 	}
 	if v := body[1] >> 4; v != Version {
-		return nil, fmt.Errorf("packet: version %d: %w", v, ErrBadVersion)
+		return Packet{}, fmt.Errorf("packet: version %d: %w", v, ErrBadVersion)
 	}
-	p := &Packet{}
+	var p Packet
 	h := &p.Header
 	h.Flags = body[1] & 0x0f
 	h.TTL = body[2]
 	h.MsgID = binary.BigEndian.Uint64(body[3:11])
 	h.Width = body[11]
 	if h.Width > MaxWidthMeters {
-		return nil, fmt.Errorf("packet: width %d m: %w", h.Width, ErrWidthRange)
+		return Packet{}, fmt.Errorf("packet: width %d m: %w", h.Width, ErrWidthRange)
 	}
 	off := 12
 
 	count, n, err := Uvarint(body[off:])
 	if err != nil {
-		return nil, err
+		return Packet{}, err
 	}
 	off += n
 	if count == 0 || count > MaxWaypoints {
-		return nil, fmt.Errorf("packet: waypoint count %d: %w", count, ErrWaypointCount)
+		return Packet{}, fmt.Errorf("packet: waypoint count %d: %w", count, ErrWaypointCount)
 	}
 	routeStart := off - n
-	h.Waypoints = make([]uint32, count)
+	// The waypoints go into a local slice, stored into p only at the end and
+	// not through h: a store through a pointer would move wps to the heap.
+	w := wps[:0]
+	if uint64(cap(w)) < count {
+		w = make([]uint32, 0, count)
+	}
 	prev := int64(0)
-	for i := range h.Waypoints {
+	for i := 0; i < int(count); i++ {
 		u, n, err := Uvarint(body[off:])
 		if err != nil {
-			return nil, err
+			return Packet{}, err
 		}
 		off += n
 		var v int64
@@ -212,17 +229,18 @@ func Decode(b []byte) (*Packet, error) {
 			v = prev + UnZigZag(u)
 		}
 		if v < 0 || v > 1<<31 {
-			return nil, fmt.Errorf("packet: waypoint %d: %w", v, ErrWaypointRange)
+			return Packet{}, fmt.Errorf("packet: waypoint %d: %w", v, ErrWaypointRange)
 		}
-		h.Waypoints[i] = uint32(v)
+		w = append(w, uint32(v))
 		prev = v
 	}
+	p.Header.Waypoints = w
 	if off-routeStart > MaxRouteBytes {
-		return nil, fmt.Errorf("packet: route is %d bytes: %w", off-routeStart, ErrRouteTooLong)
+		return Packet{}, fmt.Errorf("packet: route is %d bytes: %w", off-routeStart, ErrRouteTooLong)
 	}
 	if h.Flags&FlagPostbox != 0 {
 		if len(body) < off+PostboxAddrLen {
-			return nil, ErrShortBuffer
+			return Packet{}, ErrShortBuffer
 		}
 		copy(h.Postbox[:], body[off:off+PostboxAddrLen])
 		off += PostboxAddrLen
@@ -230,25 +248,25 @@ func Decode(b []byte) (*Packet, error) {
 	if h.Flags&FlagGeocast != 0 {
 		cx, n, err := Uvarint(body[off:])
 		if err != nil {
-			return nil, err
+			return Packet{}, err
 		}
 		off += n
 		cy, n, err := Uvarint(body[off:])
 		if err != nil {
-			return nil, err
+			return Packet{}, err
 		}
 		off += n
 		rad, n, err := Uvarint(body[off:])
 		if err != nil {
-			return nil, err
+			return Packet{}, err
 		}
 		off += n
 		if rad > MaxGeocastRadius {
-			return nil, fmt.Errorf("packet: geocast radius %d: %w", rad, ErrGeocastRadius)
+			return Packet{}, fmt.Errorf("packet: geocast radius %d: %w", rad, ErrGeocastRadius)
 		}
 		cxv, cyv := UnZigZag(cx), UnZigZag(cy)
 		if cxv < -1<<31 || cxv > 1<<31-1 || cyv < -1<<31 || cyv > 1<<31-1 {
-			return nil, fmt.Errorf("packet: geocast center (%d,%d): %w", cxv, cyv, ErrGeocastRadius)
+			return Packet{}, fmt.Errorf("packet: geocast center (%d,%d): %w", cxv, cyv, ErrGeocastRadius)
 		}
 		h.Target = GeocastArea{
 			CenterX: int32(cxv),
@@ -257,7 +275,7 @@ func Decode(b []byte) (*Packet, error) {
 		}
 	}
 	if len(body)-off > MaxPayloadLen {
-		return nil, fmt.Errorf("packet: payload %d bytes: %w", len(body)-off, ErrPayloadTooLarge)
+		return Packet{}, fmt.Errorf("packet: payload %d bytes: %w", len(body)-off, ErrPayloadTooLarge)
 	}
 	p.Payload = body[off:]
 	return p, nil
@@ -279,11 +297,24 @@ func (h *Header) WidthMeters() float64 {
 
 // Clone returns a deep copy of the packet (for rebroadcast with a decremented
 // TTL without aliasing the original buffers).
+//
+// The header is copied field by field: copying it whole would store p's
+// slices in the heap-allocated copy, and so move a caller's stack-held
+// packet to the heap.
 func (p *Packet) Clone() *Packet {
-	q := &Packet{Header: p.Header}
-	q.Header.Waypoints = append([]uint32(nil), p.Header.Waypoints...)
-	q.Payload = append([]byte(nil), p.Payload...)
-	return q
+	h := &p.Header
+	return &Packet{
+		Header: Header{
+			Flags:     h.Flags,
+			TTL:       h.TTL,
+			MsgID:     h.MsgID,
+			Width:     h.Width,
+			Waypoints: append([]uint32(nil), h.Waypoints...),
+			Postbox:   h.Postbox,
+			Target:    h.Target,
+		},
+		Payload: append([]byte(nil), p.Payload...),
+	}
 }
 
 // String implements fmt.Stringer with a compact routing summary.
