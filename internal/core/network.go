@@ -202,23 +202,28 @@ func (n *Network) PlanRoute(src, dst int) (conduit.Route, error) {
 // detours around suspected-dead regions. A nil vp is identical to
 // PlanRoute.
 func (n *Network) PlanRoutePenalized(src, dst int, vp buildinggraph.VertexPenalty) (conduit.Route, error) {
+	_, r, err := n.planPath(src, dst, vp)
+	return r, err
+}
+
+// planPath runs Dijkstra once and compresses its path, returning both: the
+// building path (nil whenever planning or compression failed) and the
+// conduit route PlanRoutePenalized returns.
+func (n *Network) planPath(src, dst int, vp buildinggraph.VertexPenalty) ([]int, conduit.Route, error) {
 	path, _, err := n.Graph.ShortestPathPenalized(src, dst, vp)
 	if err != nil {
-		return conduit.Route{}, err
+		return nil, conduit.Route{}, err
 	}
-	return conduit.Compress(n.City, path, n.Cfg.ConduitWidth)
+	r, err := conduit.Compress(n.City, path, n.Cfg.ConduitWidth)
+	if err != nil {
+		return nil, conduit.Route{}, err
+	}
+	return path, r, nil
 }
 
 // BuildingPath returns the uncompressed building route (for rendering).
 func (n *Network) BuildingPath(src, dst int) ([]int, error) {
 	path, _, err := n.Graph.ShortestPath(src, dst)
-	return path, err
-}
-
-// BuildingPathPenalized is BuildingPath under per-building cost
-// multipliers (see PlanRoutePenalized).
-func (n *Network) BuildingPathPenalized(src, dst int, vp buildinggraph.VertexPenalty) ([]int, error) {
-	path, _, err := n.Graph.ShortestPathPenalized(src, dst, vp)
 	return path, err
 }
 

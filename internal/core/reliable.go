@@ -317,10 +317,8 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 	// Rung 0 + 1: the direct send, then same-route retransmissions. Under
 	// a health map the "direct" route is already damage-aware: Dijkstra
 	// pays the suspicion penalty through suspect buildings and detours.
-	route, planErr := n.PlanRoutePenalized(src, dst, vp)
-	var path []int
+	path, route, planErr := n.planPath(src, dst, vp)
 	if planErr == nil {
-		path, _ = n.BuildingPathPenalized(src, dst, vp)
 		retries := rcfg.Retries
 		if !maxAllows(RungRetry) {
 			retries = 0

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"citymesh/internal/citygen"
@@ -341,7 +342,7 @@ func TestReliableHealthMapLearnsAndReroutes(t *testing.T) {
 			second.TotalBroadcasts, first.TotalBroadcasts)
 	}
 	// The learned detour actually avoids the suspect midpoint.
-	path, err := n.BuildingPathPenalized(src, dst, hm.PenaltyFunc())
+	path, _, err := n.Graph.ShortestPathPenalized(src, dst, hm.PenaltyFunc())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,3 +368,72 @@ func TestReliableHealthSuspicionDecays(t *testing.T) {
 		t.Errorf("suspicion %v barely decayed from %v after 10 taus", after, before)
 	}
 }
+
+// TestSendReliablePlansOnce pins the ladder's direct attempt to one planner
+// call: a delivered SendReliable with no retries allocates a fixed number
+// more than a plain Send of the same pair (the ladder's rng and its
+// attempt record). A second shortest-path search for the building path, as
+// the ladder once made, adds its path's allocation and fails the pin. The
+// attempt's route must still be exactly PlanRoutePenalized's, with and
+// without suspicion in the health map.
+func TestSendReliablePlansOnce(t *testing.T) {
+	n, src, dst, mid := corridorNetwork(t, 400, 300)
+	simCfg := sim.DefaultConfig()
+	rcfg := DefaultReliableConfig()
+	rcfg.Retries = 0
+
+	res, err := n.SendReliable(src, dst, nil, simCfg, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Delivered || res.Rung != RungDirect || len(res.Attempts) != 1 {
+		t.Fatalf("want one delivered direct attempt, got rung %v, %d attempts", res.Rung, len(res.Attempts))
+	}
+	clean, err := n.PlanRoutePenalized(src, dst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.FirstAttempt.Route, clean) {
+		t.Errorf("first attempt route %+v, PlanRoutePenalized gives %+v", res.FirstAttempt.Route, clean)
+	}
+
+	send := testing.AllocsPerRun(20, func() {
+		if _, err := n.Send(src, dst, nil, simCfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	reliable := testing.AllocsPerRun(20, func() {
+		if _, err := n.SendReliable(src, dst, nil, simCfg, rcfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Send %.0f allocs, SendReliable %.0f", send, reliable)
+	if got := reliable - send; got != sendReliableExtraAllocs {
+		t.Errorf("SendReliable allocates %.0f more than Send, want %d", got, sendReliableExtraAllocs)
+	}
+
+	hm := health.New(health.DefaultConfig())
+	for i := 0; i < 5; i++ {
+		hm.ObserveFailure([]int{mid})
+	}
+	want, err := n.PlanRoutePenalized(src, dst, hm.PenaltyFunc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(want, clean) {
+		t.Fatal("suspicion on the corridor midpoint does not change the plan")
+	}
+	rcfg.Health = hm
+	res, err = n.SendReliable(src, dst, nil, simCfg, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.FirstAttempt.Route, want) {
+		t.Errorf("under suspicion, first attempt route %+v, PlanRoutePenalized gives %+v", res.FirstAttempt.Route, want)
+	}
+}
+
+// sendReliableExtraAllocs is what a delivered direct attempt allocates on
+// top of a plain Send: the backoff rng's source and the one-element Attempts
+// slice. The ladder that planned twice allocated 7.
+const sendReliableExtraAllocs = 2

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"citymesh/internal/citygen"
+	"citymesh/internal/conduit"
 	"citymesh/internal/core"
 	"citymesh/internal/packet"
 	"citymesh/internal/runner"
@@ -74,7 +75,7 @@ func HeaderSizes(cityName string, scale float64, seed int64, samples, par int) (
 			if err != nil {
 				return outcome{}
 			}
-			r, err := n.PlanRoute(p[0], p[1])
+			r, err := conduit.Compress(n.City, path, n.Cfg.ConduitWidth)
 			if err != nil {
 				return outcome{}
 			}
