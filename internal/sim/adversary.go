@@ -262,22 +262,35 @@ func (d Defense) Any() bool {
 // pairKey packs a (receiver, sender) node pair for the defense rate buckets.
 func pairKey(to, from int) uint64 { return uint64(uint32(to))<<32 | uint64(uint32(from)) }
 
-// pairBucket is one (receiver, sender) token bucket, sim-time based.
-type pairBucket struct {
+// gateSlot is one (receiver, sender) token bucket, sim-time based, in the
+// rate gate's open-addressed table. A slot whose epoch is not the gate's
+// current one is empty.
+type gateSlot struct {
+	key    uint64
+	epoch  uint32
 	tokens float64
 	last   float64
 }
 
+// minGateSlots is the table size a gate starts at: a few-hop conduit wave
+// touches well under 32 pairs.
+const minGateSlots = 64
+
 // rateGate is the Defense.NeighborRate enforcement: one lazily-created
-// token bucket per communicating pair, refilled in sim time. Bounded by the
-// number of in-range pairs that actually exchange frames in one run. It
-// lives on the reused scratch with its buckets held by value, so a defended
-// run reuses the previous run's table instead of allocating a bucket per
-// pair.
+// token bucket per communicating pair, refilled in sim time. The buckets
+// live by value in an open-addressed table (linear probing, power-of-two
+// size, at most half full) on the reused scratch. The table grows by
+// doubling and never shrinks, so it is sized for the largest wave the
+// scratch has served. Arming the gate for a run bumps an epoch instead of
+// clearing the table, so a short attempt does not pay for a city-wide
+// flood's table; nothing is deleted within a run, so there are no
+// tombstones.
 type rateGate struct {
 	on          bool
 	rate, burst float64
-	buckets     map[uint64]pairBucket
+	epoch       uint32
+	n           int // slots of the current epoch
+	slots       []gateSlot
 }
 
 // reset arms the gate for a run under d (or disarms it) and forgets every
@@ -291,18 +304,61 @@ func (g *rateGate) reset(d Defense) {
 	if g.burst <= 0 {
 		g.burst = 2 * d.NeighborRate
 	}
-	if g.buckets == nil {
-		g.buckets = make(map[uint64]pairBucket)
+	if g.slots == nil {
+		g.slots = make([]gateSlot, minGateSlots)
 	}
-	clear(g.buckets)
+	g.n = 0
+	if g.epoch++; g.epoch == 0 {
+		// Wrapped: a slot could still carry the epoch about to be reused.
+		clear(g.slots)
+		g.epoch = 1
+	}
+}
+
+// pairHash mixes a pair key with the splitmix64 finalizer. The keys are
+// simulator node ids, not outside input, so a fixed mixer serves and keeps
+// runs deterministic.
+func pairHash(k uint64) uint64 {
+	k ^= k >> 30
+	k *= 0xbf58476d1ce4e5b9
+	k ^= k >> 27
+	k *= 0x94d049bb133111eb
+	return k ^ k>>31
+}
+
+// find returns the slot holding key in the current epoch, or the empty slot
+// where it belongs.
+func (g *rateGate) find(key uint64) *gateSlot {
+	mask := uint64(len(g.slots) - 1)
+	for i := pairHash(key) & mask; ; i = (i + 1) & mask {
+		if s := &g.slots[i]; s.epoch != g.epoch || s.key == key {
+			return s
+		}
+	}
+}
+
+// grow doubles the table, moving over the current epoch's slots.
+func (g *rateGate) grow() {
+	old := g.slots
+	g.slots = make([]gateSlot, 2*len(old))
+	for i := range old {
+		if old[i].epoch == g.epoch {
+			*g.find(old[i].key) = old[i]
+		}
+	}
 }
 
 // allow charges one frame from `from` arriving at `to` at sim time t.
 func (g *rateGate) allow(to, from int, t float64) bool {
 	key := pairKey(to, from)
-	b, seen := g.buckets[key]
-	if !seen {
-		b = pairBucket{tokens: g.burst, last: t}
+	b := g.find(key)
+	if b.epoch != g.epoch {
+		if 2*(g.n+1) > len(g.slots) {
+			g.grow()
+			b = g.find(key)
+		}
+		*b = gateSlot{key: key, epoch: g.epoch, tokens: g.burst, last: t}
+		g.n++
 	}
 	b.tokens += (t - b.last) * g.rate
 	b.last = t
@@ -313,7 +369,6 @@ func (g *rateGate) allow(to, from int, t float64) bool {
 	if ok {
 		b.tokens--
 	}
-	g.buckets[key] = b
 	return ok
 }
 

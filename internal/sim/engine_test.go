@@ -136,9 +136,9 @@ func TestEngineRunAllocs(t *testing.T) {
 
 // TestEngineDefendedRunAllocs extends the budget to a run with the whole
 // defense stack on. The rate gate keeps one token bucket per communicating
-// pair; it lives on the reused scratch and is cleared, not rebuilt, so the
-// second defended run over the same wave allocates nothing (the gate used to
-// cost a fresh map, and a heap bucket per pair, on every run).
+// pair in a table on the reused scratch; arming it for a run only bumps an
+// epoch, and the table grows only past its largest wave, so the second
+// defended run over the same wave allocates nothing.
 func TestEngineDefendedRunAllocs(t *testing.T) {
 	city, m := gridCity(t)
 	eng := NewEngine(m, city, floodAll{})
