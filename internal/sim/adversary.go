@@ -272,8 +272,8 @@ type gateSlot struct {
 	last   float64
 }
 
-// minGateSlots is the table size a gate starts at: a few-hop conduit wave
-// touches well under 32 pairs.
+// minGateSlots is the size of a new gate's table, which doubles from there
+// as the pairs of a run need.
 const minGateSlots = 64
 
 // rateGate is the Defense.NeighborRate enforcement: one lazily-created

@@ -19,18 +19,18 @@ type gatePair struct {
 }
 
 func (p *gatePair) reset(d Defense) {
+	p.ops++
 	p.g.reset(d)
 	p.ref.reset(d)
 	if p.g.on != p.ref.on {
 		p.t.Fatalf("op %d: reset(%+v) arms %v, reference %v", p.ops, d, p.g.on, p.ref.on)
 	}
-	p.ops++
 }
 
 // allow charges a frame on both gates; like the engine, only an armed gate
 // is asked.
 func (p *gatePair) allow(to, from int, t float64) {
-	defer func() { p.ops++ }()
+	p.ops++
 	if !p.g.on {
 		return
 	}
@@ -90,6 +90,7 @@ func FuzzRateGateMatchesMap(f *testing.F) {
 		}
 		rng := rand.New(rand.NewPCG(seed, uint64(len(ops))))
 		nodes := 2 + rng.IntN(3000)
+		p.reset(gateDefense(byte(1+rng.IntN(4)), byte(rng.IntN(5)))) // armed
 		for i := 0; i < int(n); i++ {
 			op := byte(rng.IntN(8))
 			if op == 0 && rng.IntN(256) != 0 {
