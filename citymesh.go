@@ -13,7 +13,7 @@
 //
 //   - internal/osm — OpenStreetMap parsing and footprint extraction
 //   - internal/citygen — synthetic city generation (offline evaluation)
-//   - internal/buildinggraph — cubed-weight building graph + Dijkstra
+//   - internal/buildinggraph — cubed-weight building graph + ALT A* planner
 //   - internal/conduit — the paper's route-compression algorithm
 //   - internal/packet — the wire format
 //   - internal/mesh — AP placement and the realized AP graph

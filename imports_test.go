@@ -86,10 +86,12 @@ func reaches(deps map[string]map[string]bool, from, to string) bool {
 // agents never depend on each other (which is why the AP set type,
 // NodeSet, lives in mesh: both consume it), and the experiment registry is
 // a leaf only the command-line tools link. The scratch free list and the
-// bounded FIFO map are leaves below everything that reuses them.
+// bounded FIFO map are leaves below everything that reuses them. The
+// building graph is the sender's map-only planner: it knows nothing of the
+// AP mesh or the simulator.
 func TestImportDAG(t *testing.T) {
 	deps := moduleImports(t)
-	for _, pkg := range []string{"internal/fwd", "internal/sim", "internal/agent", "internal/mesh", "internal/freelist", "internal/fifo"} {
+	for _, pkg := range []string{"internal/fwd", "internal/sim", "internal/agent", "internal/mesh", "internal/freelist", "internal/fifo", "internal/buildinggraph"} {
 		if deps[pkg] == nil {
 			t.Fatalf("no sources found for %s: run from the module root", pkg)
 		}
@@ -104,6 +106,11 @@ func TestImportDAG(t *testing.T) {
 	}
 	if reaches(deps, "internal/agent", "internal/sim") {
 		t.Error("internal/agent imports internal/sim")
+	}
+	for _, below := range []string{"internal/mesh", "internal/sim"} {
+		if reaches(deps, "internal/buildinggraph", below) {
+			t.Errorf("internal/buildinggraph imports %s", below)
+		}
 	}
 	for _, leaf := range []string{"internal/freelist", "internal/fifo"} {
 		for imp := range deps[leaf] {

@@ -3,6 +3,8 @@ package buildinggraph
 import (
 	"errors"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"citymesh/internal/citygen"
@@ -299,21 +301,13 @@ func planCity(p *citygen.Plan) *osm.City {
 	return city
 }
 
-// TestShortestPathWarmCallAllocatesOnlyThePath pins the reused Dijkstra
+// TestShortestPathWarmCallAllocatesOnlyThePath pins the reused planner
 // scratch: after one call has sized it, a search on a fixed gridtown pair
-// allocates nothing but the path it returns. The path is grown by append,
-// so its 140 buildings cost 9 allocations (capacities 1, 2, 4, ... 256).
+// allocates nothing but the path it returns, and the path is counted before
+// it is filled, so its 140 buildings cost one allocation.
 func TestShortestPathWarmCallAllocatesOnlyThePath(t *testing.T) {
-	spec, ok := citygen.Preset("gridtown")
-	if !ok {
-		t.Fatal("no gridtown preset")
-	}
-	plan, err := citygen.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Build(planCity(plan), DefaultConfig())
-	src, dst := 0, len(g.adj)-1
+	g := gridtownGraph(t)
+	src, dst := 0, g.NumVertices()-1
 	path, _, err := g.ShortestPath(src, dst) // size the scratch
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +321,198 @@ func TestShortestPathWarmCallAllocatesOnlyThePath(t *testing.T) {
 		}
 	})
 	t.Logf("warm ShortestPath %d→%d (%d buildings on the path): %.1f allocs", src, dst, len(path), allocs)
-	if allocs != 9 {
-		t.Errorf("warm ShortestPath allocates %.1f, want 9", allocs)
+	if allocs != 1 {
+		t.Errorf("warm ShortestPath allocates %.1f, want 1", allocs)
+	}
+}
+
+// TestBuildIsTheSameAtAnyParallelism builds every preset with one worker
+// and with eight: edge discovery and the landmark searches run on the
+// runner's pool, and the CSR rows, the component labels and the landmark
+// table must not depend on how the work was spread.
+func TestBuildIsTheSameAtAnyParallelism(t *testing.T) {
+	for _, name := range append(citygen.PresetNames(), "metro") {
+		spec, _ := citygen.Preset(name)
+		plan, err := citygen.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		city := planCity(plan)
+		prev := runtime.GOMAXPROCS(1)
+		one := Build(city, DefaultConfig())
+		runtime.GOMAXPROCS(8)
+		eight := Build(city, DefaultConfig())
+		runtime.GOMAXPROCS(prev)
+		if !slices.Equal(one.off, eight.off) || !slices.Equal(one.to, eight.to) ||
+			!slices.Equal(one.w, eight.w) || !slices.Equal(one.gap, eight.gap) {
+			t.Errorf("%s: CSR arrays differ between 1 and 8 workers", name)
+		}
+		if !slices.Equal(one.comp, eight.comp) {
+			t.Errorf("%s: component labels differ between 1 and 8 workers", name)
+		}
+		if one.lm.k != eight.lm.k || one.lm.slack != eight.lm.slack || !slices.Equal(one.lm.dist, eight.lm.dist) {
+			t.Errorf("%s: landmark tables differ between 1 and 8 workers", name)
+		}
+		if one.lm.k != numLandmarks {
+			t.Errorf("%s: %d landmarks, want %d", name, one.lm.k, numLandmarks)
+		}
+	}
+}
+
+// TestLandmarkBoundIsAdmissible checks the bound against exact costs on
+// gridtown: for every building and a spread of destinations, the bound
+// must not exceed the cheapest route's cost. The float32 table rounds
+// half its entries up, so without the slack a landmark's bound to a
+// destination would overshoot.
+func TestLandmarkBoundIsAdmissible(t *testing.T) {
+	g := gridtownGraph(t)
+	n := g.NumVertices()
+	var row [numLandmarks]float32
+	for dst := 0; dst < n; dst += 97 {
+		exact := g.dijkstraAll(dst)
+		copy(row[:], g.lm.dist[dst*g.lm.k:(dst+1)*g.lm.k])
+		for v := 0; v < n; v++ {
+			if b := g.lm.bound(int32(v), &row); b > exact[v] {
+				t.Fatalf("bound %v from %d to %d exceeds the cost %v", b, v, dst, exact[v])
+			}
+		}
+	}
+}
+
+// TestPenaltyBelowOneIsRejected: a factor below 1, or NaN, could make a
+// route cheaper than the landmark bounds allow, so the planner refuses it.
+// Factors of exactly 1 and +Inf are valid.
+func TestPenaltyBelowOneIsRejected(t *testing.T) {
+	city := rowCity(geo.Pt(0, 0), geo.Pt(40, 0), geo.Pt(80, 0))
+	g := Build(city, DefaultConfig())
+	for _, bad := range []float64{0.5, 0, -1, math.NaN()} {
+		vp := func(v int) float64 {
+			if v == 1 {
+				return bad
+			}
+			return 1
+		}
+		if _, _, err := g.ShortestPathPenalized(0, 2, vp); !errors.Is(err, ErrBadPenalty) {
+			t.Errorf("vertex factor %v: err = %v, want ErrBadPenalty", bad, err)
+		}
+		if _, err := g.DiversePathsPenalized(0, 2, 3, 16, vp); !errors.Is(err, ErrBadPenalty) {
+			t.Errorf("vertex factor %v in DiversePaths: err = %v, want ErrBadPenalty", bad, err)
+		}
+	}
+	if _, err := g.DiversePaths(0, 2, 3, math.NaN()); !errors.Is(err, ErrBadPenalty) {
+		t.Errorf("NaN diversity penalty: err = %v, want ErrBadPenalty", err)
+	}
+	if _, _, err := g.ShortestPathPenalized(0, 2, func(int) float64 { return 1 }); err != nil {
+		t.Errorf("factor 1: %v", err)
+	}
+	inf := func(v int) float64 {
+		if v == 1 {
+			return math.Inf(1)
+		}
+		return 1
+	}
+	if _, _, err := g.ShortestPathPenalized(0, 2, inf); !errors.Is(err, ErrNoPath) {
+		t.Errorf("+Inf on the only route: err = %v, want ErrNoPath", err)
+	}
+}
+
+// TestSearchEpochWraps runs queries on one scratch across the wrap of its
+// 32-bit epoch: the stamps are cleared there, and every answer must equal
+// the one a fresh scratch gives.
+func TestSearchEpochWraps(t *testing.T) {
+	g := gridtownGraph(t)
+	n := g.NumVertices()
+	type answer struct {
+		path []int
+		cost float64
+	}
+	want := map[[2]int]answer{}
+	pairs := [][2]int{{0, n - 1}, {n / 3, 2 * n / 3}, {17, n / 2}, {n - 5, 40}, {0, n - 1}}
+	for _, p := range pairs {
+		path, cost, err := g.ShortestPath(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = answer{path, cost}
+	}
+	sc := g.getScratch()
+	sc.epoch = math.MaxUint32 - 5 // three searches from the wrap
+	for i := 0; i < 3; i++ {
+		for _, p := range pairs {
+			path, cost, err := g.shortestPath(sc, p[0], p[1], false, nil)
+			if err != nil || !slices.Equal(path, want[p].path) || cost != want[p].cost {
+				t.Fatalf("epoch %d, %d→%d: path %v cost %v (%v), want %v cost %v",
+					sc.epoch, p[0], p[1], path, cost, err, want[p].path, want[p].cost)
+			}
+		}
+	}
+	if sc.epoch >= math.MaxUint32-5 {
+		t.Fatalf("epoch %d never wrapped", sc.epoch)
+	}
+}
+
+// gridtownGraph builds the graph of the gridtown preset.
+func gridtownGraph(t *testing.T) *Graph {
+	t.Helper()
+	spec, ok := citygen.Preset("gridtown")
+	if !ok {
+		t.Fatal("no gridtown preset")
+	}
+	plan, err := citygen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Build(planCity(plan), DefaultConfig())
+}
+
+// graphFromEdges lays out a graph over n buildings with the given
+// undirected weighted edges, rows in edge order, with no landmarks.
+func graphFromEdges(n int, edges [][3]float64) *Graph {
+	g := &Graph{off: make([]int32, n+1), numEdges: len(edges)}
+	for _, e := range edges {
+		g.off[int(e[0])+1]++
+		g.off[int(e[1])+1]++
+	}
+	for v := 0; v < n; v++ {
+		g.off[v+1] += g.off[v]
+	}
+	next := slices.Clone(g.off[:n])
+	g.to = make([]int32, 2*len(edges))
+	g.w = make([]float64, 2*len(edges))
+	g.gap = make([]float64, 2*len(edges))
+	for _, e := range edges {
+		a, b := int(e[0]), int(e[1])
+		g.to[next[a]], g.w[next[a]] = int32(b), e[2]
+		next[a]++
+		g.to[next[b]], g.w[next[b]] = int32(a), e[2]
+		next[b]++
+	}
+	g.comp = make([]int32, n)
+	g.label(g.comp, nil)
+	return g
+}
+
+// TestEqualCostTieKeepsTheCheaperPredecessor pins the rule that makes the
+// planner's routes Dijkstra's. Building 2 is reached at cost 9 both from 1
+// (cost 1, edge 8) and from 11 (cost 8, edge 1). Dijkstra settles 1 first
+// and keeps it. The landmark table here bounds 1 tightly and nothing else,
+// so A* expands 11 — and reaches 2 through it — before it expands 1; only
+// the tie rule then moves 2's predecessor to 1.
+func TestEqualCostTieKeepsTheCheaperPredecessor(t *testing.T) {
+	edges := [][3]float64{{0, 1, 1}, {1, 2, 8}, {2, 3, 1}, {0, 4, 1}}
+	for c := 4; c < 11; c++ { // the chain 0-4-5-...-10-11
+		edges = append(edges, [3]float64{float64(c), float64(c + 1), 1})
+	}
+	edges = append(edges, [3]float64{11, 2, 1})
+	g := graphFromEdges(12, edges)
+	// One landmark at 3; only building 1's entry (its cost to 3, 9) is set.
+	g.lm = landmarks{k: 1, dist: make([]float32, 12), slack: 0.5}
+	g.lm.dist[1] = 9
+	path, cost, err := g.ShortestPath(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3}; !slices.Equal(path, want) || cost != 10 {
+		t.Errorf("path %v cost %v, want %v cost 10 (Dijkstra's)", path, cost, want)
 	}
 }

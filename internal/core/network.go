@@ -19,6 +19,7 @@ import (
 	"citymesh/internal/buildinggraph"
 	"citymesh/internal/citygen"
 	"citymesh/internal/conduit"
+	"citymesh/internal/freelist"
 	"citymesh/internal/mesh"
 	"citymesh/internal/osm"
 	"citymesh/internal/packet"
@@ -90,6 +91,9 @@ type Network struct {
 	// lazily built so networks that never simulate pay nothing.
 	engineOnce sync.Once
 	engine     *sim.Engine
+	// rngs holds SendReliable's backoff rngs, one per ladder that was ever
+	// in flight at once, so a ladder does not allocate a ~5 KB source.
+	rngs freelist.List[rand.Rand]
 }
 
 // NewNetwork builds the building graph and AP mesh for an already-extracted
@@ -206,8 +210,8 @@ func (n *Network) PlanRoutePenalized(src, dst int, vp buildinggraph.VertexPenalt
 	return r, err
 }
 
-// planPath runs Dijkstra once and compresses its path, returning both: the
-// building path (nil whenever planning or compression failed) and the
+// planPath runs the planner once and compresses its path, returning both:
+// the building path (nil whenever planning or compression failed) and the
 // conduit route PlanRoutePenalized returns.
 func (n *Network) planPath(src, dst int, vp buildinggraph.VertexPenalty) ([]int, conduit.Route, error) {
 	path, _, err := n.Graph.ShortestPathPenalized(src, dst, vp)

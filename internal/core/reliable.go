@@ -255,7 +255,15 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 			vp = f
 		}
 	}
-	rng := rand.New(rand.NewSource(rcfg.Seed))
+	// The backoff rng comes from the network's free list; reseeding it
+	// restarts exactly the stream a fresh rand.NewSource(rcfg.Seed) gives.
+	rng := n.rngs.Get()
+	if rng == nil {
+		rng = rand.New(rand.NewSource(rcfg.Seed))
+	} else {
+		rng.Seed(rcfg.Seed)
+	}
+	defer n.rngs.Put(rng)
 	out := ReliableResult{Rung: RungExhausted}
 	// maxAllows gates each rung under MaxRung (0 = full ladder). Skipped
 	// rungs record no attempt and draw no backoff — the rng stream is
@@ -315,7 +323,7 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 	}
 
 	// Rung 0 + 1: the direct send, then same-route retransmissions. Under
-	// a health map the "direct" route is already damage-aware: Dijkstra
+	// a health map the "direct" route is already damage-aware: the planner
 	// pays the suspicion penalty through suspect buildings and detours.
 	path, route, planErr := n.planPath(src, dst, vp)
 	if planErr == nil {

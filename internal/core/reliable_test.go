@@ -371,8 +371,8 @@ func TestReliableHealthSuspicionDecays(t *testing.T) {
 
 // TestSendReliablePlansOnce pins the ladder's direct attempt to one planner
 // call: a delivered SendReliable with no retries allocates a fixed number
-// more than a plain Send of the same pair (the ladder's rng and its
-// attempt record). A second shortest-path search for the building path, as
+// more than a plain Send of the same pair (its attempt record; the backoff
+// rng is reused). A second shortest-path search for the building path, as
 // the ladder once made, adds its path's allocation and fails the pin. The
 // attempt's route must still be exactly PlanRoutePenalized's, with and
 // without suspicion in the health map.
@@ -434,6 +434,7 @@ func TestSendReliablePlansOnce(t *testing.T) {
 }
 
 // sendReliableExtraAllocs is what a delivered direct attempt allocates on
-// top of a plain Send: the backoff rng's source and the one-element Attempts
-// slice. The ladder that planned twice allocated 7.
-const sendReliableExtraAllocs = 2
+// top of a plain Send: the one-element Attempts slice. The backoff rng is
+// reused from the network's free list; the ladder that built a fresh rng
+// allocated 2, and the ladder that planned twice 7.
+const sendReliableExtraAllocs = 1

@@ -10,7 +10,7 @@
 //
 // The planner consumes the memory as per-building cost multipliers
 // (buildinggraph vertex penalties): a building under suspicion makes every
-// route through it expensive, steering Dijkstra around the suspected-dead
+// route through it expensive, steering the planner around the suspected-dead
 // region instead of burning retries, widened conduits, and floods through
 // it again.
 //
@@ -270,7 +270,7 @@ func (m *Map) Penalty(b int) float64 {
 }
 
 // PenaltyFunc snapshots the current penalties into a closure suitable as a
-// buildinggraph.VertexPenalty. The snapshot is taken once, so the Dijkstra
+// buildinggraph.VertexPenalty. The snapshot is taken once, so the planner's
 // hot loop performs plain map reads with no locking or exp calls.
 func (m *Map) PenaltyFunc() func(b int) float64 {
 	m.mu.Lock()
