@@ -129,32 +129,34 @@ func Build(city *osm.City, cfg Config) *Graph {
 	chunks := runner.Map(0, (n+buildChunk-1)/buildChunk, func(c int) foundEdges {
 		var f foundEdges
 		lo := c * buildChunk
-		for i := lo; i < min(lo+buildChunk, n); i++ {
-			fpI := city.Buildings[i].Footprint
-			searchR := cfg.MaxGap + radii[i] + maxRadius
-			g.centroids.WithinRadius(city.Buildings[i].Centroid, searchR, func(j int, _ geo.Point) bool {
-				if j <= i {
-					return true
-				}
-				// Cheap centroid prune before the exact polygon gap.
-				cd := city.Buildings[i].Centroid.Dist(city.Buildings[j].Centroid)
-				if cd > cfg.MaxGap+radii[i]+radii[j] {
-					return true
-				}
-				gap := fpI.GapTo(city.Buildings[j].Footprint)
-				if gap > cfg.MaxGap {
-					return true
-				}
-				w := gap
-				if w < cfg.MinWeight {
-					w = cfg.MinWeight
-				}
-				f.to = append(f.to, int32(j))
-				f.w = append(f.w, math.Pow(w, cfg.WeightExponent))
-				f.gap = append(f.gap, gap)
-				f.cnt[i-lo]++
+		// One visitor per chunk, reading the building i it scans for, so
+		// the grid queries do not allocate a closure each.
+		var i int
+		visit := func(j int, _ geo.Point) bool {
+			if j <= i {
 				return true
-			})
+			}
+			// Cheap centroid prune before the exact polygon gap.
+			cd := city.Buildings[i].Centroid.Dist(city.Buildings[j].Centroid)
+			if cd > cfg.MaxGap+radii[i]+radii[j] {
+				return true
+			}
+			gap := city.Buildings[i].Footprint.GapTo(city.Buildings[j].Footprint)
+			if gap > cfg.MaxGap {
+				return true
+			}
+			w := gap
+			if w < cfg.MinWeight {
+				w = cfg.MinWeight
+			}
+			f.to = append(f.to, int32(j))
+			f.w = append(f.w, math.Pow(w, cfg.WeightExponent))
+			f.gap = append(f.gap, gap)
+			f.cnt[i-lo]++
+			return true
+		}
+		for i = lo; i < min(lo+buildChunk, n); i++ {
+			g.centroids.WithinRadius(city.Buildings[i].Centroid, cfg.MaxGap+radii[i]+maxRadius, visit)
 		}
 		return f
 	})
@@ -185,14 +187,12 @@ func Build(city *osm.City, cfg Config) *Graph {
 		e := 0
 		for k, cnt := range f.cnt[:min(buildChunk, n-c*buildChunk)] {
 			i := int32(c*buildChunk + k)
-			up := g.off[i+1] - cnt
-			for ; cnt > 0; cnt-- {
+			for up := g.off[i+1] - cnt; up < g.off[i+1]; up++ {
 				j := f.to[e]
-				g.to[up], g.w[up], g.gap[up] = j, f.w[e], f.gap[e]
-				lo := next[j]
+				down := next[j]
 				next[j]++
-				g.to[lo], g.w[lo], g.gap[lo] = i, f.w[e], f.gap[e]
-				up++
+				g.to[up], g.w[up], g.gap[up] = j, f.w[e], f.gap[e]
+				g.to[down], g.w[down], g.gap[down] = i, f.w[e], f.gap[e]
 				e++
 			}
 		}

@@ -87,8 +87,30 @@ func sameErr(a, b error) bool {
 	return a.Error() == b.Error()
 }
 
-// compareOnPlan builds both graphs over plan's city and compares pairs
-// random pairs, cycling through the penalty modes.
+// checkRows requires every CSR row to list the reference adjacency's
+// neighbours in the same order with the same weight and gap bits.
+func checkRows(t *testing.T, g *Graph, ref *refGraph) {
+	t.Helper()
+	if g.NumVertices() != len(ref.adj) || g.NumEdges() != ref.numEdges {
+		t.Fatalf("%d buildings, %d edges; reference %d, %d", g.NumVertices(), g.NumEdges(), len(ref.adj), ref.numEdges)
+	}
+	for v, row := range ref.adj {
+		lo, hi := int(g.off[v]), int(g.off[v+1])
+		if hi-lo != len(row) {
+			t.Fatalf("building %d: degree %d, reference %d", v, hi-lo, len(row))
+		}
+		for k, e := range row {
+			if g.to[lo+k] != e.to || math.Float64bits(g.w[lo+k]) != math.Float64bits(e.weight) ||
+				math.Float64bits(g.gap[lo+k]) != math.Float64bits(e.gap) {
+				t.Fatalf("building %d, neighbour %d: (%d, %v, %v), reference (%d, %v, %v)",
+					v, k, g.to[lo+k], g.w[lo+k], g.gap[lo+k], e.to, e.weight, e.gap)
+			}
+		}
+	}
+}
+
+// compareOnPlan builds both graphs over plan's city, compares their rows,
+// then compares pairs random pairs, cycling through the penalty modes.
 func compareOnPlan(t *testing.T, plan *citygen.Plan, pairs int, seed int64) {
 	t.Helper()
 	city := planCity(plan)
@@ -98,6 +120,7 @@ func compareOnPlan(t *testing.T, plan *citygen.Plan, pairs int, seed int64) {
 	if n < 2 {
 		t.Fatalf("%d buildings", n)
 	}
+	checkRows(t, g, ref)
 	rng := rand.New(rand.NewSource(seed))
 	noPath := 0
 	for i := 0; i < pairs; i++ {
@@ -158,6 +181,7 @@ func FuzzPlannerMatchesDijkstra(f *testing.F) {
 		city := planCity(plan)
 		g := Build(city, DefaultConfig())
 		ref := refBuild(city, DefaultConfig())
+		checkRows(t, g, ref)
 		n := g.NumVertices()
 		if n < 2 {
 			t.Skip("too few buildings")
