@@ -76,14 +76,19 @@ type Graph struct {
 // buildChunk is how many buildings one edge-discovery task scans.
 const buildChunk = 64
 
+// foundEdge is one edge an edge-discovery task found, to a neighbour of
+// higher index.
+type foundEdge struct {
+	to     int32
+	w, gap float64
+}
+
 // foundEdges is what one edge-discovery task returns: for each building of
-// its chunk, in building order, the neighbours of higher index in the order
-// the centroid grid reported them.
+// its chunk, in building order, the edges to neighbours of higher index in
+// the order the centroid grid reported them, and how many each has.
 type foundEdges struct {
-	to  []int32
-	w   []float64
-	gap []float64
-	cnt [buildChunk]int32
+	edges []foundEdge
+	cnt   [buildChunk]int32
 }
 
 // Build constructs the building graph. Candidate pairs come from a spatial
@@ -149,9 +154,7 @@ func Build(city *osm.City, cfg Config) *Graph {
 			if w < cfg.MinWeight {
 				w = cfg.MinWeight
 			}
-			f.to = append(f.to, int32(j))
-			f.w = append(f.w, math.Pow(w, cfg.WeightExponent))
-			f.gap = append(f.gap, gap)
+			f.edges = append(f.edges, foundEdge{to: int32(j), w: math.Pow(w, cfg.WeightExponent), gap: gap})
 			f.cnt[i-lo]++
 			return true
 		}
@@ -166,10 +169,10 @@ func Build(city *osm.City, cfg Config) *Graph {
 	// sequential scan appending each edge to both rows would produce.
 	below := make([]int32, n)
 	for _, f := range chunks {
-		for _, j := range f.to {
-			below[j]++
+		for _, e := range f.edges {
+			below[e.to]++
 		}
-		g.numEdges += len(f.to)
+		g.numEdges += len(f.edges)
 	}
 	g.off = make([]int32, n+1)
 	for c, f := range chunks {
@@ -184,16 +187,16 @@ func Build(city *osm.City, cfg Config) *Graph {
 	next := below // reused as each row's next free slot for a lower neighbour
 	copy(next, g.off[:n])
 	for c, f := range chunks {
-		e := 0
+		edges := f.edges
 		for k, cnt := range f.cnt[:min(buildChunk, n-c*buildChunk)] {
 			i := int32(c*buildChunk + k)
 			for up := g.off[i+1] - cnt; up < g.off[i+1]; up++ {
-				j := f.to[e]
-				down := next[j]
-				next[j]++
-				g.to[up], g.w[up], g.gap[up] = j, f.w[e], f.gap[e]
-				g.to[down], g.w[down], g.gap[down] = i, f.w[e], f.gap[e]
-				e++
+				e := edges[0]
+				edges = edges[1:]
+				down := next[e.to]
+				next[e.to]++
+				g.to[up], g.w[up], g.gap[up] = e.to, e.w, e.gap
+				g.to[down], g.w[down], g.gap[down] = i, e.w, e.gap
 			}
 		}
 	}
