@@ -42,9 +42,6 @@ type landmarks struct {
 // parallel) to fill the table.
 func (g *Graph) pickLandmarks() landmarks {
 	n := g.NumVertices()
-	if n == 0 {
-		return landmarks{}
-	}
 	c := g.centroids.Bounds().Center()
 	var best [numLandmarks]int
 	var bestD [numLandmarks]float64

@@ -434,7 +434,6 @@ func TestSendReliablePlansOnce(t *testing.T) {
 }
 
 // sendReliableExtraAllocs is what a delivered direct attempt allocates on
-// top of a plain Send: the one-element Attempts slice. The backoff rng is
-// reused from the network's free list; the ladder that built a fresh rng
-// allocated 2, and the ladder that planned twice 7.
+// top of a plain Send: the one-element Attempts slice. The backoff rng
+// comes from the network's free list.
 const sendReliableExtraAllocs = 1

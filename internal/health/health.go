@@ -10,9 +10,9 @@
 //
 // The planner consumes the memory as per-building cost multipliers
 // (buildinggraph vertex penalties): a building under suspicion makes every
-// route through it expensive, steering the planner around the suspected-dead
-// region instead of burning retries, widened conduits, and floods through
-// it again.
+// route through it expensive, steering the planner around the
+// suspected-dead region instead of burning retries, widened conduits, and
+// floods through it again.
 //
 // The map also classifies destinations as *partitioned* when the full
 // ladder exhausts repeatedly against them. Partitioned destinations are
