@@ -109,6 +109,26 @@ func checkRows(t *testing.T, g *Graph, ref *refGraph) {
 	}
 }
 
+// checkFullSearch compares the landmark set-up's full search from a few
+// random sources with the reference's cost to a spread of destinations.
+func checkFullSearch(t *testing.T, g *Graph, ref *refGraph, rng *rand.Rand) {
+	t.Helper()
+	n := g.NumVertices()
+	for i := 0; i < 3; i++ {
+		src := rng.Intn(n)
+		all := g.dijkstraAll(src)
+		for dst := rng.Intn(50); dst < n; dst += 50 {
+			_, cost, err := ref.shortestPath(src, dst)
+			if err != nil {
+				cost = math.Inf(1)
+			}
+			if math.Float64bits(all[dst]) != math.Float64bits(cost) {
+				t.Fatalf("full search from %d: cost to %d is %v, reference %v", src, dst, all[dst], cost)
+			}
+		}
+	}
+}
+
 // compareOnPlan builds both graphs over plan's city, compares their rows,
 // then compares pairs random pairs, cycling through the penalty modes.
 func compareOnPlan(t *testing.T, plan *citygen.Plan, pairs int, seed int64) {
@@ -122,6 +142,7 @@ func compareOnPlan(t *testing.T, plan *citygen.Plan, pairs int, seed int64) {
 	}
 	checkRows(t, g, ref)
 	rng := rand.New(rand.NewSource(seed))
+	checkFullSearch(t, g, ref, rng)
 	noPath := 0
 	for i := 0; i < pairs; i++ {
 		src, dst := rng.Intn(n), rng.Intn(n)

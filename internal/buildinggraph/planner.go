@@ -85,25 +85,84 @@ func (g *Graph) pickLandmarks() landmarks {
 // dijkstraAll returns the unpenalized cost from src to every building
 // (+Inf where unreachable).
 func (g *Graph) dijkstraAll(src int) []float64 {
-	dist := make([]float64, g.NumVertices())
-	for i := range dist {
-		dist[i] = math.Inf(1)
+	n := g.NumVertices()
+	q := distHeap{dist: make([]float64, n), pos: make([]int32, n)}
+	for i := range q.dist {
+		q.dist[i] = math.Inf(1)
+		q.pos[i] = -1
 	}
-	dist[src] = 0
-	h := []pqItem{{v: int32(src)}}
-	for len(h) > 0 {
-		it := pqPop(&h)
-		if it.f > dist[it.v] {
-			continue
-		}
-		for e := g.off[it.v]; e < g.off[it.v+1]; e++ {
-			if nd := it.f + g.w[e]; nd < dist[g.to[e]] {
-				dist[g.to[e]] = nd
-				pqPush(&h, pqItem{v: g.to[e], f: nd})
+	q.dist[src] = 0
+	q.fix(int32(src))
+	for len(q.heap) > 0 {
+		v := q.pop()
+		for e := g.off[v]; e < g.off[v+1]; e++ {
+			if nd := q.dist[v] + g.w[e]; nd < q.dist[g.to[e]] {
+				q.dist[g.to[e]] = nd
+				q.fix(g.to[e])
 			}
 		}
 	}
-	return dist
+	return q.dist
+}
+
+// distHeap is a binary min-heap of buildings on dist that keeps each
+// building's index in the heap (pos, -1 before its first push), so a
+// cheaper cost moves the building up in place. A full search pops every
+// building once instead of the ~3x as many duplicate entries a heap
+// without decrease-key would pop.
+type distHeap struct {
+	dist []float64
+	pos  []int32
+	heap []int32
+}
+
+// fix inserts v, or moves it up after its cost dropped.
+func (q *distHeap) fix(v int32) {
+	j := int(q.pos[v])
+	if j < 0 {
+		j = len(q.heap)
+		q.heap = append(q.heap, v)
+	}
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(q.dist[v] < q.dist[q.heap[i]]) {
+			break
+		}
+		q.heap[j] = q.heap[i]
+		q.pos[q.heap[j]] = int32(j)
+		j = i
+	}
+	q.heap[j] = v
+	q.pos[v] = int32(j)
+}
+
+// pop removes and returns the cheapest building.
+func (q *distHeap) pop() int32 {
+	top := q.heap[0]
+	last := q.heap[len(q.heap)-1]
+	q.heap = q.heap[:len(q.heap)-1]
+	if len(q.heap) == 0 {
+		return top
+	}
+	j := 0
+	for {
+		c := 2*j + 1
+		if c >= len(q.heap) {
+			break
+		}
+		if c+1 < len(q.heap) && q.dist[q.heap[c+1]] < q.dist[q.heap[c]] {
+			c++
+		}
+		if !(q.dist[q.heap[c]] < q.dist[last]) {
+			break
+		}
+		q.heap[j] = q.heap[c]
+		q.pos[q.heap[j]] = int32(j)
+		j = c
+	}
+	q.heap[j] = last
+	q.pos[last] = int32(j)
+	return top
 }
 
 // bound is the landmark lower bound on the cost between v and the building
