@@ -15,7 +15,7 @@ import (
 
 // The planner must answer every query exactly as the reference Dijkstra in
 // reference_test.go does: the same path, the same cost bits, ErrNoPath for
-// the same pairs with the same text. These tests take about 25 s of CPU, so
+// the same pairs with the same text. These tests take about 40 s of CPU, so
 // the race detector run leaves them out.
 
 // penaltyMode selects the cost multipliers a compared query runs under.
