@@ -40,7 +40,7 @@ func benchRunConfig() experiments.RunConfig {
 func BenchmarkExperiments(b *testing.B) {
 	for _, e := range experiments.Registry() {
 		e := e
-		b.Run(e.Name(), func(b *testing.B) {
+		b.Run(e.Name, func(b *testing.B) {
 			cfg := benchRunConfig()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

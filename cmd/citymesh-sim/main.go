@@ -243,9 +243,9 @@ func runRegistry(fs *flag.FlagSet, name, cities string, scale float64, seed int6
 		return 1
 	}
 	if csv {
-		fmt.Fprint(stdout, res.CSV())
+		fmt.Fprint(stdout, res.CSV)
 	} else {
-		fmt.Fprint(stdout, res.Text())
+		fmt.Fprint(stdout, res.Text)
 	}
 	return 0
 }

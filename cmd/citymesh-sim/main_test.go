@@ -50,6 +50,22 @@ func TestRunRejectsUnknownCity(t *testing.T) {
 	}
 }
 
+// An out-of-range -scale is refused instead of running the full-size city.
+func TestRunRejectsBadScale(t *testing.T) {
+	for _, args := range [][]string{
+		{"-experiment", "headers", "-cities", "gridtown", "-scale", "2"},
+		{"-cities=gridtown", "-scale=-1", "-reach-pairs=10", "-deliver-pairs=2"},
+	} {
+		code, _, stderr := runCmd(t, args...)
+		if code == 0 {
+			t.Fatalf("%v: exit = 0, want non-zero", args)
+		}
+		if !strings.Contains(stderr, "scale") {
+			t.Errorf("%v: stderr = %q, want it to name the scale", args, stderr)
+		}
+	}
+}
+
 func TestRunRejectsUnknownFaultMode(t *testing.T) {
 	code, _, stderr := runCmd(t, "-fail-mode=earthquake", "-fail-frac=0.1")
 	if code != 1 {

@@ -1,6 +1,7 @@
 package citymesh_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -11,13 +12,12 @@ import (
 	"testing"
 )
 
-// moduleImports maps each package directory of the module ("internal/sim",
-// "cmd/citymesh-sim", ...) to the module packages its non-test files
-// import. Nested modules (bench/), hidden directories and testdata are not
-// part of the module's build graph and are skipped.
-func moduleImports(t *testing.T) map[string]map[string]bool {
+// parseModule parses every non-test Go file of the module and hands each
+// to visit with its slash-separated path ("internal/sim/engine.go", ...).
+// Nested modules (bench/), hidden directories and testdata are not part of
+// the module's build graph and are skipped.
+func parseModule(t *testing.T, visit func(path string, f *ast.File)) {
 	t.Helper()
-	out := map[string]map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -36,28 +36,50 @@ func moduleImports(t *testing.T) map[string]map[string]bool {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		if out[dir] == nil {
-			out[dir] = map[string]bool{}
-		}
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				return err
-			}
-			if rel, ok := strings.CutPrefix(p, "citymesh/"); ok {
-				out[dir][rel] = true
-			}
-		}
+		visit(filepath.ToSlash(path), f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fileImports maps each import of f, by the name the file uses for it, to
+// its path.
+func fileImports(f *ast.File) map[string]string {
+	out := map[string]string{}
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		name := p[strings.LastIndex(p, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		out[name] = p
+	}
+	return out
+}
+
+// moduleImports maps each package directory of the module ("internal/sim",
+// "cmd/citymesh-sim", ...) to the module packages its non-test files
+// import.
+func moduleImports(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	out := map[string]map[string]bool{}
+	parseModule(t, func(path string, f *ast.File) {
+		dir := filepath.Dir(path)
+		if out[dir] == nil {
+			out[dir] = map[string]bool{}
+		}
+		for _, p := range fileImports(f) {
+			if rel, ok := strings.CutPrefix(p, "citymesh/"); ok {
+				out[dir][rel] = true
+			}
+		}
+	})
 	return out
 }
 
@@ -120,6 +142,54 @@ func TestImportDAG(t *testing.T) {
 	for dir, imps := range deps {
 		if imps["internal/experiments"] && !strings.HasPrefix(dir, "cmd/") {
 			t.Errorf("%s imports internal/experiments; only cmd/ may", dir)
+		}
+	}
+}
+
+// TestDeterministicPackages keeps wall-clock time and the shared global
+// random source out of the packages whose output the goldens pin: a run
+// there must depend only on its seed. math/rand is allowed through a
+// seeded rand.New(rand.NewSource(...)) only.
+func TestDeterministicPackages(t *testing.T) {
+	pinned := map[string]bool{
+		"internal/experiments": true, "internal/runner": true, "internal/sim": true,
+		"internal/buildinggraph": true, "internal/stats": true,
+	}
+	banned := func(path, fn string) bool {
+		switch path {
+		case "time":
+			return fn == "Now" || fn == "Since"
+		case "math/rand":
+			return fn != "New" && fn != "NewSource"
+		}
+		return false
+	}
+	seen := map[string]bool{}
+	parseModule(t, func(path string, f *ast.File) {
+		dir := filepath.Dir(path)
+		if !pinned[dir] {
+			return
+		}
+		seen[dir] = true
+		imports := fileImports(f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Obj == nil && banned(imports[pkg.Name], sel.Sel.Name) {
+				t.Errorf("%s calls %s.%s", path, imports[pkg.Name], sel.Sel.Name)
+			}
+			return true
+		})
+	})
+	for dir := range pinned {
+		if !seen[dir] {
+			t.Errorf("no sources found for %s: run from the module root", dir)
 		}
 	}
 }

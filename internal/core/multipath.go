@@ -36,19 +36,26 @@ func (n *Network) PlanDiverseRoutes(src, dst, k int) ([]conduit.Route, error) {
 // so every candidate route is both corridor-diverse and damage-aware. A
 // nil vp is identical to PlanDiverseRoutes.
 func (n *Network) PlanDiverseRoutesPenalized(src, dst, k int, vp buildinggraph.VertexPenalty) ([]conduit.Route, error) {
+	_, routes, err := n.diverseRoutes(src, dst, k, vp)
+	return routes, err
+}
+
+// diverseRoutes plans up to k diverse building paths and compresses each
+// into a route, returning both.
+func (n *Network) diverseRoutes(src, dst, k int, vp buildinggraph.VertexPenalty) ([][]int, []conduit.Route, error) {
 	paths, err := n.Graph.DiversePathsPenalized(src, dst, k, 16, vp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	routes := make([]conduit.Route, 0, len(paths))
 	for _, p := range paths {
 		r, err := conduit.Compress(n.City, p, n.Cfg.ConduitWidth)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		routes = append(routes, r)
 	}
-	return routes, nil
+	return paths, routes, nil
 }
 
 // MultipathSend sends one copy of the payload along each of up to k diverse
@@ -62,17 +69,9 @@ func (n *Network) MultipathSend(src, dst int, payload []byte, k int, simCfg sim.
 // MultipathSendPenalized is MultipathSend with damage-aware route planning
 // (see PlanDiverseRoutesPenalized). A nil vp is identical to MultipathSend.
 func (n *Network) MultipathSendPenalized(src, dst int, payload []byte, k int, simCfg sim.Config, vp buildinggraph.VertexPenalty) (MultipathResult, error) {
-	paths, err := n.Graph.DiversePathsPenalized(src, dst, k, 16, vp)
+	paths, routes, err := n.diverseRoutes(src, dst, k, vp)
 	if err != nil {
 		return MultipathResult{}, err
-	}
-	routes := make([]conduit.Route, 0, len(paths))
-	for _, p := range paths {
-		r, err := conduit.Compress(n.City, p, n.Cfg.ConduitWidth)
-		if err != nil {
-			return MultipathResult{}, err
-		}
-		routes = append(routes, r)
 	}
 	out := MultipathResult{Routes: routes, Paths: paths}
 	for _, r := range routes {

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"citymesh/internal/citygen"
 	"citymesh/internal/core"
 	"citymesh/internal/mesh"
 	"citymesh/internal/routing"
 	"citymesh/internal/runner"
 	"citymesh/internal/sim"
-	"citymesh/internal/stats"
 )
 
 // AblationRow is one parameter setting's outcome over a fixed pair sample.
@@ -69,13 +67,6 @@ func sampleReachablePairs(n *core.Network, seed int64, count int) ([][2]int, err
 // width W varies (A1): narrow conduits tolerate less misprediction, wide
 // conduits rebroadcast more.
 func ConduitWidthSweep(cityName string, scale float64, seed int64, widths []float64, pairCount, par int) ([]AblationRow, error) {
-	spec, ok := citygen.Preset(cityName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown city %q", cityName)
-	}
-	if scale > 0 && scale < 1 {
-		spec = scaleSpec(spec, scale)
-	}
 	if len(widths) == 0 {
 		widths = []float64{25, 35, 50, 75, 100}
 	}
@@ -87,7 +78,7 @@ func ConduitWidthSweep(cityName string, scale float64, seed int64, widths []floa
 	for _, w := range widths {
 		cfg := core.DefaultConfig()
 		cfg.ConduitWidth = w
-		n, err := core.FromSpec(spec, cfg)
+		n, err := loadCity(cityName, scale, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -95,8 +86,7 @@ func ConduitWidthSweep(cityName string, scale float64, seed int64, widths []floa
 		if err != nil {
 			return nil, err
 		}
-		row := runPairs(n, pairs, fmt.Sprintf("W=%.0fm", w), seed, par)
-		rows = append(rows, row)
+		rows = append(rows, runPairs(n, pairs, fmt.Sprintf("W=%.0fm", w), seed, par))
 	}
 	return rows, nil
 }
@@ -104,13 +94,6 @@ func ConduitWidthSweep(cityName string, scale float64, seed int64, widths []floa
 // WeightExponentSweep compares edge-weight exponents for the building graph
 // (A2): the paper's cubed weights versus linear and squared.
 func WeightExponentSweep(cityName string, scale float64, seed int64, exponents []float64, pairCount, par int) ([]AblationRow, error) {
-	spec, ok := citygen.Preset(cityName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown city %q", cityName)
-	}
-	if scale > 0 && scale < 1 {
-		spec = scaleSpec(spec, scale)
-	}
 	if len(exponents) == 0 {
 		exponents = []float64{1, 2, 3, 4}
 	}
@@ -121,7 +104,7 @@ func WeightExponentSweep(cityName string, scale float64, seed int64, exponents [
 	for _, e := range exponents {
 		cfg := core.DefaultConfig()
 		cfg.WeightExponent = e
-		n, err := core.FromSpec(spec, cfg)
+		n, err := loadCity(cityName, scale, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -135,70 +118,31 @@ func WeightExponentSweep(cityName string, scale float64, seed int64, exponents [
 }
 
 // runPairs sends across each pair under the CityMesh policy and
-// summarizes. Pairs run as parallel tasks seeded by task index; the fold
-// below walks results in task-index order, so output is identical at any
-// parallelism.
+// summarizes. Pairs run as parallel tasks seeded by task index, and the
+// tally folds them in task-index order.
 func runPairs(n *core.Network, pairs [][2]int, label string, seed int64, par int) AblationRow {
-	type outcome struct {
-		ran, delivered bool
-		bcasts         float64
-		overhead       float64
-	}
-	outs := runner.Map(par, len(pairs), func(i int) outcome {
+	return tallyOf(runner.Map(par, len(pairs), func(i int) delivery {
 		simCfg := sim.DefaultConfig()
 		simCfg.Seed = runner.TaskSeed(seed, i)
 		res, err := n.Send(pairs[i][0], pairs[i][1], nil, simCfg)
 		if err != nil {
-			return outcome{}
+			return delivery{}
 		}
-		return outcome{
+		return delivery{
 			ran: true, delivered: res.Sim.Delivered,
 			bcasts: float64(res.Sim.Broadcasts), overhead: res.Overhead(),
 		}
-	})
-	row := AblationRow{Label: label}
-	delivered := 0
-	var overheads, bcasts []float64
-	for _, o := range outs {
-		if !o.ran {
-			continue
-		}
-		row.Pairs++
-		bcasts = append(bcasts, o.bcasts)
-		if o.delivered {
-			delivered++
-			if o.overhead > 0 {
-				overheads = append(overheads, o.overhead)
-			}
-		}
-	}
-	if row.Pairs > 0 {
-		row.Deliverability = float64(delivered) / float64(row.Pairs)
-	}
-	if len(overheads) > 0 {
-		row.OverheadMedian = stats.Percentile(overheads, 50)
-	}
-	if len(bcasts) > 0 {
-		row.BroadcastsP50 = stats.Percentile(bcasts, 50)
-	}
-	return row
+	})).ablationRow(label)
 }
 
 // BaselineComparison runs CityMesh against flooding, gossip, greedy
 // geographic forwarding and the AODV cost model on the same pair sample
 // (A3).
 func BaselineComparison(cityName string, scale float64, seed int64, pairCount, par int) ([]AblationRow, error) {
-	spec, ok := citygen.Preset(cityName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown city %q", cityName)
-	}
-	if scale > 0 && scale < 1 {
-		spec = scaleSpec(spec, scale)
-	}
 	if pairCount <= 0 {
 		pairCount = 30
 	}
-	n, err := core.FromSpec(spec, core.DefaultConfig())
+	n, err := loadCity(cityName, scale, core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -214,111 +158,69 @@ func BaselineComparison(cityName string, scale float64, seed int64, pairCount, p
 		routing.GreedyGeo{},
 		routing.GreedyGeo{Fallback: true},
 	}
-	type outcome struct {
-		ran, delivered bool
-		bcasts         float64
-		overhead       float64
-		hasOverhead    bool
-	}
-	fold := func(label string, outs []outcome) AblationRow {
-		row := AblationRow{Label: label}
-		delivered := 0
-		var overheads, bcasts []float64
-		for _, o := range outs {
-			if !o.ran {
-				continue
-			}
-			row.Pairs++
-			bcasts = append(bcasts, o.bcasts)
-			if o.delivered {
-				delivered++
-				if o.hasOverhead {
-					overheads = append(overheads, o.overhead)
-				}
-			}
-		}
-		if row.Pairs > 0 {
-			row.Deliverability = float64(delivered) / float64(row.Pairs)
-		}
-		if len(overheads) > 0 {
-			row.OverheadMedian = stats.Percentile(overheads, 50)
-		}
-		if len(bcasts) > 0 {
-			row.BroadcastsP50 = stats.Percentile(bcasts, 50)
-		}
-		return row
-	}
-
 	// One shared engine for the whole sweep: each policy is injected per
 	// run via RunPolicy, and concurrent tasks draw scratch from its pool.
 	eng := n.Engine()
 	var rows []AblationRow
 	for _, pol := range policies {
 		pol := pol
-		outs := runner.Map(par, len(pairs), func(i int) outcome {
+		outs := runner.Map(par, len(pairs), func(i int) delivery {
 			p := pairs[i]
 			r, err := n.PlanRoute(p[0], p[1])
 			if err != nil {
-				return outcome{}
+				return delivery{}
 			}
 			pkt, err := n.NewPacket(r, nil)
 			if err != nil {
-				return outcome{}
+				return delivery{}
 			}
 			simCfg := sim.DefaultConfig()
 			simCfg.Seed = runner.TaskSeed(seed, i)
 			res, err := eng.RunPolicy(pol, pkt, simCfg)
 			if err != nil {
-				return outcome{}
+				return delivery{}
 			}
-			o := outcome{ran: true, delivered: res.Delivered, bcasts: float64(res.Broadcasts)}
+			o := delivery{ran: true, delivered: res.Delivered, bcasts: float64(res.Broadcasts)}
 			if res.Delivered {
-				if ideal, err := n.Mesh.MinTransmissions(p[0], p[1]); err == nil && ideal > 0 {
-					o.overhead, o.hasOverhead = res.Overhead(ideal), true
+				if ideal, err := n.Mesh.MinTransmissions(p[0], p[1]); err == nil {
+					o.overhead = res.Overhead(ideal)
 				}
 			}
 			return o
 		})
-		rows = append(rows, fold(pol.Name(), outs))
+		rows = append(rows, tallyOf(outs).ablationRow(pol.Name()))
 	}
 
 	// AODV cost model: per-message route discovery + unicast data. The
 	// RREQ flood ignores the engine's policy, so the shared engine serves
 	// here too via RunPolicy inside AODVDiscoverEngine.
-	outs := runner.Map(par, len(pairs), func(i int) outcome {
+	outs := runner.Map(par, len(pairs), func(i int) delivery {
 		p := pairs[i]
 		simCfg := sim.DefaultConfig()
 		simCfg.Seed = runner.TaskSeed(seed, i)
 		cost := routing.AODVDiscoverEngine(eng, p[0], p[1], simCfg)
-		o := outcome{ran: true, delivered: cost.Delivered, bcasts: float64(cost.Total())}
+		o := delivery{ran: true, delivered: cost.Delivered, bcasts: float64(cost.Total())}
 		if cost.Delivered {
-			if ideal, err := n.Mesh.MinTransmissions(p[0], p[1]); err == nil && ideal > 0 {
-				o.overhead, o.hasOverhead = float64(cost.Total())/float64(ideal), true
+			if ideal, err := n.Mesh.MinTransmissions(p[0], p[1]); err == nil {
+				o.overhead = ratio(cost.Total(), ideal)
 			}
 		}
 		return o
 	})
-	rows = append(rows, fold("aodv-model", outs))
+	rows = append(rows, tallyOf(outs).ablationRow("aodv-model"))
 	return rows, nil
 }
 
 // FailureInjection measures deliverability as a growing random fraction of
 // APs fail or are compromised (A4) — the DFN resilience question from §1.
 func FailureInjection(cityName string, scale float64, seed int64, fracs []float64, pairCount, par int) ([]AblationRow, error) {
-	spec, ok := citygen.Preset(cityName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown city %q", cityName)
-	}
-	if scale > 0 && scale < 1 {
-		spec = scaleSpec(spec, scale)
-	}
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 	}
 	if pairCount <= 0 {
 		pairCount = 30
 	}
-	n, err := core.FromSpec(spec, core.DefaultConfig())
+	n, err := loadCity(cityName, scale, core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -332,49 +234,26 @@ func FailureInjection(cityName string, scale float64, seed int64, fracs []float6
 	for _, f := range fracs {
 		// One failure set per fraction, shared read-only by the inner runs.
 		failed := failSet(n.Mesh.NumAPs(), f, seed)
-		type outcome struct {
-			ran, delivered bool
-			bcasts         float64
-		}
-		outs := runner.Map(par, len(pairs), func(i int) outcome {
+		outs := runner.Map(par, len(pairs), func(i int) delivery {
 			p := pairs[i]
 			r, err := n.PlanRoute(p[0], p[1])
 			if err != nil {
-				return outcome{}
+				return delivery{}
 			}
 			pkt, err := n.NewPacket(r, nil)
 			if err != nil {
-				return outcome{}
+				return delivery{}
 			}
 			simCfg := sim.DefaultConfig()
 			simCfg.Seed = runner.TaskSeed(seed, i)
 			simCfg.FailedSet = failed
 			res, err := eng.Run(pkt, simCfg)
 			if err != nil {
-				return outcome{}
+				return delivery{}
 			}
-			return outcome{ran: true, delivered: res.Delivered, bcasts: float64(res.Broadcasts)}
+			return delivery{ran: true, delivered: res.Delivered, bcasts: float64(res.Broadcasts)}
 		})
-		row := AblationRow{Label: fmt.Sprintf("fail=%.0f%%", 100*f)}
-		delivered := 0
-		var bcasts []float64
-		for _, o := range outs {
-			if !o.ran {
-				continue
-			}
-			row.Pairs++
-			bcasts = append(bcasts, o.bcasts)
-			if o.delivered {
-				delivered++
-			}
-		}
-		if row.Pairs > 0 {
-			row.Deliverability = float64(delivered) / float64(row.Pairs)
-		}
-		if len(bcasts) > 0 {
-			row.BroadcastsP50 = stats.Percentile(bcasts, 50)
-		}
-		rows = append(rows, row)
+		rows = append(rows, tallyOf(outs).ablationRow(fmt.Sprintf("fail=%.0f%%", 100*f)))
 	}
 	return rows, nil
 }

@@ -8,14 +8,12 @@ import (
 
 	"citymesh/internal/adversary"
 	"citymesh/internal/agent"
-	"citymesh/internal/citygen"
 	"citymesh/internal/core"
 	"citymesh/internal/health"
 	"citymesh/internal/mesh"
 	"citymesh/internal/packet"
 	"citymesh/internal/runner"
 	"citymesh/internal/sim"
-	"citymesh/internal/stats"
 )
 
 // ByzantineConfig scales the Byzantine-adversary experiment (PR 8): how much
@@ -159,16 +157,9 @@ func Byzantine(cfg ByzantineConfig) (ByzantineResult, error) {
 			b    sim.APBehavior
 		}{b.String(), b})
 	}
-	spec, ok := citygen.Preset(cfg.City)
-	if !ok {
-		return ByzantineResult{}, fmt.Errorf("experiments: unknown city %q", cfg.City)
-	}
-	if cfg.Scale > 0 && cfg.Scale < 1 {
-		spec = scaleSpec(spec, cfg.Scale)
-	}
 	ccfg := core.DefaultConfig()
 	ccfg.TTL = cfg.NetTTL
-	n, err := core.FromSpec(spec, ccfg)
+	n, err := loadCity(cfg.City, cfg.Scale, ccfg)
 	if err != nil {
 		return ByzantineResult{}, err
 	}
@@ -322,12 +313,8 @@ func byzantineCell(n *core.Network, cfg ByzantineConfig, behavior string, frac f
 		row.ByzantineViolations += o.byzViol
 		row.HonestViolations += o.honestViol
 	}
-	if row.Pairs > 0 {
-		row.DeliveryRate = float64(delivered) / float64(row.Pairs)
-	}
-	if len(costs) > 0 {
-		row.BroadcastsP50 = stats.Percentile(costs, 50)
-	}
+	row.DeliveryRate = ratio(delivered, row.Pairs)
+	row.BroadcastsP50 = p50(costs)
 	return row
 }
 

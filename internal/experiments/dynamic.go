@@ -18,7 +18,6 @@ import (
 	"citymesh/internal/mobility"
 	"citymesh/internal/runner"
 	"citymesh/internal/sim"
-	"citymesh/internal/stats"
 	"citymesh/internal/trafficgen"
 )
 
@@ -79,7 +78,7 @@ func DataMule(cfg DataMuleConfig) ([]DataMuleRow, error) {
 	if cfg.City == "" {
 		cfg.City = "dc"
 	}
-	if cfg.Scale <= 0 {
+	if cfg.Scale == 0 {
 		cfg.Scale = 0.35
 	}
 	if cfg.FloodFrac <= 0 {
@@ -114,12 +113,9 @@ func DataMule(cfg DataMuleConfig) ([]DataMuleRow, error) {
 		ecfg.ParkAfter = 2
 	}
 
-	spec, ok := citygen.Preset(cfg.City)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown city %q", cfg.City)
-	}
-	if cfg.Scale > 0 && cfg.Scale < 1 {
-		spec = scaleSpec(spec, cfg.Scale)
+	spec, err := presetSpec(cfg.City, cfg.Scale)
+	if err != nil {
+		return nil, err
 	}
 	if len(spec.Rivers) == 0 {
 		return nil, fmt.Errorf("experiments: datamule needs a river city, %q has none", cfg.City)
@@ -207,9 +203,7 @@ func DataMule(cfg DataMuleConfig) ([]DataMuleRow, error) {
 				row.Parked++
 			}
 		}
-		if len(times) > 0 {
-			row.TimeToDeliverP50 = stats.Percentile(times, 50)
-		}
+		row.TimeToDeliverP50 = p50(times)
 		return row
 	}
 	return []DataMuleRow{
@@ -336,7 +330,7 @@ func FloodFrontStudy(cfg FloodFrontStudyConfig) ([]FloodFrontRow, error) {
 	if cfg.City == "" {
 		cfg.City = "boston"
 	}
-	if cfg.Scale <= 0 {
+	if cfg.Scale == 0 {
 		cfg.Scale = 0.35
 	}
 	if cfg.Frac <= 0 {
@@ -364,16 +358,9 @@ func FloodFrontStudy(cfg FloodFrontStudyConfig) ([]FloodFrontRow, error) {
 		cfg.Ticks = 10
 	}
 
-	spec, ok := citygen.Preset(cfg.City)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown city %q", cfg.City)
-	}
-	if cfg.Scale > 0 && cfg.Scale < 1 {
-		spec = scaleSpec(spec, cfg.Scale)
-	}
-	n, err := core.FromSpec(spec, core.DefaultConfig())
+	n, err := loadCity(cfg.City, cfg.Scale, core.DefaultConfig())
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", cfg.City, err)
+		return nil, err
 	}
 	pairs, err := sampleReachablePairs(n, cfg.Seed, cfg.Pairs)
 	if err != nil {
@@ -442,9 +429,7 @@ func FloodFrontStudy(cfg FloodFrontStudyConfig) ([]FloodFrontRow, error) {
 				delivered++
 			}
 		}
-		if len(pairs) > 0 {
-			row.DeliveryRate = float64(delivered) / float64(len(pairs))
-		}
+		row.DeliveryRate = ratio(delivered, len(pairs))
 
 		// Session-tier probe: a small closed-loop traffic run on the same
 		// schedule — does admission control degrade gracefully as the water

@@ -273,11 +273,9 @@ func federationCell(cfg FederationConfig, size int, frac float64, gwFail bool, c
 		flatBits = append(flatBits, float64((maxHeader-maxRoute)+(wps+transits)*globalBits))
 		prefixBits = append(prefixBits, float64(res.PrefixBits))
 	}
-	if n := row.Sends - row.Partitioned; n > 0 {
-		row.DeliveryRate = float64(row.Delivered) / float64(n)
-	}
-	// Leave the bit columns zero (not NaN) when nothing delivered, so rows
-	// stay comparable with reflect.DeepEqual.
+	row.DeliveryRate = ratio(row.Delivered, row.Sends-row.Partitioned)
+	// Leave the bit columns zero (not NaN) when nothing delivered, as the
+	// other experiments' empty summaries read.
 	if len(hierBits) > 0 {
 		hs, fs := stats.Summarize(hierBits), stats.Summarize(flatBits)
 		row.HierBitsP50, row.HierBitsP90 = hs.P50, hs.P90

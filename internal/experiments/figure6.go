@@ -8,7 +8,6 @@ import (
 	"citymesh/internal/core"
 	"citymesh/internal/runner"
 	"citymesh/internal/sim"
-	"citymesh/internal/stats"
 )
 
 // Figure6Row is one city's bar group in the paper's Figure 6: reachability,
@@ -78,14 +77,11 @@ func Figure6(cfg Figure6Config) ([]Figure6Row, error) {
 	}
 	rows := make([]Figure6Row, 0, len(cities))
 	for _, name := range cities {
-		spec, ok := citygen.Preset(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown city %q", name)
+		n, err := loadCity(name, cfg.Scale, core.DefaultConfig())
+		if err != nil {
+			return nil, err
 		}
-		if cfg.Scale > 0 && cfg.Scale < 1 {
-			spec = scaleSpec(spec, cfg.Scale)
-		}
-		row, err := figure6City(spec, cfg)
+		row, err := figure6City(n, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}
@@ -94,44 +90,9 @@ func Figure6(cfg Figure6Config) ([]Figure6Row, error) {
 	return rows, nil
 }
 
-// scaleSpec shrinks a city spec's extent and features proportionally. The
-// feature slices are copied first: the input spec (often a shared preset)
-// must not be mutated.
-func scaleSpec(s citygen.Spec, k float64) citygen.Spec {
-	s.Width *= k
-	s.Height *= k
-	s.Rivers = append([]citygen.RiverSpec(nil), s.Rivers...)
-	s.Parks = append([]citygen.RectSpec(nil), s.Parks...)
-	s.Highways = append([]citygen.RectSpec(nil), s.Highways...)
-	scaleRect := func(r *citygen.RectSpec) {
-		r.Rect.Min = r.Rect.Min.Scale(k)
-		r.Rect.Max = r.Rect.Max.Scale(k)
-	}
-	s.DowntownRect.Min = s.DowntownRect.Min.Scale(k)
-	s.DowntownRect.Max = s.DowntownRect.Max.Scale(k)
-	s.CampusRect.Min = s.CampusRect.Min.Scale(k)
-	s.CampusRect.Max = s.CampusRect.Max.Scale(k)
-	for i := range s.Rivers {
-		s.Rivers[i].Start = s.Rivers[i].Start.Scale(k)
-		s.Rivers[i].End = s.Rivers[i].End.Scale(k)
-		s.Rivers[i].Width *= k
-	}
-	for i := range s.Parks {
-		scaleRect(&s.Parks[i])
-	}
-	for i := range s.Highways {
-		scaleRect(&s.Highways[i])
-	}
-	return s
-}
-
-func figure6City(spec citygen.Spec, cfg Figure6Config) (Figure6Row, error) {
-	n, err := core.FromSpec(spec, core.DefaultConfig())
-	if err != nil {
-		return Figure6Row{}, err
-	}
+func figure6City(n *core.Network, cfg Figure6Config) (Figure6Row, error) {
 	row := Figure6Row{
-		City:      spec.Name,
+		City:      n.City.Name,
 		Buildings: n.City.NumBuildings(),
 		APs:       n.Mesh.NumAPs(),
 	}
@@ -156,9 +117,7 @@ func figure6City(spec citygen.Spec, cfg Figure6Config) (Figure6Row, error) {
 			reachable = append(reachable, pairs[i])
 		}
 	}
-	if row.ReachabilityPairs > 0 {
-		row.Reachability = float64(len(reachable)) / float64(row.ReachabilityPairs)
-	}
+	row.Reachability = ratio(len(reachable), row.ReachabilityPairs)
 
 	// Deliverability over the first DeliverPairs reachable pairs via the
 	// full event simulation — one runner task per pair, seeded by task
@@ -196,13 +155,9 @@ func figure6City(spec citygen.Spec, cfg Figure6Config) (Figure6Row, error) {
 			}
 		}
 	}
-	if row.DeliverabilityPairs > 0 {
-		row.Deliverability = float64(delivered) / float64(row.DeliverabilityPairs)
-	}
-	if len(overheads) > 0 {
-		row.OverheadMedian = stats.Percentile(overheads, 50)
-		row.OverheadP90 = stats.Percentile(overheads, 90)
-	}
+	row.Deliverability = ratio(delivered, row.DeliverabilityPairs)
+	row.OverheadMedian = p50(overheads)
+	row.OverheadP90 = percentile(overheads, 90)
 	return row, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"citymesh/internal/citygen"
 	"citymesh/internal/core"
 	"citymesh/internal/runner"
 	"citymesh/internal/sim"
@@ -14,14 +13,7 @@ import (
 // Figure5 renders the footprints panel (a) and the AP-graph panel (b) for a
 // city preset, writing two SVG documents.
 func Figure5(cityName string, scale float64, footprintsW, meshW io.Writer) error {
-	spec, ok := citygen.Preset(cityName)
-	if !ok {
-		return fmt.Errorf("experiments: unknown city %q", cityName)
-	}
-	if scale > 0 && scale < 1 {
-		spec = scaleSpec(spec, scale)
-	}
-	n, err := core.FromSpec(spec, core.DefaultConfig())
+	n, err := loadCity(cityName, scale, core.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -46,12 +38,9 @@ type Figure7Result struct {
 // on the parallel runner; the pick is by index order, so the chosen pair
 // is the same at any parallelism.
 func Figure7(cityName string, scale float64, seed int64, par int, w io.Writer) (Figure7Result, error) {
-	spec, ok := citygen.Preset(cityName)
-	if !ok {
-		return Figure7Result{}, fmt.Errorf("experiments: unknown city %q", cityName)
-	}
-	if scale > 0 && scale < 1 {
-		spec = scaleSpec(spec, scale)
+	spec, err := presetSpec(cityName, scale)
+	if err != nil {
+		return Figure7Result{}, err
 	}
 	spec.Seed = seed
 	n, err := core.FromSpec(spec, core.DefaultConfig())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"citymesh/internal/apps"
-	"citymesh/internal/citygen"
 	"citymesh/internal/core"
 	"citymesh/internal/runner"
 	"citymesh/internal/sim"
@@ -23,92 +22,55 @@ type GeocastRow struct {
 }
 
 // GeocastSweep sends geocasts to random in-city target discs of each
-// radius from random sources and measures in-area AP coverage. Candidate
-// casts run as parallel tasks in index-seeded chunks; the first `casts`
-// successful candidates in index order are kept, so the accepted set — and
-// therefore the output — is the same at any parallelism.
+// radius from random sources and measures in-area AP coverage. The first
+// `casts` successful candidates in index order are kept (see firstN), so
+// the output is the same at any parallelism.
 func GeocastSweep(cityName string, scale float64, seed int64, radii []float64, casts, par int) ([]GeocastRow, error) {
-	spec, ok := citygen.Preset(cityName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown city %q", cityName)
-	}
-	if scale > 0 && scale < 1 {
-		spec = scaleSpec(spec, scale)
-	}
 	if len(radii) == 0 {
 		radii = []float64{100, 200, 400}
 	}
 	if casts <= 0 {
 		casts = 15
 	}
-	n, err := core.FromSpec(spec, core.DefaultConfig())
+	n, err := loadCity(cityName, scale, core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 
 	rows := make([]GeocastRow, 0, len(radii))
 	for _, radius := range radii {
-		row := GeocastRow{RadiusM: radius}
-		var coverages, bcasts, inArea []float64
 		pairs, err := n.RandomPairs(seed, casts*6)
 		if err != nil {
 			return nil, err
 		}
-		type outcome struct {
-			ok                       bool
-			coverage, bcast, apsArea float64
+		type outcome struct{ coverage, bcast, apsArea float64 }
+		outs := firstN(par, len(pairs), casts, func(i int) (outcome, bool) {
+			src := pairs[i][0]
+			center := n.City.Buildings[pairs[i][1]].Centroid
+			anchor := n.Graph.NearestBuilding(center)
+			if anchor < 0 || !n.Reachable(src, anchor) {
+				return outcome{}, false
+			}
+			simCfg := sim.DefaultConfig()
+			simCfg.Seed = runner.TaskSeed(seed, i)
+			res, err := apps.Geocast(n, src, center, radius, nil, simCfg)
+			if err != nil || res.APsInArea == 0 {
+				return outcome{}, false
+			}
+			return outcome{res.Coverage(), float64(res.Broadcasts), float64(res.APsInArea)}, true
+		})
+		var coverages, bcasts, inArea []float64
+		for _, o := range outs {
+			coverages = append(coverages, o.coverage)
+			bcasts = append(bcasts, o.bcast)
+			inArea = append(inArea, o.apsArea)
 		}
-		// Chunked candidate scan: each chunk runs in parallel, seeded by
-		// the candidate's global index, and the fold accepts successes in
-		// index order until the quota fills. Which candidates are accepted
-		// depends only on their index-derived outcomes, never on chunk
-		// boundaries or worker scheduling.
-		for idx := 0; row.Casts < casts && idx < len(pairs); {
-			chunk := casts - row.Casts
-			if p := runner.Parallelism(par); chunk < p {
-				chunk = p
-			}
-			if idx+chunk > len(pairs) {
-				chunk = len(pairs) - idx
-			}
-			outs := runner.Map(par, chunk, func(k int) outcome {
-				p := pairs[idx+k]
-				src := p[0]
-				center := n.City.Buildings[p[1]].Centroid
-				anchor := n.Graph.NearestBuilding(center)
-				if anchor < 0 || !n.Reachable(src, anchor) {
-					return outcome{}
-				}
-				simCfg := sim.DefaultConfig()
-				simCfg.Seed = runner.TaskSeed(seed, idx+k)
-				res, err := apps.Geocast(n, src, center, radius, nil, simCfg)
-				if err != nil || res.APsInArea == 0 {
-					return outcome{}
-				}
-				return outcome{
-					ok: true, coverage: res.Coverage(),
-					bcast: float64(res.Broadcasts), apsArea: float64(res.APsInArea),
-				}
-			})
-			for _, o := range outs {
-				if row.Casts >= casts {
-					break
-				}
-				if !o.ok {
-					continue
-				}
-				row.Casts++
-				coverages = append(coverages, o.coverage)
-				bcasts = append(bcasts, o.bcast)
-				inArea = append(inArea, o.apsArea)
-			}
-			idx += chunk
+		row := GeocastRow{
+			RadiusM: radius, Casts: len(outs), CoverageP50: p50(coverages),
+			BroadcastsP50: p50(bcasts), APsInAreaP50: p50(inArea),
 		}
-		if len(coverages) > 0 {
-			row.CoverageP50 = stats.Percentile(coverages, 50)
+		if len(outs) > 0 {
 			row.CoverageMean = stats.Mean(coverages)
-			row.BroadcastsP50 = stats.Percentile(bcasts, 50)
-			row.APsInAreaP50 = stats.Percentile(inArea, 50)
 		}
 		rows = append(rows, row)
 	}

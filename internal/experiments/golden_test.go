@@ -21,34 +21,40 @@ func goldenConfig(name string) RunConfig {
 
 // TestGolden pins the rendered Text and CSV of every registered experiment
 // to testdata/golden/<name>.{txt,csv}, so a deterministic but wrong change
-// to any layer an experiment runs shows as a diff. Regenerate (after a
+// to any layer an experiment runs shows as a diff. Each experiment runs
+// serially and on 8 workers against the same golden, which is the sweeps'
+// promise that output does not depend on parallelism. Regenerate (after a
 // deliberate behaviour change only) with
 //
 //	go test ./internal/experiments -run TestGolden -update
 func TestGolden(t *testing.T) {
 	for _, e := range Registry() {
-		t.Run(e.Name(), func(t *testing.T) {
-			res, err := e.Run(goldenConfig(e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range []struct{ ext, got string }{{"txt", res.Text()}, {"csv", res.CSV()}} {
-				path := filepath.Join("testdata", "golden", e.Name()+"."+f.ext)
-				if *update {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, []byte(f.got), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				want, err := os.ReadFile(path)
+		t.Run(e.Name, func(t *testing.T) {
+			for _, par := range []int{1, 8} {
+				cfg := goldenConfig(e.Name)
+				cfg.Parallelism = par
+				res, err := e.Run(cfg)
 				if err != nil {
-					t.Fatalf("%v (record it with -update)", err)
+					t.Fatalf("par=%d: %v", par, err)
 				}
-				if f.got != string(want) {
-					t.Errorf("%s differs from the golden\n--- got ---\n%s--- want ---\n%s", path, f.got, want)
+				for _, f := range []struct{ ext, got string }{{"txt", res.Text}, {"csv", res.CSV}} {
+					path := filepath.Join("testdata", "golden", e.Name+"."+f.ext)
+					if *update && par == 1 {
+						if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+							t.Fatal(err)
+						}
+						if err := os.WriteFile(path, []byte(f.got), 0o644); err != nil {
+							t.Fatal(err)
+						}
+						continue
+					}
+					want, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatalf("%v (record it with -update)", err)
+					}
+					if f.got != string(want) {
+						t.Errorf("par=%d: %s differs from the golden\n--- got ---\n%s--- want ---\n%s", par, path, f.got, want)
+					}
 				}
 			}
 		})

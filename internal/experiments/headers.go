@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"citymesh/internal/citygen"
 	"citymesh/internal/conduit"
 	"citymesh/internal/core"
 	"citymesh/internal/packet"
-	"citymesh/internal/runner"
 	"citymesh/internal/stats"
 )
 
@@ -32,93 +30,68 @@ type HeaderSizeResult struct {
 }
 
 // HeaderSizes samples random routable pairs in a city and measures the
-// encoded route and header sizes. Candidates run as parallel tasks in
-// index-ordered chunks; the first `samples` routable pairs in index order
-// are kept, so output does not depend on parallelism.
+// encoded route and header sizes. The first `samples` routable pairs in
+// index order are kept (see firstN), so output does not depend on
+// parallelism.
 func HeaderSizes(cityName string, scale float64, seed int64, samples, par int) (HeaderSizeResult, error) {
-	spec, ok := citygen.Preset(cityName)
-	if !ok {
-		return HeaderSizeResult{}, fmt.Errorf("experiments: unknown city %q", cityName)
-	}
-	if scale > 0 && scale < 1 {
-		spec = scaleSpec(spec, scale)
-	}
-	n, err := core.FromSpec(spec, core.DefaultConfig())
+	n, err := loadCity(cityName, scale, core.DefaultConfig())
 	if err != nil {
 		return HeaderSizeResult{}, err
 	}
 	if samples <= 0 {
 		samples = 200
 	}
-	var routeBits, headerBits, wps, rawWps, prefixBits, hierBits []float64
 	pairs, err := n.RandomPairs(seed, samples*4)
 	if err != nil {
 		return HeaderSizeResult{}, err
 	}
 	type outcome struct {
-		ok                           bool
 		routeBits, headerBits        float64
 		prefixBits                   float64
 		waypoints, uncompressedPaths float64
 	}
-	for idx := 0; len(routeBits) < samples && idx < len(pairs); {
-		chunk := samples - len(routeBits)
-		if p := runner.Parallelism(par); chunk < p {
-			chunk = p
+	outs := firstN(par, len(pairs), samples, func(i int) (outcome, bool) {
+		p := pairs[i]
+		path, err := n.BuildingPath(p[0], p[1])
+		if err != nil {
+			return outcome{}, false
 		}
-		if idx+chunk > len(pairs) {
-			chunk = len(pairs) - idx
+		r, err := conduit.Compress(n.City, path, n.Cfg.ConduitWidth)
+		if err != nil {
+			return outcome{}, false
 		}
-		outs := runner.Map(par, chunk, func(k int) outcome {
-			p := pairs[idx+k]
-			path, err := n.BuildingPath(p[0], p[1])
-			if err != nil {
-				return outcome{}
-			}
-			r, err := conduit.Compress(n.City, path, n.Cfg.ConduitWidth)
-			if err != nil {
-				return outcome{}
-			}
-			pkt, err := n.NewPacket(r, nil)
-			if err != nil {
-				return outcome{}
-			}
-			// The hierarchical prefix this route would carry if it crossed
-			// a region boundary on the way here (source region -> this
-			// one, destination building addressed region-locally).
-			prefix := (&packet.RegionPrefix{
-				SrcRegion: 0, DstRegion: 1,
-				DstBuilding: uint32(p[1]), TTL: 16,
-			}).Bits()
-			return outcome{
-				ok:        true,
-				routeBits: float64(pkt.Header.RouteBits()), headerBits: float64(pkt.Header.HeaderBits()),
-				prefixBits: float64(prefix),
-				waypoints:  float64(len(r.Waypoints)), uncompressedPaths: float64(len(path)),
-			}
-		})
-		for _, o := range outs {
-			if len(routeBits) >= samples {
-				break
-			}
-			if !o.ok {
-				continue
-			}
-			routeBits = append(routeBits, o.routeBits)
-			headerBits = append(headerBits, o.headerBits)
-			prefixBits = append(prefixBits, o.prefixBits)
-			hierBits = append(hierBits, o.headerBits+o.prefixBits)
-			wps = append(wps, o.waypoints)
-			rawWps = append(rawWps, o.uncompressedPaths)
+		pkt, err := n.NewPacket(r, nil)
+		if err != nil {
+			return outcome{}, false
 		}
-		idx += chunk
-	}
-	if len(routeBits) == 0 {
+		// The hierarchical prefix this route would carry if it crossed
+		// a region boundary on the way here (source region -> this
+		// one, destination building addressed region-locally).
+		prefix := (&packet.RegionPrefix{
+			SrcRegion: 0, DstRegion: 1,
+			DstBuilding: uint32(p[1]), TTL: 16,
+		}).Bits()
+		return outcome{
+			routeBits: float64(pkt.Header.RouteBits()), headerBits: float64(pkt.Header.HeaderBits()),
+			prefixBits: float64(prefix),
+			waypoints:  float64(len(r.Waypoints)), uncompressedPaths: float64(len(path)),
+		}, true
+	})
+	if len(outs) == 0 {
 		return HeaderSizeResult{}, fmt.Errorf("experiments: no routable pairs in %s", cityName)
+	}
+	var routeBits, headerBits, wps, rawWps, prefixBits, hierBits []float64
+	for _, o := range outs {
+		routeBits = append(routeBits, o.routeBits)
+		headerBits = append(headerBits, o.headerBits)
+		prefixBits = append(prefixBits, o.prefixBits)
+		hierBits = append(hierBits, o.headerBits+o.prefixBits)
+		wps = append(wps, o.waypoints)
+		rawWps = append(rawWps, o.uncompressedPaths)
 	}
 	return HeaderSizeResult{
 		City:            cityName,
-		Routes:          len(routeBits),
+		Routes:          len(outs),
 		Waypoints:       stats.Summarize(wps),
 		RouteBits:       stats.Summarize(routeBits),
 		FullHeaderBits:  stats.Summarize(headerBits),

@@ -36,9 +36,9 @@ type MeasurementStudyResult struct {
 // paper's downtown / campus / residential / river walks. The four area
 // surveys are independent and run as parallel tasks.
 func MeasurementStudy(seed int64, par int) (*MeasurementStudyResult, error) {
-	spec, ok := citygen.Preset("boston")
-	if !ok {
-		return nil, fmt.Errorf("experiments: boston preset missing")
+	spec, err := presetSpec("boston", 0)
+	if err != nil {
+		return nil, err
 	}
 	spec.Seed = seed
 	plan, err := citygen.Generate(spec)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"citymesh/internal/citygen"
 	"citymesh/internal/core"
 	"citymesh/internal/faults"
 	"citymesh/internal/runner"
@@ -75,7 +74,7 @@ func Overload(cfg OverloadConfig) ([]OverloadRow, error) {
 	if cfg.City == "" {
 		cfg.City = def.City
 	}
-	if cfg.Scale <= 0 {
+	if cfg.Scale == 0 {
 		cfg.Scale = def.Scale
 	}
 	if cfg.Mode == "" {
@@ -97,16 +96,9 @@ func Overload(cfg OverloadConfig) ([]OverloadRow, error) {
 		cfg.Seed = def.Seed
 	}
 
-	spec, ok := citygen.Preset(cfg.City)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown city %q", cfg.City)
-	}
-	if cfg.Scale > 0 && cfg.Scale < 1 {
-		spec = scaleSpec(spec, cfg.Scale)
-	}
-	n, err := core.FromSpec(spec, core.DefaultConfig())
+	n, err := loadCity(cfg.City, cfg.Scale, core.DefaultConfig())
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", cfg.City, err)
+		return nil, err
 	}
 
 	type cell struct {

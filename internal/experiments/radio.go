@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"citymesh/internal/citygen"
 	"citymesh/internal/core"
 	"citymesh/internal/runner"
 	"citymesh/internal/sim"
-	"citymesh/internal/stats"
 )
 
 // RadioRow is one PHY-model setting's outcome (A6): the paper's §6 calls
@@ -24,17 +22,10 @@ type RadioRow struct {
 // RadioModelSweep runs the same pair sample under different radio models
 // and collision settings.
 func RadioModelSweep(cityName string, scale float64, seed int64, pairCount, par int) ([]RadioRow, error) {
-	spec, ok := citygen.Preset(cityName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown city %q", cityName)
-	}
-	if scale > 0 && scale < 1 {
-		spec = scaleSpec(spec, scale)
-	}
 	if pairCount <= 0 {
 		pairCount = 20
 	}
-	n, err := core.FromSpec(spec, core.DefaultConfig())
+	n, err := loadCity(cityName, scale, core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -58,15 +49,7 @@ func RadioModelSweep(cityName string, scale float64, seed int64, pairCount, par 
 
 	rows := make([]RadioRow, 0, len(settings))
 	for _, st := range settings {
-		row := RadioRow{Model: st.name}
-		delivered := 0
-		var overheads, delays []float64
-		type outcome struct {
-			ran, delivered bool
-			delayMs        float64
-			overhead       float64
-		}
-		outs := runner.Map(par, len(pairs), func(i int) outcome {
+		t := tallyOf(runner.Map(par, len(pairs), func(i int) delivery {
 			simCfg := sim.DefaultConfig()
 			simCfg.Seed = runner.TaskSeed(seed, i)
 			simCfg.Radio = st.radio
@@ -74,36 +57,17 @@ func RadioModelSweep(cityName string, scale float64, seed int64, pairCount, par 
 			simCfg.LossProb = st.loss
 			res, err := n.Send(pairs[i][0], pairs[i][1], nil, simCfg)
 			if err != nil {
-				return outcome{}
+				return delivery{}
 			}
-			return outcome{
+			return delivery{
 				ran: true, delivered: res.Sim.Delivered,
 				delayMs: res.Sim.DeliveryTime * 1000, overhead: res.Overhead(),
 			}
+		}))
+		rows = append(rows, RadioRow{
+			Model: st.name, Pairs: t.pairs, Deliverability: t.rate(),
+			OverheadMedian: p50(t.overheads), DeliveryMsP50: p50(t.delaysMs),
 		})
-		for _, o := range outs {
-			if !o.ran {
-				continue
-			}
-			row.Pairs++
-			if o.delivered {
-				delivered++
-				delays = append(delays, o.delayMs)
-				if o.overhead > 0 {
-					overheads = append(overheads, o.overhead)
-				}
-			}
-		}
-		if row.Pairs > 0 {
-			row.Deliverability = float64(delivered) / float64(row.Pairs)
-		}
-		if len(overheads) > 0 {
-			row.OverheadMedian = stats.Percentile(overheads, 50)
-		}
-		if len(delays) > 0 {
-			row.DeliveryMsP50 = stats.Percentile(delays, 50)
-		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -18,7 +18,9 @@ type RunConfig struct {
 	// resilience); empty means all presets. A single-city experiment runs
 	// the first of them, ahead of City.
 	Cities []string
-	// Scale shrinks preset extents (0 < Scale <= 1); 0 means full size.
+	// Scale shrinks preset extents, within [0, 1]; 0 selects each
+	// experiment's default (full size for most). Run rejects any other
+	// value, NaN included.
 	Scale float64
 	// Seed drives all sampling and simulation randomness (default 1).
 	Seed int64
@@ -39,12 +41,13 @@ type RunConfig struct {
 	LinkFailFracs []float64
 }
 
-// withDefaults fills the zero fields shared across experiments.
-func (c RunConfig) withDefaults() RunConfig {
+// withDefaults validates the fields shared across experiments and fills
+// their zero values.
+func (c RunConfig) withDefaults() (RunConfig, error) {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	return c
+	return c, checkScale(c.Scale)
 }
 
 // city is the preset a single-city experiment runs: the first of Cities,
@@ -60,54 +63,35 @@ func (c RunConfig) city(def string) string {
 }
 
 // Result is what every experiment returns: a rendered text table and a CSV
-// document of the same data.
-type Result interface {
-	Text() string
-	CSV() string
+// document of the same data. Experiments render both forms eagerly, so a
+// Result is plain data safe to hold, diff, or ship across goroutines.
+type Result struct {
+	Text, CSV string
 }
-
-// textCSV is the concrete Result: experiments render both forms eagerly,
-// so a Result is plain data safe to hold, diff, or ship across goroutines.
-type textCSV struct {
-	text string
-	csv  string
-}
-
-func (r textCSV) Text() string { return r.text }
-func (r textCSV) CSV() string  { return r.csv }
 
 // Experiment is one registered evaluation: a stable name for CLI/bench
 // lookup and a Run that maps the shared RunConfig onto the experiment's
 // own parameters.
-type Experiment interface {
-	Name() string
-	Run(cfg RunConfig) (Result, error)
+type Experiment struct {
+	Name string
+	Run  func(cfg RunConfig) (Result, error)
 }
-
-// expFunc adapts a closure to Experiment.
-type expFunc struct {
-	name string
-	run  func(cfg RunConfig) (Result, error)
-}
-
-func (e expFunc) Name() string                      { return e.name }
-func (e expFunc) Run(cfg RunConfig) (Result, error) { return e.run(cfg) }
 
 // Lookup returns the registered experiment with the given name.
 func Lookup(name string) (Experiment, bool) {
 	for _, e := range Registry() {
-		if e.Name() == name {
+		if e.Name == name {
 			return e, true
 		}
 	}
-	return nil, false
+	return Experiment{}, false
 }
 
 // Names lists the registered experiment names, sorted.
 func Names() []string {
 	var out []string
-	for _, e := range Registry() {
-		out = append(out, e.Name())
+	for _, e := range registry {
+		out = append(out, e.Name)
 	}
 	sort.Strings(out)
 	return out
@@ -115,235 +99,172 @@ func Names() []string {
 
 // Registry lists every experiment behind the unified API. cmd/citymesh-sim
 // (-experiment/-list) and the benchmark harness iterate this instead of
-// hand-enumerating the per-file entry points.
+// hand-enumerating the per-file entry points. Each Run validates the
+// RunConfig and fills its shared defaults before the experiment sees it.
 func Registry() []Experiment {
-	return []Experiment{
-		expFunc{"measurement", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			res, err := MeasurementStudy(cfg.Seed, cfg.Parallelism)
+	out := make([]Experiment, len(registry))
+	for i, e := range registry {
+		out[i] = Experiment{Name: e.Name, Run: func(cfg RunConfig) (Result, error) {
+			cfg, err := cfg.withDefaults()
 			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
-			return textCSV{
-				text: res.Table1Text() + res.Figure1Text(),
-				csv:  res.CSV(),
-			}, nil
-		}},
-		expFunc{"figure6", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			f6 := Figure6Config{
-				Cities: cfg.Cities, Seed: cfg.Seed, Scale: cfg.Scale,
-				Parallelism: cfg.Parallelism,
-			}
-			if cfg.Pairs > 0 {
-				f6.DeliverPairs = cfg.Pairs
-			}
-			rows, err := Figure6(f6)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: Figure6Text(rows), csv: Figure6CSV(rows)}, nil
-		}},
-		expFunc{"resilience", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			rc := ResilienceConfig{
-				Cities: cfg.Cities, Seed: cfg.Seed, Scale: cfg.Scale,
-				Pairs: cfg.Pairs, Parallelism: cfg.Parallelism,
-			}
-			rows, err := Resilience(rc)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: ResilienceText(rows), csv: ResilienceCSV(rows)}, nil
-		}},
-		expFunc{"selfhealing", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			sc := DefaultSelfHealingConfig()
-			sc.City = cfg.city(sc.City)
-			sc.Seed = cfg.Seed
-			sc.Scale = cfg.Scale
-			sc.Parallelism = cfg.Parallelism
-			if cfg.Pairs > 0 {
-				sc.Pairs = cfg.Pairs
-			}
-			res, err := SelfHealing(sc)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: SelfHealingText(res), csv: SelfHealingCSV(res)}, nil
-		}},
-		expFunc{"headers", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			res, err := HeaderSizes(cfg.city("boston"), cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: res.Text(), csv: res.CSV()}, nil
-		}},
-		expFunc{"conduit-width", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			rows, err := ConduitWidthSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{
-				text: AblationText("A1: conduit width sweep", rows),
-				csv:  AblationCSV(rows),
-			}, nil
-		}},
-		expFunc{"weight-exponent", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			rows, err := WeightExponentSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{
-				text: AblationText("A2: edge-weight exponent sweep", rows),
-				csv:  AblationCSV(rows),
-			}, nil
-		}},
-		expFunc{"baselines", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			rows, err := BaselineComparison(cfg.city("boston"), cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{
-				text: AblationText("A3: policy baselines", rows),
-				csv:  AblationCSV(rows),
-			}, nil
-		}},
-		expFunc{"failure-injection", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			rows, err := FailureInjection(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{
-				text: AblationText("A4: random AP failure", rows),
-				csv:  AblationCSV(rows),
-			}, nil
-		}},
-		expFunc{"security", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			rows, err := MultipathUnderAttack(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, nil, cfg.Pairs, cfg.Parallelism)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: SecurityText(rows), csv: SecurityCSV(rows)}, nil
-		}},
-		expFunc{"radio", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			rows, err := RadioModelSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: RadioText(rows), csv: RadioCSV(rows)}, nil
-		}},
-		expFunc{"parity", func(cfg RunConfig) (Result, error) {
-			results, err := Parity()
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: ParityText(results), csv: ParityCSV(results)}, nil
-		}},
-		expFunc{"overload", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			oc := DefaultOverloadConfig()
-			oc.City = cfg.city(oc.City)
-			oc.Seed = cfg.Seed
-			if cfg.Scale > 0 {
-				oc.Scale = cfg.Scale
-			}
-			oc.Parallelism = cfg.Parallelism
-			if cfg.Pairs > 0 {
-				// The shared -pairs knob sizes the user population here.
-				oc.Users = cfg.Pairs
-			}
-			rows, err := Overload(oc)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: OverloadText(rows), csv: OverloadCSV(rows)}, nil
-		}},
-		expFunc{"datamule", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			// An empty City selects DataMule's own default ("dc"), a
-			// river-split city.
-			dc := DataMuleConfig{
-				City: cfg.city(""), Scale: cfg.Scale, Seed: cfg.Seed,
-				Pairs: cfg.Pairs, Parallelism: cfg.Parallelism,
-			}
-			rows, err := DataMule(dc)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: DataMuleText(rows), csv: DataMuleCSV(rows)}, nil
-		}},
-		expFunc{"floodfront", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			fc := FloodFrontStudyConfig{
-				City: cfg.city("boston"), Scale: cfg.Scale, Seed: cfg.Seed,
-				Pairs: cfg.Pairs, Parallelism: cfg.Parallelism,
-			}
-			rows, err := FloodFrontStudy(fc)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: FloodFrontText(rows), csv: FloodFrontCSV(rows)}, nil
-		}},
-		expFunc{"byzantine", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			bc := DefaultByzantineConfig()
-			bc.City = cfg.city(bc.City)
-			bc.Seed = cfg.Seed
-			bc.Scale = cfg.Scale
-			bc.Parallelism = cfg.Parallelism
-			if cfg.Pairs > 0 {
-				bc.Pairs = cfg.Pairs
-			}
-			res, err := Byzantine(bc)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: ByzantineText(res), csv: ByzantineCSV(res)}, nil
-		}},
-		expFunc{"federation", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			fc := DefaultFederationConfig()
-			fc.Seed = cfg.Seed
-			fc.Parallelism = cfg.Parallelism
-			if cfg.Pairs > 0 {
-				fc.Pairs = cfg.Pairs
-			}
-			if cfg.FederationTopology != "" {
-				topo, err := citygen.ParseTopology(cfg.FederationTopology)
-				if err != nil {
-					return nil, err
-				}
-				fc.Topology = topo
-			}
-			if cfg.FederationCities > 0 {
-				fc.Sizes = federationSizesUpTo(cfg.FederationCities)
-			}
-			if len(cfg.LinkFailFracs) > 0 {
-				fc.LinkFailFracs = cfg.LinkFailFracs
-			}
-			rows, err := FederationSweep(fc)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: FederationText(rows), csv: FederationCSV(rows)}, nil
-		}},
-		expFunc{"geocast", func(cfg RunConfig) (Result, error) {
-			cfg = cfg.withDefaults()
-			rows, err := GeocastSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
-			if err != nil {
-				return nil, err
-			}
-			return textCSV{text: GeocastText(rows), csv: GeocastCSV(rows)}, nil
-		}},
+			return e.Run(cfg)
+		}}
 	}
+	return out
+}
+
+// render is the Result of an experiment's output v, or its error.
+func render[T any](v T, err error, text, csv func(T) string) (Result, error) {
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Text: text(v), CSV: csv(v)}, nil
+}
+
+// ablationText titles AblationText for render.
+func ablationText(title string) func([]AblationRow) string {
+	return func(rows []AblationRow) string { return AblationText(title, rows) }
+}
+
+// registry is the experiment table behind Registry; each Run gets a
+// RunConfig that withDefaults has already checked and filled.
+var registry = []Experiment{
+	{"measurement", func(cfg RunConfig) (Result, error) {
+		res, err := MeasurementStudy(cfg.Seed, cfg.Parallelism)
+		return render(res, err, func(r *MeasurementStudyResult) string {
+			return r.Table1Text() + r.Figure1Text()
+		}, (*MeasurementStudyResult).CSV)
+	}},
+	{"figure6", func(cfg RunConfig) (Result, error) {
+		f6 := Figure6Config{
+			Cities: cfg.Cities, Seed: cfg.Seed, Scale: cfg.Scale,
+			DeliverPairs: cfg.Pairs, Parallelism: cfg.Parallelism,
+		}
+		rows, err := Figure6(f6)
+		return render(rows, err, Figure6Text, Figure6CSV)
+	}},
+	{"resilience", func(cfg RunConfig) (Result, error) {
+		rows, err := Resilience(ResilienceConfig{
+			Cities: cfg.Cities, Seed: cfg.Seed, Scale: cfg.Scale,
+			Pairs: cfg.Pairs, Parallelism: cfg.Parallelism,
+		})
+		return render(rows, err, ResilienceText, ResilienceCSV)
+	}},
+	{"selfhealing", func(cfg RunConfig) (Result, error) {
+		sc := DefaultSelfHealingConfig()
+		sc.City = cfg.city(sc.City)
+		sc.Seed = cfg.Seed
+		sc.Scale = cfg.Scale
+		sc.Parallelism = cfg.Parallelism
+		if cfg.Pairs > 0 {
+			sc.Pairs = cfg.Pairs
+		}
+		res, err := SelfHealing(sc)
+		return render(res, err, SelfHealingText, SelfHealingCSV)
+	}},
+	{"headers", func(cfg RunConfig) (Result, error) {
+		res, err := HeaderSizes(cfg.city("boston"), cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
+		return render(res, err, HeaderSizeResult.Text, HeaderSizeResult.CSV)
+	}},
+	{"conduit-width", func(cfg RunConfig) (Result, error) {
+		rows, err := ConduitWidthSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
+		return render(rows, err, ablationText("A1: conduit width sweep"), AblationCSV)
+	}},
+	{"weight-exponent", func(cfg RunConfig) (Result, error) {
+		rows, err := WeightExponentSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
+		return render(rows, err, ablationText("A2: edge-weight exponent sweep"), AblationCSV)
+	}},
+	{"baselines", func(cfg RunConfig) (Result, error) {
+		rows, err := BaselineComparison(cfg.city("boston"), cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
+		return render(rows, err, ablationText("A3: policy baselines"), AblationCSV)
+	}},
+	{"failure-injection", func(cfg RunConfig) (Result, error) {
+		rows, err := FailureInjection(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
+		return render(rows, err, ablationText("A4: random AP failure"), AblationCSV)
+	}},
+	{"security", func(cfg RunConfig) (Result, error) {
+		rows, err := MultipathUnderAttack(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, nil, cfg.Pairs, cfg.Parallelism)
+		return render(rows, err, SecurityText, SecurityCSV)
+	}},
+	{"radio", func(cfg RunConfig) (Result, error) {
+		rows, err := RadioModelSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, cfg.Pairs, cfg.Parallelism)
+		return render(rows, err, RadioText, RadioCSV)
+	}},
+	{"parity", func(cfg RunConfig) (Result, error) {
+		results, err := Parity()
+		return render(results, err, ParityText, ParityCSV)
+	}},
+	{"overload", func(cfg RunConfig) (Result, error) {
+		oc := DefaultOverloadConfig()
+		oc.City = cfg.city(oc.City)
+		oc.Seed = cfg.Seed
+		// Overload's own default fills a zero Scale.
+		oc.Scale = cfg.Scale
+		oc.Parallelism = cfg.Parallelism
+		if cfg.Pairs > 0 {
+			// The shared -pairs knob sizes the user population here.
+			oc.Users = cfg.Pairs
+		}
+		rows, err := Overload(oc)
+		return render(rows, err, OverloadText, OverloadCSV)
+	}},
+	{"datamule", func(cfg RunConfig) (Result, error) {
+		// An empty City selects DataMule's own default ("dc"), a
+		// river-split city.
+		rows, err := DataMule(DataMuleConfig{
+			City: cfg.city(""), Scale: cfg.Scale, Seed: cfg.Seed,
+			Pairs: cfg.Pairs, Parallelism: cfg.Parallelism,
+		})
+		return render(rows, err, DataMuleText, DataMuleCSV)
+	}},
+	{"floodfront", func(cfg RunConfig) (Result, error) {
+		rows, err := FloodFrontStudy(FloodFrontStudyConfig{
+			City: cfg.city("boston"), Scale: cfg.Scale, Seed: cfg.Seed,
+			Pairs: cfg.Pairs, Parallelism: cfg.Parallelism,
+		})
+		return render(rows, err, FloodFrontText, FloodFrontCSV)
+	}},
+	{"byzantine", func(cfg RunConfig) (Result, error) {
+		bc := DefaultByzantineConfig()
+		bc.City = cfg.city(bc.City)
+		bc.Seed = cfg.Seed
+		bc.Scale = cfg.Scale
+		bc.Parallelism = cfg.Parallelism
+		if cfg.Pairs > 0 {
+			bc.Pairs = cfg.Pairs
+		}
+		res, err := Byzantine(bc)
+		return render(res, err, ByzantineText, ByzantineCSV)
+	}},
+	{"federation", func(cfg RunConfig) (Result, error) {
+		fc := DefaultFederationConfig()
+		fc.Seed = cfg.Seed
+		fc.Parallelism = cfg.Parallelism
+		if cfg.Pairs > 0 {
+			fc.Pairs = cfg.Pairs
+		}
+		if cfg.FederationTopology != "" {
+			topo, err := citygen.ParseTopology(cfg.FederationTopology)
+			if err != nil {
+				return Result{}, err
+			}
+			fc.Topology = topo
+		}
+		if cfg.FederationCities > 0 {
+			fc.Sizes = federationSizesUpTo(cfg.FederationCities)
+		}
+		if len(cfg.LinkFailFracs) > 0 {
+			fc.LinkFailFracs = cfg.LinkFailFracs
+		}
+		rows, err := FederationSweep(fc)
+		return render(rows, err, FederationText, FederationCSV)
+	}},
+	{"geocast", func(cfg RunConfig) (Result, error) {
+		rows, err := GeocastSweep(cfg.city("boston"), cfg.Scale, cfg.Seed, nil, cfg.Pairs, cfg.Parallelism)
+		return render(rows, err, GeocastText, GeocastCSV)
+	}},
 }
 
 // RunByName looks up and runs one experiment; unknown names list the
@@ -351,7 +272,7 @@ func Registry() []Experiment {
 func RunByName(name string, cfg RunConfig) (Result, error) {
 	e, ok := Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+		return Result{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
 	return e.Run(cfg)
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -8,7 +10,7 @@ import (
 func TestRegistryNamesUniqueAndNonEmpty(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range Registry() {
-		name := e.Name()
+		name := e.Name
 		if name == "" {
 			t.Fatal("registered experiment with empty name")
 		}
@@ -32,8 +34,8 @@ func TestLookupAndNames(t *testing.T) {
 		if !ok {
 			t.Fatalf("Lookup(%q) failed for a listed name", name)
 		}
-		if e.Name() != name {
-			t.Fatalf("Lookup(%q) returned experiment named %q", name, e.Name())
+		if e.Name != name {
+			t.Fatalf("Lookup(%q) returned experiment named %q", name, e.Name)
 		}
 	}
 	if _, ok := Lookup("no-such-experiment"); ok {
@@ -48,11 +50,11 @@ func TestRunByNameProducesTextAndCSV(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunByName(headers): %v", err)
 	}
-	if !strings.Contains(res.Text(), "Header sizes") {
-		t.Errorf("Text() missing table header:\n%s", res.Text())
+	if !strings.Contains(res.Text, "Header sizes") {
+		t.Errorf("Text missing table header:\n%s", res.Text)
 	}
-	if !strings.HasPrefix(res.CSV(), "city,") {
-		t.Errorf("CSV() missing header row:\n%s", res.CSV())
+	if !strings.HasPrefix(res.CSV, "city,") {
+		t.Errorf("CSV missing header row:\n%s", res.CSV)
 	}
 }
 
@@ -65,6 +67,43 @@ func TestRunByNameUnknown(t *testing.T) {
 func TestRunByNameUnknownCityPropagates(t *testing.T) {
 	if _, err := RunByName("geocast", RunConfig{City: "nope", Parallelism: 1}); err == nil {
 		t.Fatal("expected unknown-city error to propagate through the registry")
+	}
+}
+
+// TestRegistryRejectsBadScale: every registered experiment refuses a scale
+// outside [0, 1] up front, naming the value, instead of silently running
+// the full-size city.
+func TestRegistryRejectsBadScale(t *testing.T) {
+	for _, e := range Registry() {
+		for _, scale := range []float64{-1, 2, math.NaN()} {
+			_, err := e.Run(RunConfig{City: "gridtown", Scale: scale, Pairs: 1, Parallelism: 1})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("scale %v", scale)) {
+				t.Errorf("%s at scale %v: err = %v, want a scale error", e.Name, scale, err)
+			}
+		}
+	}
+}
+
+// The entry points check the scale too, in the preset loader: a negative
+// scale no longer falls back to an experiment's default size.
+func TestEntryPointsRejectBadScale(t *testing.T) {
+	runs := map[string]func() error{
+		"Overload": func() error { _, err := Overload(OverloadConfig{Scale: -1}); return err },
+		"DataMule": func() error { _, err := DataMule(DataMuleConfig{Scale: -1}); return err },
+		"FloodFrontStudy": func() error {
+			_, err := FloodFrontStudy(FloodFrontStudyConfig{Scale: -1})
+			return err
+		},
+		"HeaderSizes": func() error { _, err := HeaderSizes("gridtown", 2, 1, 1, 1); return err },
+		"Figure6": func() error {
+			_, err := Figure6(Figure6Config{Cities: []string{"gridtown"}, Scale: math.NaN()})
+			return err
+		},
+	}
+	for name, run := range runs {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("%s: err = %v, want a scale error", name, err)
+		}
 	}
 }
 
@@ -82,7 +121,7 @@ func TestExplicitBostonRunsBoston(t *testing.T) {
 				// study says so.
 				return err.Error()
 			}
-			return res.CSV()
+			return res.CSV
 		}
 		city, cities := run(RunConfig{City: "boston"}), run(RunConfig{Cities: []string{"boston"}})
 		if city != cities {

@@ -10,7 +10,6 @@ import (
 	"citymesh/internal/faults"
 	"citymesh/internal/runner"
 	"citymesh/internal/sim"
-	"citymesh/internal/stats"
 )
 
 // ResilienceRow is one (city, failure mode, failure fraction) cell of the
@@ -127,16 +126,9 @@ func Resilience(cfg ResilienceConfig) ([]ResilienceRow, error) {
 	}
 	var rows []ResilienceRow
 	for _, name := range cities {
-		spec, ok := citygen.Preset(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown city %q", name)
-		}
-		if cfg.Scale > 0 && cfg.Scale < 1 {
-			spec = scaleSpec(spec, cfg.Scale)
-		}
-		n, err := core.FromSpec(spec, core.DefaultConfig())
+		n, err := loadCity(name, cfg.Scale, core.DefaultConfig())
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
+			return nil, err
 		}
 		pairs, err := sampleReachablePairs(n, cfg.Seed, cfg.Pairs)
 		if err != nil {
@@ -241,16 +233,10 @@ func resilienceCell(n *core.Network, city string, pairs [][2]int, frac float64, 
 			}
 		}
 	}
-	if row.Pairs > 0 {
-		row.PlainRate = float64(plainDelivered) / float64(row.Pairs)
-		row.ReliableRate = float64(reliableDelivered) / float64(row.Pairs)
-	}
-	if len(plainCost) > 0 {
-		row.PlainBroadcastsP50 = stats.Percentile(plainCost, 50)
-	}
-	if len(reliableCost) > 0 {
-		row.ReliableBroadcastsP50 = stats.Percentile(reliableCost, 50)
-	}
+	row.PlainRate = ratio(plainDelivered, row.Pairs)
+	row.ReliableRate = ratio(reliableDelivered, row.Pairs)
+	row.PlainBroadcastsP50 = p50(plainCost)
+	row.ReliableBroadcastsP50 = p50(reliableCost)
 	return row, nil
 }
 

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"citymesh/internal/citygen"
 	"citymesh/internal/core"
 	"citymesh/internal/runner"
 	"citymesh/internal/sim"
-	"citymesh/internal/stats"
 )
 
 // SecurityRow is one (attack fraction, path count) cell of the A5
@@ -27,13 +25,6 @@ type SecurityRow struct {
 // MultipathUnderAttack sweeps blackhole fractions × path counts on one
 // city.
 func MultipathUnderAttack(cityName string, scale float64, seed int64, fracs []float64, pathCounts []int, pairCount, par int) ([]SecurityRow, error) {
-	spec, ok := citygen.Preset(cityName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown city %q", cityName)
-	}
-	if scale > 0 && scale < 1 {
-		spec = scaleSpec(spec, scale)
-	}
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.05, 0.1, 0.2}
 	}
@@ -43,7 +34,7 @@ func MultipathUnderAttack(cityName string, scale float64, seed int64, fracs []fl
 	if pairCount <= 0 {
 		pairCount = 20
 	}
-	n, err := core.FromSpec(spec, core.DefaultConfig())
+	n, err := loadCity(cityName, scale, core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -56,40 +47,20 @@ func MultipathUnderAttack(cityName string, scale float64, seed int64, fracs []fl
 	for _, f := range fracs {
 		blackholes := failSet(n.Mesh.NumAPs(), f, seed+7)
 		for _, k := range pathCounts {
-			row := SecurityRow{AttackFrac: f, Paths: k}
-			delivered := 0
-			var bcasts []float64
-			type outcome struct {
-				ran, delivered bool
-				bcasts         float64
-			}
-			outs := runner.Map(par, len(pairs), func(i int) outcome {
+			t := tallyOf(runner.Map(par, len(pairs), func(i int) delivery {
 				simCfg := sim.DefaultConfig()
 				simCfg.Seed = runner.TaskSeed(seed, i)
 				simCfg.BlackholeSet = blackholes
 				res, err := n.MultipathSend(pairs[i][0], pairs[i][1], nil, k, simCfg)
 				if err != nil {
-					return outcome{}
+					return delivery{}
 				}
-				return outcome{ran: true, delivered: res.Delivered, bcasts: float64(res.TotalBroadcasts)}
+				return delivery{ran: true, delivered: res.Delivered, bcasts: float64(res.TotalBroadcasts)}
+			}))
+			rows = append(rows, SecurityRow{
+				AttackFrac: f, Paths: k, Pairs: t.pairs,
+				Deliverability: t.rate(), BroadcastsP50: p50(t.bcasts),
 			})
-			for _, o := range outs {
-				if !o.ran {
-					continue
-				}
-				row.Pairs++
-				bcasts = append(bcasts, o.bcasts)
-				if o.delivered {
-					delivered++
-				}
-			}
-			if row.Pairs > 0 {
-				row.Deliverability = float64(delivered) / float64(row.Pairs)
-			}
-			if len(bcasts) > 0 {
-				row.BroadcastsP50 = stats.Percentile(bcasts, 50)
-			}
-			rows = append(rows, row)
 		}
 	}
 	return rows, nil

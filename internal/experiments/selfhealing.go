@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"citymesh/internal/citygen"
 	"citymesh/internal/core"
 	"citymesh/internal/faults"
 	"citymesh/internal/health"
 	"citymesh/internal/runner"
 	"citymesh/internal/sim"
-	"citymesh/internal/stats"
 )
 
 // SelfHealingConfig scales the self-healing experiment (E: route-health
@@ -126,14 +124,7 @@ func SelfHealing(cfg SelfHealingConfig) (SelfHealingResult, error) {
 	if cfg.Pairs <= 0 {
 		cfg.Pairs = d.Pairs
 	}
-	spec, ok := citygen.Preset(cfg.City)
-	if !ok {
-		return SelfHealingResult{}, fmt.Errorf("experiments: unknown city %q", cfg.City)
-	}
-	if cfg.Scale > 0 && cfg.Scale < 1 {
-		spec = scaleSpec(spec, cfg.Scale)
-	}
-	n, err := core.FromSpec(spec, core.DefaultConfig())
+	n, err := loadCity(cfg.City, cfg.Scale, core.DefaultConfig())
 	if err != nil {
 		return SelfHealingResult{}, err
 	}
@@ -220,10 +211,8 @@ func SelfHealing(cfg SelfHealingConfig) (SelfHealingResult, error) {
 			exhausted = append(exhausted, p)
 		}
 	}
-	if out.Pairs > 0 {
-		out.LadderRate = float64(ladderDelivered) / float64(out.Pairs)
-		out.HealthRate = float64(healthDelivered) / float64(out.Pairs)
-	}
+	out.LadderRate = ratio(ladderDelivered, out.Pairs)
+	out.HealthRate = ratio(healthDelivered, out.Pairs)
 	out.Suspects = hm.SuspectCount()
 
 	// Phase C: store-and-heal. The pairs nothing could reach are parked
@@ -259,14 +248,11 @@ func SelfHealing(cfg SelfHealingConfig) (SelfHealingResult, error) {
 				}
 			}
 		}
-		if len(heals) > 0 {
-			out.TimeToHealP50 = stats.Percentile(heals, 50)
-		}
+		out.TimeToHealP50 = p50(heals)
 	}
+	out.HealedFraction = 1
 	if out.Parked > 0 {
-		out.HealedFraction = float64(out.Healed) / float64(out.Parked)
-	} else {
-		out.HealedFraction = 1
+		out.HealedFraction = ratio(out.Healed, out.Parked)
 	}
 	return out, nil
 }
