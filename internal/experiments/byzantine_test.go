@@ -53,6 +53,31 @@ func TestByzantineDefenseRecoversGrayholeLoss(t *testing.T) {
 	}
 }
 
+// The byzantine experiment joins the PR-4 guarantee: byte-identical
+// rendered output at any parallelism.
+func TestByzantineParallelMatchesSerial(t *testing.T) {
+	run := func(par int) (ByzantineResult, error) {
+		return Byzantine(ByzantineConfig{
+			Behaviors: []string{"ttlreset", "flooder"}, Fracs: []float64{0.2},
+			Scale: 0.25, Pairs: 4, Parallelism: par,
+		})
+	}
+	serial, err := run(1)
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
+	parallel, err := run(8)
+	if err != nil {
+		t.Fatalf("parallel run: %v", err)
+	}
+	if got, want := ByzantineText(parallel), ByzantineText(serial); got != want {
+		t.Errorf("Text() differs between par=1 and par=8:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
+	}
+	if got, want := ByzantineCSV(parallel), ByzantineCSV(serial); got != want {
+		t.Errorf("CSV() differs between par=1 and par=8:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
+	}
+}
+
 // TestByzantineLiveLegAttributesDrops: the live agent sees every hostile
 // frame class land in exactly one per-cause counter, with no panics.
 func TestByzantineLiveLegAttributesDrops(t *testing.T) {

@@ -5,6 +5,52 @@ import (
 	"testing"
 )
 
+// The dynamic-disaster experiments join the PR-4 guarantee: byte-identical
+// rendered output at any parallelism.
+
+func TestDataMuleParallelMatchesSerial(t *testing.T) {
+	run := func(par int) ([]DataMuleRow, error) {
+		return DataMule(DataMuleConfig{Scale: 0.3, Pairs: 4, Seed: 1, Parallelism: par})
+	}
+	serial, err := run(1)
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
+	parallel, err := run(8)
+	if err != nil {
+		t.Fatalf("parallel run: %v", err)
+	}
+	if got, want := DataMuleText(parallel), DataMuleText(serial); got != want {
+		t.Errorf("Text() differs between par=1 and par=8:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
+	}
+	if got, want := DataMuleCSV(parallel), DataMuleCSV(serial); got != want {
+		t.Errorf("CSV() differs between par=1 and par=8:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
+	}
+}
+
+func TestFloodFrontParallelMatchesSerial(t *testing.T) {
+	run := func(par int) ([]FloodFrontRow, error) {
+		return FloodFrontStudy(FloodFrontStudyConfig{
+			Scale: 0.3, Pairs: 5, Seed: 1, Users: 24, Ticks: 6,
+			ProbeTimes: []float64{0, 90}, Parallelism: par,
+		})
+	}
+	serial, err := run(1)
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
+	parallel, err := run(8)
+	if err != nil {
+		t.Fatalf("parallel run: %v", err)
+	}
+	if got, want := FloodFrontText(parallel), FloodFrontText(serial); got != want {
+		t.Errorf("Text() differs between par=1 and par=8:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
+	}
+	if got, want := FloodFrontCSV(parallel), FloodFrontCSV(serial); got != want {
+		t.Errorf("CSV() differs between par=1 and par=8:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
+	}
+}
+
 // TestDataMuleHealsWhatStoreAndHealCannot is the experiment's thesis: on a
 // river-partitioned city with no recovery coming, store-and-heal alone
 // delivers nothing, and the bus fleet delivers a strict majority.

@@ -88,6 +88,26 @@ func TestFederationSweepScaling(t *testing.T) {
 	}
 }
 
+func TestFederationParallelMatchesSerial(t *testing.T) {
+	cfg := smallFederationConfig()
+	cfg.Parallelism = 1
+	serial, err := FederationSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Parallelism = 8
+	par, err := FederationSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, par) {
+		t.Fatalf("parallel rows differ from serial:\n%+v\nvs\n%+v", serial, par)
+	}
+	if FederationText(serial) != FederationText(par) || FederationCSV(serial) != FederationCSV(par) {
+		t.Error("rendered output differs between par=1 and par=8")
+	}
+}
+
 func TestFederationSizesUpTo(t *testing.T) {
 	if got := federationSizesUpTo(10); !reflect.DeepEqual(got, []int{2, 5, 10}) {
 		t.Errorf("sizes(10) = %v", got)
