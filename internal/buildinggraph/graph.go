@@ -116,9 +116,9 @@ func Build(city *osm.City, cfg Config) *Graph {
 	// MaxGap + rA + rB.
 	radii := make([]float64, n)
 	maxRadius := 0.0
-	g.centroids = geo.NewGrid(cfg.MaxGap)
+	centroids := make([]geo.Point, n)
 	for i, b := range city.Buildings {
-		g.centroids.Insert(b.Centroid)
+		centroids[i] = b.Centroid
 		r := 0.0
 		for _, v := range b.Footprint {
 			if d := v.Dist(b.Centroid); d > r {
@@ -130,6 +130,7 @@ func Build(city *osm.City, cfg Config) *Graph {
 			maxRadius = r
 		}
 	}
+	g.centroids = geo.NewGrid(cfg.MaxGap, centroids)
 
 	chunks := runner.Map(0, (n+buildChunk-1)/buildChunk, func(c int) foundEdges {
 		var f foundEdges

@@ -57,9 +57,12 @@ func refBuild(city *osm.City, cfg Config) *refGraph {
 	if cell <= 0 {
 		cell = 50
 	}
-	centroids := geo.NewGrid(cell)
+	pts := make([]geo.Point, n)
 	for i, b := range city.Buildings {
-		centroids.Insert(b.Centroid)
+		pts[i] = b.Centroid
+	}
+	centroids := geo.NewGrid(cell, pts)
+	for i, b := range city.Buildings {
 		r := 0.0
 		for _, v := range b.Footprint {
 			if d := v.Dist(b.Centroid); d > r {

@@ -2,64 +2,110 @@ package geo
 
 import "math"
 
-// Grid is a uniform spatial hash over points, used for unit-disk neighbor
-// queries when building AP graphs over hundreds of thousands of nodes. Cell
-// size should be on the order of the query radius: a radius-r query then
-// touches at most a 3x3 block of cells.
+// Grid is an immutable uniform spatial hash over a fixed point set, used for
+// unit-disk neighbor queries when building AP graphs over hundreds of
+// thousands of nodes. Cell size should be on the order of the query radius:
+// a radius-r query then touches at most a 3x3 block of cells.
+//
+// The cells are one flat table over the points' bounding box, built once by
+// a counting pass. Cell (cx, cy) covers [cx, cx+1) x [cy, cy+1) cell sizes;
+// the cells of a column are adjacent, so a query reads each column it
+// touches as one contiguous run. Inside a cell, points keep the order they
+// were given in. The queries visit cells column by column, bottom to top,
+// so a grid over the same points and cell size always visits in the same
+// order. A grid is safe for concurrent readers.
 type Grid struct {
-	cell    float64
-	cells   map[gridKey][]int32
-	pts     []Point
-	bounds  Rect
-	hasPts  bool
-	invCell float64
+	cell, invCell float64
+	// x0, y0 are the keys of the first column and row; nx, ny count them.
+	x0, y0, nx, ny int
+	// start[s] to start[s+1] index the points of cell slot s =
+	// (cx-x0)*ny + (cy-y0) in ids and pts.
+	start []int32
+	ids   []int32
+	pts   []Point
+	// slot[id] is where point id sits in ids and pts.
+	slot   []int32
+	bounds Rect
 }
 
-type gridKey struct{ cx, cy int32 }
-
-// NewGrid returns an empty grid with the given cell size. Cell sizes that
-// are zero or negative are replaced with 1.
-func NewGrid(cellSize float64) *Grid {
+// NewGrid returns the grid over pts with the given cell size; point i has
+// index i in query results. Cell sizes that are zero or negative are
+// replaced with 1. A spread so wide against the cell size that the
+// bounding box would need more than about 8 cells per point doubles the
+// cell until it does not, which keeps the table linear in the point count.
+// Points must be finite.
+func NewGrid(cellSize float64, pts []Point) *Grid {
 	if cellSize <= 0 {
 		cellSize = 1
 	}
-	return &Grid{
-		cell:    cellSize,
-		invCell: 1 / cellSize,
-		cells:   make(map[gridKey][]int32),
+	g := &Grid{}
+	if len(pts) > 0 {
+		g.bounds = Rect{Min: pts[0], Max: pts[0]}
+		for _, p := range pts[1:] {
+			g.bounds = g.bounds.ExpandToPoint(p)
+		}
 	}
-}
+	maxCells := 8*float64(len(pts)) + 1024
+	for {
+		g.cell, g.invCell = cellSize, 1/cellSize
+		nx := g.key(g.bounds.Max.X) - g.key(g.bounds.Min.X) + 1
+		ny := g.key(g.bounds.Max.Y) - g.key(g.bounds.Min.Y) + 1
+		if !(nx*ny > maxCells) {
+			break
+		}
+		cellSize *= 2
+	}
+	if len(pts) > 0 {
+		g.x0, g.y0 = int(g.key(g.bounds.Min.X)), int(g.key(g.bounds.Min.Y))
+		g.nx = int(g.key(g.bounds.Max.X)) - g.x0 + 1
+		g.ny = int(g.key(g.bounds.Max.Y)) - g.y0 + 1
+	}
 
-// Insert adds p to the grid and returns its index. Indices are assigned
-// sequentially from zero and identify points in query results.
-func (g *Grid) Insert(p Point) int {
-	id := int32(len(g.pts))
-	g.pts = append(g.pts, p)
-	k := g.key(p)
-	g.cells[k] = append(g.cells[k], id)
-	if !g.hasPts {
-		g.bounds = Rect{Min: p, Max: p}
-		g.hasPts = true
-	} else {
-		g.bounds = g.bounds.ExpandToPoint(p)
+	// Count each cell's points, turn the counts into starts, then place the
+	// points in order; start[s] runs ahead as slot s's cursor and is shifted
+	// back afterwards.
+	g.start = make([]int32, g.nx*g.ny+1)
+	g.ids = make([]int32, len(pts))
+	g.pts = make([]Point, len(pts))
+	g.slot = make([]int32, len(pts))
+	for i, p := range pts {
+		s := (int(g.key(p.X))-g.x0)*g.ny + int(g.key(p.Y)) - g.y0
+		g.slot[i] = int32(s)
+		g.start[s+1]++
 	}
-	return int(id)
+	for s := 1; s < len(g.start); s++ {
+		g.start[s] += g.start[s-1]
+	}
+	for i, p := range pts {
+		s := g.slot[i]
+		k := g.start[s]
+		g.start[s]++
+		g.ids[k], g.pts[k], g.slot[i] = int32(i), p, k
+	}
+	copy(g.start[1:], g.start[:len(g.start)-1])
+	g.start[0] = 0
+	return g
 }
 
 // Len returns the number of points in the grid.
 func (g *Grid) Len() int { return len(g.pts) }
 
 // At returns the point with index id.
-func (g *Grid) At(id int) Point { return g.pts[id] }
+func (g *Grid) At(id int) Point { return g.pts[g.slot[id]] }
 
-// Bounds returns the bounding box of all inserted points.
+// Bounds returns the bounding box of all points.
 func (g *Grid) Bounds() Rect { return g.bounds }
 
-func (g *Grid) key(p Point) gridKey {
-	return gridKey{
-		cx: int32(math.Floor(p.X * g.invCell)),
-		cy: int32(math.Floor(p.Y * g.invCell)),
-	}
+// key is the cell coordinate of v along one axis.
+func (g *Grid) key(v float64) float64 { return math.Floor(v * g.invCell) }
+
+// span returns the first and last of the n columns (or rows), numbered from
+// key k0, whose keys lie between those of a and b; first > last when none
+// does.
+func (g *Grid) span(a, b float64, k0, n int) (first, last int) {
+	lo := min(max(g.key(a)-float64(k0), 0), float64(n))
+	hi := max(min(g.key(b)-float64(k0), float64(n-1)), -1)
+	return int(lo), int(hi)
 }
 
 // WithinRadius calls fn with the index and location of every point within
@@ -70,17 +116,16 @@ func (g *Grid) WithinRadius(center Point, r float64, fn func(id int, p Point) bo
 		return
 	}
 	r2 := r * r
-	minK := g.key(Point{center.X - r, center.Y - r})
-	maxK := g.key(Point{center.X + r, center.Y + r})
-	for cx := minK.cx; cx <= maxK.cx; cx++ {
-		for cy := minK.cy; cy <= maxK.cy; cy++ {
-			for _, id := range g.cells[gridKey{cx, cy}] {
-				p := g.pts[id]
-				if p.Dist2(center) <= r2 {
-					if !fn(int(id), p) {
-						return
-					}
-				}
+	x1, x2 := g.span(center.X-r, center.X+r, g.x0, g.nx)
+	y1, y2 := g.span(center.Y-r, center.Y+r, g.y0, g.ny)
+	if y1 > y2 {
+		return
+	}
+	for cx := x1; cx <= x2; cx++ {
+		col := cx * g.ny
+		for k := g.start[col+y1]; k < g.start[col+y2+1]; k++ {
+			if p := g.pts[k]; p.Dist2(center) <= r2 && !fn(int(g.ids[k]), p) {
+				return
 			}
 		}
 	}
@@ -89,17 +134,16 @@ func (g *Grid) WithinRadius(center Point, r float64, fn func(id int, p Point) bo
 // InRect calls fn with the index and location of every point inside r
 // (boundary inclusive). If fn returns false the query stops early.
 func (g *Grid) InRect(r Rect, fn func(id int, p Point) bool) {
-	minK := g.key(r.Min)
-	maxK := g.key(r.Max)
-	for cx := minK.cx; cx <= maxK.cx; cx++ {
-		for cy := minK.cy; cy <= maxK.cy; cy++ {
-			for _, id := range g.cells[gridKey{cx, cy}] {
-				p := g.pts[id]
-				if r.Contains(p) {
-					if !fn(int(id), p) {
-						return
-					}
-				}
+	x1, x2 := g.span(r.Min.X, r.Max.X, g.x0, g.nx)
+	y1, y2 := g.span(r.Min.Y, r.Max.Y, g.y0, g.ny)
+	if y1 > y2 {
+		return
+	}
+	for cx := x1; cx <= x2; cx++ {
+		col := cx * g.ny
+		for k := g.start[col+y1]; k < g.start[col+y2+1]; k++ {
+			if p := g.pts[k]; r.Contains(p) && !fn(int(g.ids[k]), p) {
+				return
 			}
 		}
 	}

@@ -8,18 +8,14 @@ import (
 )
 
 func TestGridInsertAndAt(t *testing.T) {
-	g := NewGrid(10)
-	ids := []int{
-		g.Insert(Pt(1, 1)),
-		g.Insert(Pt(50, 50)),
-		g.Insert(Pt(-30, 20)),
-	}
+	pts := []Point{Pt(1, 1), Pt(50, 50), Pt(-30, 20)}
+	g := NewGrid(10, pts)
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	for i, id := range ids {
-		if id != i {
-			t.Errorf("id %d != %d", id, i)
+	for i, p := range pts {
+		if g.At(i) != p {
+			t.Errorf("At(%d) = %v, want %v", i, g.At(i), p)
 		}
 	}
 	if g.At(1) != Pt(50, 50) {
@@ -33,12 +29,11 @@ func TestGridInsertAndAt(t *testing.T) {
 
 func TestGridWithinRadiusMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := NewGrid(25)
 	pts := make([]Point, 500)
 	for i := range pts {
 		pts[i] = Pt(rng.Float64()*1000, rng.Float64()*1000)
-		g.Insert(pts[i])
 	}
+	g := NewGrid(25, pts)
 	for trial := 0; trial < 50; trial++ {
 		c := Pt(rng.Float64()*1000, rng.Float64()*1000)
 		r := rng.Float64() * 120
@@ -66,10 +61,11 @@ func TestGridWithinRadiusMatchesBruteForce(t *testing.T) {
 }
 
 func TestGridWithinRadiusEarlyStop(t *testing.T) {
-	g := NewGrid(10)
+	var pts []Point
 	for i := 0; i < 100; i++ {
-		g.Insert(Pt(float64(i%10), float64(i/10)))
+		pts = append(pts, Pt(float64(i%10), float64(i/10)))
 	}
+	g := NewGrid(10, pts)
 	n := 0
 	g.WithinRadius(Pt(5, 5), 100, func(int, Point) bool {
 		n++
@@ -81,12 +77,13 @@ func TestGridWithinRadiusEarlyStop(t *testing.T) {
 }
 
 func TestGridInRect(t *testing.T) {
-	g := NewGrid(10)
+	var pts []Point
 	for x := 0; x < 10; x++ {
 		for y := 0; y < 10; y++ {
-			g.Insert(Pt(float64(x)*10, float64(y)*10))
+			pts = append(pts, Pt(float64(x)*10, float64(y)*10))
 		}
 	}
+	g := NewGrid(10, pts)
 	count := 0
 	g.InRect(Rect{Min: Pt(15, 15), Max: Pt(45, 45)}, func(int, Point) bool {
 		count++
@@ -98,13 +95,10 @@ func TestGridInRect(t *testing.T) {
 }
 
 func TestGridNearest(t *testing.T) {
-	g := NewGrid(10)
-	if id, d := g.Nearest(Pt(0, 0), 0); id != -1 || !math.IsInf(d, 1) {
+	if id, d := NewGrid(10, nil).Nearest(Pt(0, 0), 0); id != -1 || !math.IsInf(d, 1) {
 		t.Errorf("empty Nearest = %d, %v", id, d)
 	}
-	g.Insert(Pt(0, 0))
-	g.Insert(Pt(100, 0))
-	g.Insert(Pt(51, 0))
+	g := NewGrid(10, []Point{Pt(0, 0), Pt(100, 0), Pt(51, 0)})
 	id, d := g.Nearest(Pt(60, 0), 0)
 	if id != 2 || !almostEq(d, 9, 1e-12) {
 		t.Errorf("Nearest = %d, %v; want 2, 9", id, d)
@@ -118,12 +112,11 @@ func TestGridNearest(t *testing.T) {
 
 func TestGridNearestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	g := NewGrid(30)
 	pts := make([]Point, 300)
 	for i := range pts {
 		pts[i] = Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000)
-		g.Insert(pts[i])
 	}
+	g := NewGrid(30, pts)
 	for trial := 0; trial < 40; trial++ {
 		c := Pt(rng.Float64()*2500-1250, rng.Float64()*2500-1250)
 		gotID, gotD := g.Nearest(c, 0)
@@ -140,8 +133,7 @@ func TestGridNearestMatchesBruteForce(t *testing.T) {
 }
 
 func TestGridZeroCellSize(t *testing.T) {
-	g := NewGrid(0)
-	g.Insert(Pt(0.5, 0.5))
+	g := NewGrid(0, []Point{Pt(0.5, 0.5)})
 	found := false
 	g.WithinRadius(Pt(0, 0), 1, func(int, Point) bool { found = true; return true })
 	if !found {
@@ -151,10 +143,11 @@ func TestGridZeroCellSize(t *testing.T) {
 
 func BenchmarkGridWithinRadius(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := NewGrid(50)
-	for i := 0; i < 100000; i++ {
-		g.Insert(Pt(rng.Float64()*10000, rng.Float64()*10000))
+	pts := make([]Point, 100000)
+	for i := range pts {
+		pts[i] = Pt(rng.Float64()*10000, rng.Float64()*10000)
 	}
+	g := NewGrid(50, pts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := Pt(rng.Float64()*10000, rng.Float64()*10000)

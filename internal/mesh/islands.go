@@ -148,15 +148,17 @@ func relayChain(from, to geo.Point, rng float64) []geo.Point {
 }
 
 // AddAPs inserts new relay APs (not inside any building; Building = -1) and
-// rebuilds connectivity. It returns the ids of the new APs.
+// rebuilds the grid, the AP graph and the landmark table. It returns the ids
+// of the new APs.
 func (m *Mesh) AddAPs(positions []geo.Point) []int {
 	ids := make([]int, 0, len(positions))
 	for _, p := range positions {
 		id := len(m.APs)
 		m.APs = append(m.APs, AP{ID: id, Pos: p, Building: -1})
-		m.grid.Insert(p)
 		ids = append(ids, id)
 	}
+	m.buildGrid()
 	m.buildGraph()
+	m.buildLandmarks()
 	return ids
 }

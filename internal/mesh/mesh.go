@@ -2,15 +2,18 @@
 // access points inside building footprints at a configurable density,
 // connects APs whose distance is below the transmission range into the AP
 // graph (the simulator's ground truth, §4), and answers reachability
-// queries (union-find) and minimum-transmission-count queries (a
-// goal-directed search that returns the BFS hop count).
+// queries (union-find) and minimum-transmission-count queries (an A*
+// search bounded by landmark hop counts that returns the BFS hop count).
 //
-// The AP graph is one flat table, built when the mesh is placed: every AP's
-// neighbour row is a window of a single backing array. The union-find,
-// MinTransmissions, the simulator's broadcast fan-out and the live testbed's
-// hub all read those rows. CityMesh routing *never* consults it — the
-// building graph predicts connectivity from the map alone — but the
-// evaluation uses it to measure how well the prediction holds.
+// Placement builds three tables, once and in this order: the spatial grid
+// over the AP positions (geo.Grid, one flat array of cells), the AP graph
+// (every AP's neighbour row is a window of a single backing array, filled
+// from grid sweeps) and the landmark table (eight BFS hop counts per AP,
+// see landmarks.go). The union-find, MinTransmissions, the simulator's
+// broadcast fan-out and the live testbed's hub all read the rows. CityMesh
+// routing *never* consults the AP graph — the building graph predicts
+// connectivity from the map alone — but the evaluation uses it to measure
+// how well the prediction holds.
 package mesh
 
 import (
@@ -64,6 +67,9 @@ type Mesh struct {
 	// adj[i] lists the APs within range of AP i, in the order of the grid
 	// sweep; every row is a window of one backing array (see buildGraph).
 	adj [][]int32
+	// landmarks holds every AP's hop counts to the landmark APs that bound
+	// MinTransmissions, node-major (see landmarks.go).
+	landmarks []uint8
 
 	// minTxFree keeps one MinTransmissions scratch per search that was ever
 	// in flight at once.
@@ -84,7 +90,6 @@ func Place(city *osm.City, cfg Config) *Mesh {
 	m := &Mesh{
 		City:       city,
 		Cfg:        cfg,
-		grid:       geo.NewGrid(cfg.Range),
 		byBuilding: make([][]int32, len(city.Buildings)),
 	}
 	for bi, b := range city.Buildings {
@@ -101,12 +106,22 @@ func Place(city *osm.City, cfg Config) *Mesh {
 			}
 			id := len(m.APs)
 			m.APs = append(m.APs, AP{ID: id, Pos: p, Building: bi})
-			m.grid.Insert(p)
 			m.byBuilding[bi] = append(m.byBuilding[bi], int32(id))
 		}
 	}
+	m.buildGrid()
 	m.buildGraph()
+	m.buildLandmarks()
 	return m
+}
+
+// buildGrid indexes the AP positions, AP i as point i.
+func (m *Mesh) buildGrid() {
+	pts := make([]geo.Point, len(m.APs))
+	for i, ap := range m.APs {
+		pts[i] = ap.Pos
+	}
+	m.grid = geo.NewGrid(m.Cfg.Range, pts)
 }
 
 // samplePoint rejection-samples a point inside pg; it gives up after a
@@ -250,17 +265,21 @@ var ErrUnreachable = fmt.Errorf("mesh: destination unreachable in AP graph")
 //
 // The value is the plain BFS's; the search is goal-directed so that it
 // visits a corridor between the buildings, not the disc a BFS floods. It is
-// A* over unit edges with the hop bound
+// A* over unit edges with the larger of two hop bounds. The geometric one is
 //
-//	h(v) = floor(max(0, |v - c| - r) / Range)
+//	floor(max(0, |v - c| - r) / Range)
 //
-// where the disc (c, r) covers dst's APs. A hop moves a packet at most Range
-// metres, so h never overestimates (admissible) and drops by at most one
-// along an edge (consistent); f = g + h is a small integer, so the open list
-// is an array of buckets. Source APs that the union-find says cannot reach
-// dst are never seeded, which is also the unreachable check. All state lives
-// in a scratch reused from a free list, so a warm call allocates nothing.
-// Safe for concurrent callers.
+// where the disc (c, r) covers dst's APs: a hop moves a packet at most Range
+// metres. The landmark one (ALT) reads the hop counts d_l from eight
+// landmark APs (see landmarks.go): if dst's APs have counts in [lo_l, hi_l],
+// the triangle inequality makes max(d_l(v) - hi_l, lo_l - d_l(v)) a lower
+// bound for every landmark l whose component holds v. Both bounds never
+// overestimate (admissible) and drop by at most one along an edge
+// (consistent); so does their maximum. f = g + h is a small integer, so the
+// open list is an array of buckets. Source APs that the union-find says
+// cannot reach dst are never seeded, which is also the unreachable check.
+// All state lives in a scratch reused from a free list, so a warm call
+// allocates nothing. Safe for concurrent callers.
 func (m *Mesh) MinTransmissions(src, dst int) (int, error) {
 	if src == dst {
 		return 0, nil
@@ -268,15 +287,21 @@ func (m *Mesh) MinTransmissions(src, dst int) (int, error) {
 	if src < 0 || dst < 0 || src >= len(m.byBuilding) || dst >= len(m.byBuilding) {
 		return 0, fmt.Errorf("mesh: building out of range")
 	}
-	goals := m.byBuilding[dst]
-	if len(goals) == 0 {
-		return 0, ErrUnreachable
-	}
 	sc := m.minTxFree.Get()
 	if sc == nil {
 		sc = new(minTxScratch)
 	}
 	defer m.minTxFree.Put(sc)
+	return m.minTransmissions(sc, src, dst)
+}
+
+// minTransmissions is MinTransmissions on two distinct buildings in range,
+// searching with sc.
+func (m *Mesh) minTransmissions(sc *minTxScratch, src, dst int) (int, error) {
+	goals := m.byBuilding[dst]
+	if len(goals) == 0 {
+		return 0, ErrUnreachable
+	}
 	sc.begin(len(m.APs))
 
 	var c geo.Point
@@ -289,11 +314,35 @@ func (m *Mesh) MinTransmissions(src, dst int) (int, error) {
 		r2 = math.Max(r2, m.APs[d].Pos.Dist2(c))
 	}
 	r, invRange := math.Sqrt(r2), 1/m.Cfg.Range
-	bound := func(v int32) int32 {
-		if d := math.Sqrt(m.APs[v].Pos.Dist2(c)) - r; d > 0 {
-			return int32(d * invRange)
+	// A landmark whose component holds none of dst's APs keeps [0, noHops],
+	// which bounds nothing.
+	var lo, hi [numLandmarks]int32
+	for l := range lo {
+		lo[l] = noHops
+	}
+	for _, d := range goals {
+		for l, x := range m.landmarkRow(d) {
+			if x != noHops {
+				lo[l], hi[l] = min(lo[l], int32(x)), max(hi[l], int32(x))
+			}
 		}
-		return 0
+	}
+	for l := range lo {
+		if lo[l] == noHops {
+			lo[l], hi[l] = 0, noHops
+		}
+	}
+	bound := func(v int32) int32 {
+		var h int32
+		if d := math.Sqrt(m.APs[v].Pos.Dist2(c)) - r; d > 0 {
+			h = int32(d * invRange)
+		}
+		for l, x := range m.landmarkRow(v) {
+			if x != noHops {
+				h = max(h, int32(x)-hi[l], lo[l]-int32(x))
+			}
+		}
+		return h
 	}
 
 	seeded := false
@@ -321,6 +370,7 @@ func (m *Mesh) MinTransmissions(src, dst int) (int, error) {
 				continue // a stale entry: v was reopened cheaper and expanded since
 			}
 			st.closed = true
+			sc.closed++
 			if m.APs[v].Building == dst {
 				return int(st.g), nil
 			}
@@ -350,6 +400,8 @@ type minTxScratch struct {
 	epoch uint32
 	node  []minTxNode
 	open  [][]int32 // open[f] holds the discovered nodes with g + h == f
+	// closed counts the APs the last search expanded.
+	closed int
 }
 
 type minTxNode struct {
@@ -363,6 +415,7 @@ func (sc *minTxScratch) begin(numAPs int) {
 		sc.node, sc.epoch = make([]minTxNode, numAPs), 0
 	}
 	sc.epoch++
+	sc.closed = 0
 	if sc.epoch == 0 { // wrapped: entries of 2^32 searches ago would look current
 		clear(sc.node)
 		sc.epoch = 1
@@ -405,16 +458,8 @@ func newUnionFind(n int) *unionFind {
 // never write to parent.
 func (uf *unionFind) flatten() {
 	for i := range uf.parent {
-		uf.parent[i] = int32(uf.root(i))
+		uf.parent[i] = int32(uf.find(i))
 	}
-}
-
-func (uf *unionFind) root(x int) int {
-	p := int32(x)
-	for uf.parent[p] != p {
-		p = uf.parent[p]
-	}
-	return int(p)
 }
 
 func (uf *unionFind) find(x int) int {

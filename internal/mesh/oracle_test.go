@@ -3,7 +3,9 @@ package mesh
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"citymesh/internal/citygen"
@@ -159,10 +161,143 @@ func TestMinTransmissionsMatchesBFSOracle(t *testing.T) {
 		m := presetMesh(t, "metro")
 		nb := len(m.byBuilding)
 		rng := rand.New(rand.NewSource(7))
+		sc := new(minTxScratch)
+		closed, calls := 0, 0
 		for trial := 0; trial < 150; trial++ {
+			src, dst := rng.Intn(nb), rng.Intn(nb)
+			if checkAgainstOracle(t, m, src, dst) && src != dst {
+				_, _ = m.minTransmissions(sc, src, dst)
+				closed += sc.closed
+				calls++
+			}
+		}
+		t.Logf("metro: %d APs closed per reachable call, over %d calls", closed/max(calls, 1), calls)
+	})
+	t.Run("saturated", func(t *testing.T) {
+		// A chain of 300 single-AP buildings 40 m apart: each AP reaches
+		// only its neighbours, so the hop diameter is 299 and the landmark
+		// table saturates at maxHops. Pairs straddle the saturated range.
+		const n = 300
+		centers := make([]geo.Point, n)
+		for i := range centers {
+			centers[i] = geo.Pt(40*float64(i), 0)
+		}
+		m := Place(squareCity(4, centers...), DefaultConfig())
+		if m.NumAPs() != n || m.NumLinks() != n-1 {
+			t.Fatalf("fixture: %d APs, %d links, want a chain of %d", m.NumAPs(), m.NumLinks(), n)
+		}
+		saturated := 0
+		for _, x := range m.landmarks {
+			if x == maxHops {
+				saturated++
+			}
+		}
+		if saturated == 0 {
+			t.Fatal("fixture: no landmark distance saturated")
+		}
+		rng := rand.New(rand.NewSource(11))
+		for trial := 0; trial < 400; trial++ {
+			checkAgainstOracle(t, m, rng.Intn(n), rng.Intn(n))
+		}
+		for _, p := range [][2]int{{0, n - 1}, {n - 1, 0}, {0, maxHops}, {0, maxHops + 1}, {n - 1, n - 1 - maxHops}, {20, n - 20}, {n / 2, n - 1}} {
+			checkAgainstOracle(t, m, p[0], p[1])
+		}
+	})
+}
+
+// FuzzMinTransmissionsMatchesBFS compares the landmark-bounded search with
+// the BFS on small towns at a density that may fracture them into islands,
+// optionally bridged by relay APs that no building owns.
+func FuzzMinTransmissionsMatchesBFS(f *testing.F) {
+	f.Add(int64(1), uint8(1), false, int64(1))
+	f.Add(int64(42), uint8(5), true, int64(2))
+	f.Add(int64(7), uint8(12), true, int64(3))
+	f.Fuzz(func(t *testing.T, citySeed int64, sparsity uint8, bridge bool, pairSeed int64) {
+		plan, err := citygen.Generate(citygen.SmallTestSpec(citySeed))
+		if err != nil {
+			t.Skip()
+		}
+		cfg := DefaultConfig()
+		cfg.Seed = pairSeed
+		cfg.Density = 1.0 / (200 * (1 + float64(sparsity%16)))
+		m := Place(planCity(plan), cfg)
+		if bridge {
+			for _, b := range m.PlanBridges(1) {
+				m.AddAPs(b.Relays)
+			}
+		}
+		nb := len(m.byBuilding)
+		rng := rand.New(rand.NewSource(pairSeed))
+		for trial := 0; trial < 40; trial++ {
 			checkAgainstOracle(t, m, rng.Intn(nb), rng.Intn(nb))
 		}
 	})
+}
+
+// refRows is the AP graph as the map grid built it: row i lists the APs
+// j != i within Range of AP i, ordered by cell column, then cell row, then
+// id.
+func refRows(m *Mesh) [][]int32 {
+	inv := 1 / m.Cfg.Range
+	key := func(p geo.Point) [2]int32 {
+		return [2]int32{int32(math.Floor(p.X * inv)), int32(math.Floor(p.Y * inv))}
+	}
+	cells := make(map[[2]int32][]int32)
+	for i, ap := range m.APs {
+		k := key(ap.Pos)
+		cells[k] = append(cells[k], int32(i))
+	}
+	r := m.Cfg.Range
+	rows := make([][]int32, len(m.APs))
+	for i, ap := range m.APs {
+		lo, hi := key(ap.Pos.Add(geo.Pt(-r, -r))), key(ap.Pos.Add(geo.Pt(r, r)))
+		for cx := lo[0]; cx <= hi[0]; cx++ {
+			for cy := lo[1]; cy <= hi[1]; cy++ {
+				for _, j := range cells[[2]int32{cx, cy}] {
+					if int(j) != i && m.APs[j].Pos.Dist2(ap.Pos) <= r*r {
+						rows[i] = append(rows[i], j)
+					}
+				}
+			}
+		}
+	}
+	return rows
+}
+
+// TestAdjacencyMatchesReferenceSweep checks every AP row of gridtown and
+// metro against the map grid's sweep, order included: the simulator
+// replays grid queries from the rows, so a reordered row changes results.
+func TestAdjacencyMatchesReferenceSweep(t *testing.T) {
+	for _, name := range []string{"gridtown", "metro"} {
+		t.Run(name, func(t *testing.T) {
+			if name == "metro" && testing.Short() {
+				t.Skip("metro placement takes a few seconds")
+			}
+			m := presetMesh(t, name)
+			want := refRows(m)
+			for i, row := range m.Adjacency() {
+				if !slices.Equal(row, want[i]) {
+					t.Fatalf("row %d = %v, reference sweep %v", i, row, want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestLandmarkTableAllocsIndependentOfSize pins the landmark table's set-up
+// to a fixed handful of allocations however many APs there are.
+func TestLandmarkTableAllocsIndependentOfSize(t *testing.T) {
+	small, err := citygen.Generate(citygen.SmallTestSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Mesh{Place(planCity(small), DefaultConfig()), presetMesh(t, "gridtown")} {
+		allocs := testing.AllocsPerRun(3, m.buildLandmarks)
+		t.Logf("%d APs: buildLandmarks allocates %.0f", m.NumAPs(), allocs)
+		if allocs > 16 {
+			t.Errorf("buildLandmarks allocates %.0f for %d APs, budget 16", allocs, m.NumAPs())
+		}
+	}
 }
 
 // TestMinTransmissionsWarmCallAllocatesNothing pins the reused scratch: after
