@@ -113,7 +113,7 @@ func TestPublicAPIFederation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := in.AddRegion(&citymesh.Region{
-			ID: citymesh.RegionID(fc.Name), Net: net, Gateway: 0, Pos: fc.PosKm,
+			ID: citymesh.RegionID(fc.Name), Net: net, Gateways: []int{0}, Pos: fc.PosKm,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -105,6 +105,35 @@ func TestRunResilienceSmoke(t *testing.T) {
 	}
 }
 
+// A polygon sweep names no outage area, so every cell is a configuration
+// error: the command fails instead of printing empty "inapplicable" rows.
+func TestRunResiliencePolygonWithoutAreaFails(t *testing.T) {
+	code, stdout, stderr := runCmd(t,
+		"-fail-mode=polygon", "-fail-frac=0.1", "-cities=gridtown", "-scale=0.2", "-pairs=2")
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1; stdout:\n%s", code, stdout)
+	}
+	if !strings.Contains(stderr, "polygon") {
+		t.Errorf("stderr should name the polygon mode: %q", stderr)
+	}
+}
+
+// Churn at fraction 0 injects nothing, like uniform at 0: the cell runs
+// its pairs instead of failing or reporting the mode inapplicable.
+func TestRunResilienceChurnZeroRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation smoke test is slow")
+	}
+	code, stdout, stderr := runCmd(t,
+		"-fail-mode=churn", "-fail-frac=0", "-cities=gridtown", "-scale=0.2", "-pairs=2", "-csv")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stdout, "gridtown,churn,0.00,2,") {
+		t.Errorf("churn row at fraction 0 should run 2 pairs:\n%s", stdout)
+	}
+}
+
 func TestRunHealSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke test is slow")

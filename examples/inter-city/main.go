@@ -114,16 +114,17 @@ func pickReachable(r *internetwork.Region, seed int64) int {
 	if err != nil {
 		log.Fatal(err)
 	}
+	gw := r.Gateways[0]
 	for _, p := range pairs {
 		b := p[0]
-		if b == r.Gateway || !r.Net.Reachable(b, r.Gateway) {
+		if b == gw || !r.Net.Reachable(b, gw) {
 			continue
 		}
-		if _, err := r.Net.PlanRoute(b, r.Gateway); err == nil {
+		if _, err := r.Net.PlanRoute(b, gw); err == nil {
 			return b
 		}
 	}
-	return r.Gateway
+	return gw
 }
 
 func must(err error) {

@@ -15,8 +15,9 @@ import (
 // parseModule parses every non-test Go file of the module and hands each
 // to visit with its slash-separated path ("internal/sim/engine.go", ...).
 // Nested modules (bench/), hidden directories and testdata are not part of
-// the module's build graph and are skipped.
-func parseModule(t *testing.T, visit func(path string, f *ast.File)) {
+// the module's build graph and are skipped. With all set, test files and
+// nested modules are parsed too: every Go file of the repository.
+func parseModule(t *testing.T, all bool, visit func(path string, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -27,13 +28,13 @@ func parseModule(t *testing.T, visit func(path string, f *ast.File)) {
 			if path == "." {
 				return nil
 			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil ||
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); (err == nil && !all) ||
 				d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || (strings.HasSuffix(path, "_test.go") && !all) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
@@ -69,7 +70,7 @@ func fileImports(f *ast.File) map[string]string {
 func moduleImports(t *testing.T) map[string]map[string]bool {
 	t.Helper()
 	out := map[string]map[string]bool{}
-	parseModule(t, func(path string, f *ast.File) {
+	parseModule(t, false, func(path string, f *ast.File) {
 		dir := filepath.Dir(path)
 		if out[dir] == nil {
 			out[dir] = map[string]bool{}
@@ -165,7 +166,7 @@ func TestDeterministicPackages(t *testing.T) {
 		return false
 	}
 	seen := map[string]bool{}
-	parseModule(t, func(path string, f *ast.File) {
+	parseModule(t, false, func(path string, f *ast.File) {
 		dir := filepath.Dir(path)
 		if !pinned[dir] {
 			return

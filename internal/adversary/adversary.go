@@ -102,9 +102,6 @@ func mergeKnobs(dst, src *sim.Adversary) {
 	if dst.ReplayHorizon == 0 {
 		dst.ReplayHorizon = src.ReplayHorizon
 	}
-	if dst.ReplayBuffer == 0 {
-		dst.ReplayBuffer = src.ReplayBuffer
-	}
 	if dst.ResetTTL == 0 {
 		dst.ResetTTL = src.ResetTTL
 	}

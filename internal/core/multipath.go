@@ -23,25 +23,13 @@ type MultipathResult struct {
 	TotalBroadcasts int
 }
 
-// PlanDiverseRoutes returns up to k spatially diverse compressed routes
-// from src to dst (see buildinggraph.DiversePaths). The security rationale
-// (§1): if some conduits traverse compromised areas, an alternative that
-// avoids them may still deliver.
-func (n *Network) PlanDiverseRoutes(src, dst, k int) ([]conduit.Route, error) {
-	return n.PlanDiverseRoutesPenalized(src, dst, k, nil)
-}
-
-// PlanDiverseRoutesPenalized is PlanDiverseRoutes under per-building cost
-// multipliers: the diversity penalties compose with the health penalties,
-// so every candidate route is both corridor-diverse and damage-aware. A
-// nil vp is identical to PlanDiverseRoutes.
-func (n *Network) PlanDiverseRoutesPenalized(src, dst, k int, vp buildinggraph.VertexPenalty) ([]conduit.Route, error) {
-	_, routes, err := n.diverseRoutes(src, dst, k, vp)
-	return routes, err
-}
-
-// diverseRoutes plans up to k diverse building paths and compresses each
-// into a route, returning both.
+// diverseRoutes plans up to k spatially diverse building paths from src to
+// dst (see buildinggraph.DiversePaths) and compresses each into a route,
+// returning both. The security rationale (§1): if some conduits traverse
+// compromised areas, an alternative that avoids them may still deliver. A
+// non-nil vp multiplies per-building costs: the diversity penalties compose
+// with the health penalties, so every candidate route is both
+// corridor-diverse and damage-aware.
 func (n *Network) diverseRoutes(src, dst, k int, vp buildinggraph.VertexPenalty) ([][]int, []conduit.Route, error) {
 	paths, err := n.Graph.DiversePathsPenalized(src, dst, k, 16, vp)
 	if err != nil {
@@ -61,14 +49,9 @@ func (n *Network) diverseRoutes(src, dst, k int, vp buildinggraph.VertexPenalty)
 // MultipathSend sends one copy of the payload along each of up to k diverse
 // routes and reports combined delivery. Each copy has a distinct message
 // ID, so compromised or failed regions that swallow one copy do not
-// suppress the others.
-func (n *Network) MultipathSend(src, dst int, payload []byte, k int, simCfg sim.Config) (MultipathResult, error) {
-	return n.MultipathSendPenalized(src, dst, payload, k, simCfg, nil)
-}
-
-// MultipathSendPenalized is MultipathSend with damage-aware route planning
-// (see PlanDiverseRoutesPenalized). A nil vp is identical to MultipathSend.
-func (n *Network) MultipathSendPenalized(src, dst int, payload []byte, k int, simCfg sim.Config, vp buildinggraph.VertexPenalty) (MultipathResult, error) {
+// suppress the others. A non-nil vp plans damage-aware routes (see
+// diverseRoutes); nil plans on the plain building graph.
+func (n *Network) MultipathSend(src, dst int, payload []byte, k int, simCfg sim.Config, vp buildinggraph.VertexPenalty) (MultipathResult, error) {
 	paths, routes, err := n.diverseRoutes(src, dst, k, vp)
 	if err != nil {
 		return MultipathResult{}, err

@@ -20,7 +20,7 @@ func TestPlanDiverseRoutes(t *testing.T) {
 		if err != nil || len(base) < 6 {
 			continue
 		}
-		routes, err := n.PlanDiverseRoutes(p[0], p[1], 3)
+		_, routes, err := n.diverseRoutes(p[0], p[1], 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestPlanDiverseRoutes(t *testing.T) {
 	if !found {
 		t.Error("never produced 2+ diverse routes")
 	}
-	if _, err := n.PlanDiverseRoutes(0, 1<<20, 2); err == nil {
+	if _, _, err := n.diverseRoutes(0, 1<<20, 2, nil); err == nil {
 		t.Error("out-of-range destination should error")
 	}
 }
@@ -58,7 +58,7 @@ func TestMultipathSendDeliversAndSumsCost(t *testing.T) {
 		if !n.Reachable(p[0], p[1]) {
 			continue
 		}
-		res, err := n.MultipathSend(p[0], p[1], []byte("x"), 2, sim.DefaultConfig())
+		res, err := n.MultipathSend(p[0], p[1], []byte("x"), 2, sim.DefaultConfig(), nil)
 		if err != nil {
 			continue
 		}
@@ -94,7 +94,7 @@ func TestMultipathSendUnroutable(t *testing.T) {
 	}
 	for _, p := range pairs {
 		if _, err := n.BuildingPath(p[0], p[1]); err != nil {
-			if _, err := n.MultipathSend(p[0], p[1], nil, 2, sim.DefaultConfig()); err == nil {
+			if _, err := n.MultipathSend(p[0], p[1], nil, 2, sim.DefaultConfig(), nil); err == nil {
 				t.Error("unroutable pair should error")
 			}
 			return
@@ -126,7 +126,7 @@ func TestFromSpecInvalid(t *testing.T) {
 // single-waypoint route and still reports delivery.
 func TestMultipathSendSelfPair(t *testing.T) {
 	n := smallNetwork(t, 304)
-	res, err := n.MultipathSend(3, 3, []byte("x"), 2, sim.DefaultConfig())
+	res, err := n.MultipathSend(3, 3, []byte("x"), 2, sim.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestMultipathSendSelfPair(t *testing.T) {
 func TestMultipathSendNonPositiveK(t *testing.T) {
 	n := smallNetwork(t, 304)
 	for _, k := range []int{0, -3} {
-		res, err := n.MultipathSend(0, 1, nil, k, sim.DefaultConfig())
+		res, err := n.MultipathSend(0, 1, nil, k, sim.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -159,7 +159,7 @@ func TestMultipathSendNonPositiveK(t *testing.T) {
 // may still compress to the same conduit skeleton.)
 func TestMultipathSendKExceedsAvailable(t *testing.T) {
 	n := smallNetwork(t, 304)
-	res, err := n.MultipathSend(0, 1, nil, 50, sim.DefaultConfig())
+	res, err := n.MultipathSend(0, 1, nil, 50, sim.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,21 +198,15 @@ func PlanToCity(p *citygen.Plan) *osm.City {
 // PlanRoute computes the cubed-weight shortest building route from src to
 // dst and compresses it into conduit waypoints (§3 step 2).
 func (n *Network) PlanRoute(src, dst int) (conduit.Route, error) {
-	return n.PlanRoutePenalized(src, dst, nil)
-}
-
-// PlanRoutePenalized is PlanRoute under per-building cost multipliers —
-// damage-aware planning: with a health.Map's penalty function the route
-// detours around suspected-dead regions. A nil vp is identical to
-// PlanRoute.
-func (n *Network) PlanRoutePenalized(src, dst int, vp buildinggraph.VertexPenalty) (conduit.Route, error) {
-	_, r, err := n.planPath(src, dst, vp)
+	_, r, err := n.planPath(src, dst, nil)
 	return r, err
 }
 
 // planPath runs the planner once and compresses its path, returning both:
 // the building path (nil whenever planning or compression failed) and the
-// conduit route PlanRoutePenalized returns.
+// conduit route. A non-nil vp multiplies per-building costs — damage-aware
+// planning: with a health.Map's penalty function the route detours around
+// suspected-dead regions.
 func (n *Network) planPath(src, dst int, vp buildinggraph.VertexPenalty) ([]int, conduit.Route, error) {
 	path, _, err := n.Graph.ShortestPathPenalized(src, dst, vp)
 	if err != nil {

@@ -71,9 +71,6 @@ type ReliableConfig struct {
 	WidenFactors []float64
 	// MultipathK is the number of diverse routes at RungMultipath.
 	MultipathK int
-	// FloodTTL caps the scoped flood; 0 derives a bound from the building
-	// route length (or falls back to the network TTL when unroutable).
-	FloodTTL uint8
 	// MaxRung caps how far the ladder escalates: rungs above it are
 	// skipped entirely, and the result reports RungExhausted when nothing
 	// at or below delivered. Zero means unbounded (the full ladder) — a
@@ -405,7 +402,7 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 	// so the diversity penalties compose with the suspicion penalties).
 	if maxAllows(RungMultipath) {
 		wait := backoff()
-		mp, err := n.MultipathSendPenalized(src, dst, payload, rcfg.MultipathK, attemptSim(len(out.Attempts)), vp)
+		mp, err := n.MultipathSend(src, dst, payload, rcfg.MultipathK, attemptSim(len(out.Attempts)), vp)
 		if err != nil {
 			record(RungMultipath, wait, 0, false, 0, err.Error())
 		} else {
@@ -435,18 +432,9 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 	// length when one exists.
 	if maxAllows(RungFlood) {
 		wait := backoff()
-		ttl := rcfg.FloodTTL
-		if ttl == 0 {
-			if len(path) > 0 {
-				scope := 4*len(path) + 8
-				if scope < int(n.Cfg.TTL) {
-					ttl = uint8(scope)
-				} else {
-					ttl = n.Cfg.TTL
-				}
-			} else {
-				ttl = n.Cfg.TTL
-			}
+		ttl := n.Cfg.TTL
+		if scope := 4*len(path) + 8; len(path) > 0 && scope < int(ttl) {
+			ttl = uint8(scope)
 		}
 		seq := n.msgSeq.Add(1)
 		pkt := &packet.Packet{
@@ -471,13 +459,6 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 	return out, nil
 }
 
-// observeHealth feeds one route's attempt outcome into the health map. Only
-// the route's *interior* waypoints carry evidence — the sender is alive by
-// definition and the destination's reachability is tracked separately by
-// partition classification. On failure, half of FailBump also spreads to
-// the graph neighbors of each interior waypoint: disaster damage is
-// spatially correlated (the disk and flood injectors kill regions, not
-// points), so a failed corridor implicates its surroundings.
 // observeEvidence is the ReliableConfig.Evidence audit: after a failed
 // conduit attempt, accuse every in-conduit AP that received the frame with
 // TTL to spare yet never forwarded it. Out-of-conduit silence is correct
@@ -524,6 +505,13 @@ func (n *Network) observeEvidence(hm *health.Map, pkt *packet.Packet, res sim.Re
 	hm.ObserveMismatch(bs)
 }
 
+// observeHealth feeds one route's attempt outcome into the health map. Only
+// the route's *interior* waypoints carry evidence — the sender is alive by
+// definition and the destination's reachability is tracked separately by
+// partition classification. On failure, half of FailBump also spreads to
+// the graph neighbors of each interior waypoint: disaster damage is
+// spatially correlated (the disk and flood injectors kill regions, not
+// points), so a failed corridor implicates its surroundings.
 func (n *Network) observeHealth(hm *health.Map, waypoints []int, delivered bool) {
 	if hm == nil || len(waypoints) < 3 {
 		return

@@ -374,7 +374,7 @@ func TestReliableHealthSuspicionDecays(t *testing.T) {
 // more than a plain Send of the same pair (its attempt record; the backoff
 // rng is reused). A second shortest-path search for the building path, as
 // the ladder once made, adds its path's allocation and fails the pin. The
-// attempt's route must still be exactly PlanRoutePenalized's, with and
+// attempt's route must still be exactly planPath's, with and
 // without suspicion in the health map.
 func TestSendReliablePlansOnce(t *testing.T) {
 	n, src, dst, mid := corridorNetwork(t, 400, 300)
@@ -389,12 +389,12 @@ func TestSendReliablePlansOnce(t *testing.T) {
 	if !res.Delivered || res.Rung != RungDirect || len(res.Attempts) != 1 {
 		t.Fatalf("want one delivered direct attempt, got rung %v, %d attempts", res.Rung, len(res.Attempts))
 	}
-	clean, err := n.PlanRoutePenalized(src, dst, nil)
+	_, clean, err := n.planPath(src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.FirstAttempt.Route, clean) {
-		t.Errorf("first attempt route %+v, PlanRoutePenalized gives %+v", res.FirstAttempt.Route, clean)
+		t.Errorf("first attempt route %+v, planPath gives %+v", res.FirstAttempt.Route, clean)
 	}
 
 	send := testing.AllocsPerRun(20, func() {
@@ -416,7 +416,7 @@ func TestSendReliablePlansOnce(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		hm.ObserveFailure([]int{mid})
 	}
-	want, err := n.PlanRoutePenalized(src, dst, hm.PenaltyFunc())
+	_, want, err := n.planPath(src, dst, hm.PenaltyFunc())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestSendReliablePlansOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.FirstAttempt.Route, want) {
-		t.Errorf("under suspicion, first attempt route %+v, PlanRoutePenalized gives %+v", res.FirstAttempt.Route, want)
+		t.Errorf("under suspicion, first attempt route %+v, planPath gives %+v", res.FirstAttempt.Route, want)
 	}
 }
 

@@ -45,9 +45,6 @@ type DataMuleConfig struct {
 	// HorizonS is how long a bus keeps rebroadcasting a carried message
 	// (default 240 — comfortably one route crossing).
 	HorizonS float64
-	// Eventual tunes the store-and-heal scheduler shared by both arms;
-	// zero-value uses datamule defaults (5 attempts, 20→120 s backoff).
-	Eventual core.EventualConfig
 	// Parallelism is the runner worker count; output is byte-identical at
 	// any value.
 	Parallelism int
@@ -99,19 +96,9 @@ func DataMule(cfg DataMuleConfig) ([]DataMuleRow, error) {
 	if cfg.HorizonS <= 0 {
 		cfg.HorizonS = 240
 	}
-	ecfg := cfg.Eventual
-	if ecfg.MaxAttempts <= 0 {
-		ecfg.MaxAttempts = 5
-	}
-	if ecfg.BackoffBase <= 0 {
-		ecfg.BackoffBase = 20
-	}
-	if ecfg.BackoffMax <= 0 {
-		ecfg.BackoffMax = 120
-	}
-	if ecfg.ParkAfter <= 0 {
-		ecfg.ParkAfter = 2
-	}
+	// Both arms share one store-and-heal scheduler: 5 ladder runs with a
+	// 20 s → 120 s backoff, parking after 2 exhaustions.
+	ecfg := core.EventualConfig{MaxAttempts: 5, BackoffBase: 20, BackoffMax: 120, ParkAfter: 2}
 
 	spec, err := presetSpec(cfg.City, cfg.Scale)
 	if err != nil {

@@ -53,8 +53,6 @@ type FederationConfig struct {
 	// Parallelism is the runner worker count (0 = GOMAXPROCS). Output is
 	// byte-identical at any setting.
 	Parallelism int
-	// Sim overrides the per-leg simulator config (nil = defaults).
-	Sim *sim.Config
 }
 
 // DefaultFederationConfig is the paper-style sweep: 2 to 100 cities on a
@@ -214,9 +212,6 @@ func federationCell(cfg FederationConfig, size int, frac float64, gwFail bool, c
 	}
 
 	simCfg := sim.DefaultConfig()
-	if cfg.Sim != nil {
-		simCfg = *cfg.Sim
-	}
 	row := FederationRow{
 		Cities: size, Topology: cfg.Topology.String(),
 		LinkFailFrac: frac, DeadPrimaryGW: gwFail,

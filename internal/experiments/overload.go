@@ -43,9 +43,6 @@ type OverloadConfig struct {
 	// Parallelism is the runner worker count over cells; output is
 	// byte-identical at any value.
 	Parallelism int
-	// Traffic overrides generator defaults (Users/Ticks/Seed are set per
-	// cell regardless).
-	Traffic trafficgen.Config
 }
 
 // DefaultOverloadConfig is sized so the full sweep runs in CI smoke time.
@@ -126,11 +123,12 @@ func Overload(cfg OverloadConfig) ([]OverloadRow, error) {
 			}
 			inj.ApplySet(&simCfg)
 		}
-		tc := cfg.Traffic
-		tc.Users = cfg.Users
-		tc.Ticks = cfg.Ticks
-		tc.FlashMultiplier = c.load
-		tc.Seed = runner.TaskSeed(cfg.Seed, i)
+		tc := trafficgen.Config{
+			Users:           cfg.Users,
+			Ticks:           cfg.Ticks,
+			FlashMultiplier: c.load,
+			Seed:            runner.TaskSeed(cfg.Seed, i),
+		}
 		rep, err := trafficgen.Run(n, simCfg, tc)
 		if err != nil {
 			return row, fmt.Errorf("experiments: overload cell load=%g fail=%g: %w", c.load, c.frac, err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -53,8 +54,6 @@ type ResilienceConfig struct {
 	Seed int64
 	// Scale shrinks preset city extents (0 < Scale <= 1) for fast runs.
 	Scale float64
-	// Reliable configures the ladder; zero-value uses the defaults.
-	Reliable core.ReliableConfig
 	// Sim overrides the per-send simulator settings (delay, jitter, loss,
 	// event cap); nil uses sim.DefaultConfig(). Seed and injected failures
 	// are set per task regardless.
@@ -140,11 +139,14 @@ func Resilience(cfg ResilienceConfig) ([]ResilienceRow, error) {
 		asg := adversary.Select(n.Mesh, behavior, cfg.AdvFrac, cfg.Seed+7777)
 		for _, frac := range cfg.Fracs {
 			row, err := resilienceCell(n, name, pairs, frac, cfg, asg)
-			if err != nil {
+			if errors.Is(err, faults.ErrInapplicable) {
 				// A mode can be inapplicable to one city (e.g. flooding a
 				// waterless preset): report and keep sweeping the rest.
 				rows = append(rows, ResilienceRow{City: name, Mode: cfg.Mode, FailFrac: frac})
 				continue
+			}
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s: %w", name, err)
 			}
 			rows = append(rows, row)
 		}
@@ -162,10 +164,7 @@ func resilienceCell(n *core.Network, city string, pairs [][2]int, frac float64, 
 	if err != nil {
 		return row, err
 	}
-	rcfg := cfg.Reliable
-	if rcfg.MultipathK == 0 && rcfg.Retries == 0 && rcfg.BackoffBase == 0 {
-		rcfg = core.DefaultReliableConfig()
-	}
+	rcfg := core.DefaultReliableConfig()
 	base := sim.DefaultConfig()
 	if cfg.Sim != nil {
 		base = *cfg.Sim

@@ -81,6 +81,34 @@ func TestResilienceZeroFailureEquivalence(t *testing.T) {
 	}
 }
 
+// TestResilienceWaterlessFloodIsInapplicable: flooding a city with no mapped
+// water is not a configuration error; the sweep reports an empty
+// "inapplicable" row and goes on.
+func TestResilienceWaterlessFloodIsInapplicable(t *testing.T) {
+	rows, err := Resilience(ResilienceConfig{
+		Cities: []string{"gridtown"},
+		Mode:   faults.ModeFlood,
+		Fracs:  []float64{0.1, 0.2},
+		Pairs:  2,
+		Seed:   1,
+		Scale:  0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
+	}
+	for _, r := range rows {
+		if r.Pairs != 0 {
+			t.Errorf("waterless flood row ran %d pairs", r.Pairs)
+		}
+	}
+	if text := ResilienceText(rows); !strings.Contains(text, "(mode inapplicable to this city)") {
+		t.Errorf("text does not mark the rows inapplicable:\n%s", text)
+	}
+}
+
 func TestResilienceRejectsUnknownCity(t *testing.T) {
 	_, err := Resilience(ResilienceConfig{Cities: []string{"atlantis"}})
 	if err == nil {

@@ -51,7 +51,7 @@ func MultipathUnderAttack(cityName string, scale float64, seed int64, fracs []fl
 				simCfg := sim.DefaultConfig()
 				simCfg.Seed = runner.TaskSeed(seed, i)
 				simCfg.BlackholeSet = blackholes
-				res, err := n.MultipathSend(pairs[i][0], pairs[i][1], nil, k, simCfg)
+				res, err := n.MultipathSend(pairs[i][0], pairs[i][1], nil, k, simCfg, nil)
 				if err != nil {
 					return delivery{}
 				}

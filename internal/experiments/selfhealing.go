@@ -28,8 +28,6 @@ type SelfHealingConfig struct {
 	Pairs int
 	// Seed drives sampling, injection, and ladder jitter.
 	Seed int64
-	// Reliable configures the ladder; zero-value uses the defaults.
-	Reliable core.ReliableConfig
 	// Health tunes the route-health memory; zero fields use the defaults.
 	// (The -heal-decay flag lands in Health.DecayTau.)
 	Health health.Config
@@ -38,9 +36,6 @@ type SelfHealingConfig struct {
 	// ladder exhausted are re-driven through SendEventually, which parks
 	// them and re-attempts across the recovery.
 	RecoverAt float64
-	// Eventual configures the healing scheduler of the store-and-heal
-	// phase; zero-value uses the defaults.
-	Eventual core.EventualConfig
 	// Parallelism is the worker count for the independent phases (plain
 	// ladder, store-and-heal): 0 or negative uses GOMAXPROCS. The
 	// shared-health-map phase is inherently sequential — its whole point is
@@ -143,10 +138,7 @@ func SelfHealing(cfg SelfHealingConfig) (SelfHealingResult, error) {
 		City: cfg.City, Mode: cfg.Mode, Frac: cfg.Frac,
 		Pairs: len(pairs), RecoverAt: cfg.RecoverAt,
 	}
-	rcfg := cfg.Reliable
-	if rcfg.MultipathK == 0 && rcfg.Retries == 0 && rcfg.BackoffBase == 0 {
-		rcfg = core.DefaultReliableConfig()
-	}
+	rcfg := core.DefaultReliableConfig()
 	rcfg.Seed = cfg.Seed
 
 	simCfg := sim.DefaultConfig()
@@ -229,7 +221,7 @@ func SelfHealing(cfg SelfHealingConfig) (SelfHealingResult, error) {
 			sc := sim.DefaultConfig()
 			sc.Seed = cfg.Seed
 			healing.ApplySet(&sc)
-			res, err := n.SendEventually(exhausted[i][0], exhausted[i][1], nil, sc, rcfg, cfg.Eventual)
+			res, err := n.SendEventually(exhausted[i][0], exhausted[i][1], nil, sc, rcfg, core.DefaultEventualConfig())
 			if err != nil {
 				return healOutcome{}
 			}

@@ -12,6 +12,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -49,6 +50,11 @@ const (
 	ModeBlackout Mode = "blackout"
 )
 
+// ErrInapplicable marks a mode the city cannot host, such as a flood in a
+// city with no mapped water. Callers sweeping several cities may skip such
+// a cell; every other injection error is a bad configuration.
+var ErrInapplicable = errors.New("faults: mode inapplicable to this city")
+
 // Modes lists the selectable injector names (for flag help).
 func Modes() []string {
 	return []string{string(ModeNone), string(ModeUniform), string(ModeDisk),
@@ -60,9 +66,11 @@ func Modes() []string {
 type Config struct {
 	// Mode selects the injector.
 	Mode Mode
-	// Frac is the target fraction of APs failed (uniform/disk/flood) or,
-	// for churn, the long-run fraction of time each AP spends down when
-	// MeanUp/MeanDown are not set explicitly.
+	// Frac is the target fraction of APs failed (uniform, disk, flood) or,
+	// for churn, the long-run fraction of time each AP spends down, which
+	// must lie in [0, 1). Zero injects nothing in these modes. For
+	// floodfront, a Frac in (0, 1) caps the fraction that ever drowns;
+	// polygon and blackout ignore it.
 	Frac float64
 	// Seed drives all randomness in the injector.
 	Seed int64
@@ -71,32 +79,20 @@ type Config struct {
 	Center *geo.Point
 	// Polygon is the outage area for ModePolygon.
 	Polygon geo.Polygon
-	// MeanUp and MeanDown are the churn state holding-time means in
-	// seconds. When zero they are derived from Frac and DefaultChurnPeriod.
-	MeanUp, MeanDown float64
 	// Horizon bounds the churn schedule in seconds (default 60): beyond
 	// it each AP freezes in its final sampled state.
 	Horizon float64
 
 	// FrontSpeed is the ModeFloodFront waterline speed in m/s (default 2).
 	FrontSpeed float64
-	// FrontStart delays the dynamic fronts (floodfront, blackout) by this
-	// many seconds.
-	FrontStart float64
 	// FrontJitter is the ModeFloodFront per-AP submergence jitter bound in
 	// seconds.
 	FrontJitter float64
-	// Districts, OutageS, StaggerS and Repeat parameterize ModeBlackout
-	// (see BlackoutConfig; zero values take its defaults).
-	Districts int
-	OutageS   float64
-	StaggerS  float64
-	Repeat    bool
 }
 
-// DefaultChurnPeriod is the default mean up+down cycle length in seconds
-// when churn timing is derived from Frac alone. It is short relative to
-// real AP reboots so that sub-second simulations still see transitions.
+// DefaultChurnPeriod is the mean up+down cycle length of churn in seconds.
+// It is short relative to real AP reboots so that sub-second simulations
+// still see transitions.
 const DefaultChurnPeriod = 0.2
 
 // Injection is a concrete failure realization for one mesh.
@@ -105,7 +101,8 @@ type Injection struct {
 	Mode Mode
 	// FailedSet is the static set of APs down from t = 0.
 	FailedSet mesh.NodeSet
-	// Schedule is the time-varying model (ModeChurn only), else nil.
+	// Schedule is the time-varying model (churn above fraction 0,
+	// floodfront, blackout), else nil.
 	Schedule sim.FailureSchedule
 	// Desc is a human-readable summary for experiment tables.
 	Desc string
@@ -234,7 +231,7 @@ func injectPolygon(m *mesh.Mesh, cfg Config) (Injection, error) {
 // bursting its banks — growing the plain until the fraction is reached.
 func injectFlood(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
 	if len(city.Water) == 0 {
-		return Injection{}, fmt.Errorf("faults: city %q has no water features to flood", city.Name)
+		return Injection{}, fmt.Errorf("%w: city %q has no water features to flood", ErrInapplicable, city.Name)
 	}
 	n := m.NumAPs()
 	kill := targetCount(n, cfg.Frac)
@@ -364,22 +361,22 @@ func (s *ChurnSchedule) DownFractionAt(t float64) float64 {
 }
 
 func injectChurn(m *mesh.Mesh, cfg Config) (Injection, error) {
-	meanUp, meanDown := cfg.MeanUp, cfg.MeanDown
-	if meanUp <= 0 || meanDown <= 0 {
-		// Derive holding times from the target down-fraction:
-		// frac = meanDown / (meanUp + meanDown).
-		frac := cfg.Frac
-		if frac <= 0 || frac >= 1 {
-			return Injection{}, fmt.Errorf("faults: churn needs MeanUp/MeanDown or Frac in (0,1), got %v", frac)
-		}
-		meanDown = frac * DefaultChurnPeriod
-		meanUp = DefaultChurnPeriod - meanDown
+	frac := cfg.Frac
+	if frac < 0 || frac >= 1 {
+		return Injection{}, fmt.Errorf("faults: churn needs Frac in [0,1), got %v", frac)
 	}
+	n := m.NumAPs()
+	if frac == 0 {
+		return Injection{Mode: ModeChurn, Desc: fmt.Sprintf("churn: %d APs, none down (p=0.00)", n)}, nil
+	}
+	// Holding times from the target down-fraction:
+	// frac = meanDown / (meanUp + meanDown).
+	meanDown := frac * DefaultChurnPeriod
+	meanUp := DefaultChurnPeriod - meanDown
 	horizon := cfg.Horizon
 	if horizon <= 0 {
 		horizon = 60
 	}
-	n := m.NumAPs()
 	s := &ChurnSchedule{
 		toggles:   make([][]float64, n),
 		startDown: make([]bool, n),

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -123,8 +124,8 @@ func TestPolygonKillsOnlyInside(t *testing.T) {
 func TestFloodNeedsWater(t *testing.T) {
 	n, m := testMesh(t, 16) // SmallTestSpec has no rivers
 	if len(n.City.Water) == 0 {
-		if _, err := Inject(m, n.City, Config{Mode: ModeFlood, Frac: 0.2}); err == nil {
-			t.Error("flooding a waterless city should error")
+		if _, err := Inject(m, n.City, Config{Mode: ModeFlood, Frac: 0.2}); !errors.Is(err, ErrInapplicable) {
+			t.Errorf("flooding a waterless city: err = %v, want ErrInapplicable", err)
 		}
 	}
 }
@@ -170,6 +171,25 @@ func TestFloodHugsTheRiver(t *testing.T) {
 		}
 		if d := distToWater(i); d < maxDead-1e-9 {
 			t.Fatalf("surviving AP %d is %.1f m from water, inside the %.1f m flood plain", i, d, maxDead)
+		}
+	}
+}
+
+// Churn at fraction 0 injects nothing, as uniform at 0 does; fractions
+// outside [0, 1) are configuration errors, not inapplicable modes.
+func TestChurnAtZeroInjectsNothing(t *testing.T) {
+	n, m := testMesh(t, 17)
+	inj, err := Inject(m, n.City, Config{Mode: ModeChurn, Frac: 0, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inj.Mode != ModeChurn || inj.Schedule != nil || inj.FailedSet.Len() != 0 {
+		t.Errorf("churn at 0 injected %+v", inj)
+	}
+	for _, frac := range []float64{-0.1, 1} {
+		_, err := Inject(m, n.City, Config{Mode: ModeChurn, Frac: frac})
+		if err == nil || errors.Is(err, ErrInapplicable) {
+			t.Errorf("churn at %v: err = %v, want a configuration error", frac, err)
 		}
 	}
 }

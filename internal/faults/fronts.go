@@ -50,7 +50,7 @@ type FloodFront struct {
 // distance to the nearest water feature.
 func NewFloodFront(m *mesh.Mesh, city *osm.City, cfg FloodFrontConfig) (*FloodFront, error) {
 	if len(city.Water) == 0 {
-		return nil, fmt.Errorf("faults: city %q has no water features for a flood front", city.Name)
+		return nil, fmt.Errorf("%w: city %q has no water features for a flood front", ErrInapplicable, city.Name)
 	}
 	if cfg.SpeedMps <= 0 {
 		cfg.SpeedMps = 2
@@ -109,13 +109,12 @@ func (f *FloodFront) DownFractionAt(t float64) float64 {
 func injectFloodFront(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
 	fc := FloodFrontConfig{
 		SpeedMps: cfg.FrontSpeed,
-		StartS:   cfg.FrontStart,
 		JitterS:  cfg.FrontJitter,
 		Seed:     cfg.Seed,
 	}
 	if cfg.Frac > 0 && cfg.Frac < 1 {
 		if len(city.Water) == 0 {
-			return Injection{}, fmt.Errorf("faults: city %q has no water features for a flood front", city.Name)
+			return Injection{}, fmt.Errorf("%w: city %q has no water features for a flood front", ErrInapplicable, city.Name)
 		}
 		dists := make([]float64, m.NumAPs())
 		for i := range m.APs {
@@ -167,8 +166,6 @@ type BlackoutConfig struct {
 	// districts' windows (default OutageS — back-to-back; smaller values
 	// overlap neighbouring outages).
 	StaggerS float64
-	// StartS is when the first district goes dark.
-	StartS float64
 	// Repeat cycles the rotation forever with period = districts *
 	// StaggerS; otherwise one pass and the grid stays up.
 	Repeat bool
@@ -180,12 +177,11 @@ type BlackoutConfig struct {
 // districts and each district is switched off for a window, one after
 // another in a seed-shuffled order. It implements sim.FailureSchedule.
 type RollingBlackout struct {
-	// offS[ap] is the AP's window start relative to StartS; -1 marks an
+	// offS[ap] is the AP's window start; -1 marks an
 	// AP outside every scheduled district (never happens today, kept for
 	// safety against future sparse layouts).
 	offS   []float64
 	outage float64
-	start  float64
 	period float64
 	repeat bool
 	rounds int // number of occupied districts
@@ -250,7 +246,6 @@ func NewRollingBlackout(m *mesh.Mesh, city *osm.City, cfg BlackoutConfig) (*Roll
 	rb := &RollingBlackout{
 		offS:   make([]float64, m.NumAPs()),
 		outage: cfg.OutageS,
-		start:  cfg.StartS,
 		period: float64(len(cells)) * cfg.StaggerS,
 		repeat: cfg.Repeat,
 		rounds: len(cells),
@@ -266,18 +261,14 @@ func (rb *RollingBlackout) NumDistricts() int { return rb.rounds }
 
 // Down implements sim.FailureSchedule.
 func (rb *RollingBlackout) Down(ap int, t float64) bool {
-	if ap < 0 || ap >= len(rb.offS) || rb.outage <= 0 {
-		return false
-	}
-	rel := t - rb.start
-	if rel < 0 {
+	if ap < 0 || ap >= len(rb.offS) || rb.outage <= 0 || t < 0 {
 		return false
 	}
 	if rb.repeat && rb.period > 0 {
-		rel = math.Mod(rel, rb.period)
+		t = math.Mod(t, rb.period)
 	}
 	off := rb.offS[ap]
-	return rel >= off && rel < off+rb.outage
+	return t >= off && t < off+rb.outage
 }
 
 // DownFractionAt returns the fraction of APs dark at time t.
@@ -294,16 +285,10 @@ func (rb *RollingBlackout) DownFractionAt(t float64) float64 {
 	return float64(n) / float64(len(rb.offS))
 }
 
-// injectBlackout realizes a ModeBlackout config.
+// injectBlackout realizes a ModeBlackout config: one pass of the default
+// rotation (see BlackoutConfig).
 func injectBlackout(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
-	rb, err := NewRollingBlackout(m, city, BlackoutConfig{
-		Districts: cfg.Districts,
-		OutageS:   cfg.OutageS,
-		StaggerS:  cfg.StaggerS,
-		StartS:    cfg.FrontStart,
-		Repeat:    cfg.Repeat,
-		Seed:      cfg.Seed,
-	})
+	rb, err := NewRollingBlackout(m, city, BlackoutConfig{Seed: cfg.Seed})
 	if err != nil {
 		return Injection{}, err
 	}

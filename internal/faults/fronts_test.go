@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -129,11 +130,11 @@ func TestFloodFrontNeedsWater(t *testing.T) {
 	if len(n.City.Water) != 0 {
 		t.Skip("test spec grew water")
 	}
-	if _, err := NewFloodFront(m, n.City, FloodFrontConfig{}); err == nil {
-		t.Error("flood front on a waterless city should error")
+	if _, err := NewFloodFront(m, n.City, FloodFrontConfig{}); !errors.Is(err, ErrInapplicable) {
+		t.Errorf("flood front on a waterless city: err = %v, want ErrInapplicable", err)
 	}
-	if _, err := Inject(m, n.City, Config{Mode: ModeFloodFront, Frac: 0.2}); err == nil {
-		t.Error("injecting a flood front on a waterless city should error")
+	if _, err := Inject(m, n.City, Config{Mode: ModeFloodFront, Frac: 0.2}); !errors.Is(err, ErrInapplicable) {
+		t.Errorf("injecting a flood front on a waterless city: err = %v, want ErrInapplicable", err)
 	}
 }
 

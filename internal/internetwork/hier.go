@@ -54,16 +54,12 @@ func (in *Internetwork) l1Allowed(src, dst int, widthKm float64) map[int]bool {
 	if view.Centroid(src) == view.Centroid(dst) {
 		return nil
 	}
-	w := widthKm
-	if w <= 0 {
-		w = DefaultL1WidthKm
-	}
-	if w > packet.MaxWidthMeters {
-		w = packet.MaxWidthMeters
+	if widthKm > packet.MaxWidthMeters {
+		widthKm = packet.MaxWidthMeters
 	}
 	hdr := &packet.Header{
 		TTL:       16,
-		Width:     uint8(w),
+		Width:     uint8(widthKm),
 		Waypoints: []uint32{uint32(src), uint32(dst)},
 	}
 	region := fwd.BuildRegion(view, hdr)
@@ -87,12 +83,9 @@ func (in *Internetwork) l1Allowed(src, dst int, widthKm float64) map[int]bool {
 // schedule: attempt 0 searches inside the conduit, attempt 1 inside a 2×
 // widened conduit, attempts ≥ 2 (and any attempt whose constrained search
 // finds nothing) fall back to the unrestricted summary graph.
-func (in *Internetwork) l1Path(from, to int, seed int64, attempt int, widthKm float64, payloadBytes int, banned map[int]bool) (regions, links []int, ok bool) {
-	if widthKm <= 0 {
-		widthKm = DefaultL1WidthKm
-	}
+func (in *Internetwork) l1Path(from, to int, seed int64, attempt int, payloadBytes int, banned map[int]bool) (regions, links []int, ok bool) {
 	if attempt <= 1 {
-		w := widthKm * float64(attempt+1)
+		w := DefaultL1WidthKm * float64(attempt+1)
 		if allowed := in.l1Allowed(from, to, w); allowed != nil {
 			if r, l, _, ok := in.pathFrom(from, to, seed, payloadBytes, banned, allowed); ok {
 				return r, l, true

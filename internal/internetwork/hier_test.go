@@ -27,7 +27,7 @@ func lineFederation(t *testing.T, anchors ...geo.Point) *Internetwork {
 
 func addAnchor(t *testing.T, in *Internetwork, n *core.Network, i int, p geo.Point) {
 	t.Helper()
-	r := &Region{ID: RegionID(fmt.Sprintf("r%d", i)), Net: n, Gateway: 0, Pos: p}
+	r := &Region{ID: RegionID(fmt.Sprintf("r%d", i)), Net: n, Gateways: []int{0}, Pos: p}
 	if err := in.AddRegion(r); err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +39,14 @@ func TestL1AllowedIsTheConduitCorridor(t *testing.T) {
 		geo.Pt(0, 0), geo.Pt(50, 0), geo.Pt(100, 0), geo.Pt(150, 0), geo.Pt(200, 0),
 		geo.Pt(100, 400))
 
-	got := in.l1Allowed(0, 4, 0)
+	got := in.l1Allowed(0, 4, DefaultL1WidthKm)
 	want := map[int]bool{0: true, 1: true, 2: true, 3: true, 4: true}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("allowed = %v, want the corridor %v", got, want)
 	}
 	// The off-axis region is an endpoint: src and dst are always allowed,
 	// whatever the conduit test says about them.
-	got = in.l1Allowed(5, 2, 0)
+	got = in.l1Allowed(5, 2, DefaultL1WidthKm)
 	if !got[5] || !got[2] {
 		t.Fatalf("allowed(5, 2) = %v misses an endpoint", got)
 	}
@@ -54,7 +54,7 @@ func TestL1AllowedIsTheConduitCorridor(t *testing.T) {
 	// Growing the federation after a call: the next call sees the new
 	// region on the corridor, with no stale region in between.
 	addAnchor(t, in, in.regions["r0"].Net, 6, geo.Pt(125, 10))
-	got = in.l1Allowed(0, 4, 0)
+	got = in.l1Allowed(0, 4, DefaultL1WidthKm)
 	want[6] = true
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after AddRegion: allowed = %v, want %v", got, want)
@@ -65,10 +65,10 @@ func TestL1AllowedDegenerateGeometry(t *testing.T) {
 	// Coincident anchors and a conduit recruiting nothing beyond its
 	// endpoints both mean "no constraint".
 	in := lineFederation(t, geo.Pt(0, 0), geo.Pt(0, 0), geo.Pt(1000, 0), geo.Pt(1000, 1000))
-	if got := in.l1Allowed(0, 1, 0); got != nil {
+	if got := in.l1Allowed(0, 1, DefaultL1WidthKm); got != nil {
 		t.Fatalf("coincident endpoints: allowed = %v, want nil", got)
 	}
-	if got := in.l1Allowed(2, 3, 0); got != nil {
+	if got := in.l1Allowed(2, 3, DefaultL1WidthKm); got != nil {
 		t.Fatalf("endpoints only: allowed = %v, want nil", got)
 	}
 }

@@ -44,13 +44,8 @@ type Region struct {
 	ID RegionID
 	// Net is the region's CityMesh deployment.
 	Net *core.Network
-	// Gateway is the primary gateway building (kept for compatibility —
-	// the flat predecessor of this package had exactly one). When Gateways
-	// is set it takes precedence and Gateway is rewritten to Gateways[0]
-	// at registration; when only Gateway is set, Gateways becomes
-	// [Gateway].
-	Gateway int
-	// Gateways lists every gateway building in failover priority order.
+	// Gateways lists every gateway building in failover priority order;
+	// Gateways[0] is the primary. A region needs at least one.
 	// All of a region's gateways share the region's long-haul links — a
 	// leg may exit through any live one.
 	Gateways []int
@@ -146,9 +141,7 @@ func (in *Internetwork) AddRegion(r *Region) error {
 		return fmt.Errorf("internetwork: duplicate region %q", r.ID)
 	}
 	if len(r.Gateways) == 0 {
-		r.Gateways = []int{r.Gateway}
-	} else {
-		r.Gateway = r.Gateways[0]
+		return fmt.Errorf("internetwork: region %q has no gateway", r.ID)
 	}
 	seen := make(map[int]bool, len(r.Gateways))
 	for _, g := range r.Gateways {

@@ -125,24 +125,21 @@ func TestAddValidation(t *testing.T) {
 
 func TestGatewayNormalization(t *testing.T) {
 	in := New()
-	// Gateways takes precedence and rewrites the legacy Gateway field.
+	// Registration keeps the failover order as given: Gateways[0] stays
+	// the primary.
 	r := region(t, "multi", 217, 3)
-	r.Gateway = 1 << 10 // garbage; must be overwritten by Gateways[0]
+	want := append([]int(nil), r.Gateways...)
 	if err := in.AddRegion(r); err != nil {
 		t.Fatal(err)
 	}
-	if r.Gateway != r.Gateways[0] {
-		t.Errorf("Gateway = %d, want primary %d", r.Gateway, r.Gateways[0])
+	if !reflect.DeepEqual(r.Gateways, want) {
+		t.Errorf("Gateways = %v, want %v", r.Gateways, want)
 	}
-	// Legacy single-Gateway regions get a one-entry Gateways list.
-	legacy := region(t, "legacy-src", 218, 1)
-	single := &Region{ID: "legacy", Net: legacy.Net, Gateway: legacy.Gateways[0]}
-	single.Gateways = nil
-	if err := in.AddRegion(single); err != nil {
-		t.Fatal(err)
-	}
-	if len(single.Gateways) != 1 || single.Gateways[0] != single.Gateway {
-		t.Errorf("Gateways = %v, want [%d]", single.Gateways, single.Gateway)
+	// A region without a gateway has no exit to the long-haul links.
+	none := region(t, "none", 218, 1)
+	none.Gateways = nil
+	if err := in.AddRegion(none); err == nil {
+		t.Error("region without a gateway accepted")
 	}
 }
 

@@ -174,15 +174,6 @@ type SendOptions struct {
 	// Seed drives the level-1 tiebreak and the per-leg ladder seeds; a
 	// fixed seed makes the whole send reproducible.
 	Seed int64
-	// Reliable overrides the per-leg escalation ladder (nil selects
-	// DefaultLegReliable).
-	Reliable *core.ReliableConfig
-	// MaxReroutes bounds level-1 re-plans after transit failures
-	// (0 selects DefaultMaxReroutes, negative disables rerouting).
-	MaxReroutes int
-	// L1WidthKm overrides the conduit-of-conduits width
-	// (0 selects DefaultL1WidthKm).
-	L1WidthKm float64
 }
 
 // DefaultMaxReroutes bounds level-1 re-plans per send.
@@ -231,16 +222,6 @@ func (in *Internetwork) SendOpts(src, dst Address, payload []byte, simCfg sim.Co
 		return SendResult{}, fmt.Errorf("internetwork: destination building %d out of range", dst.Building)
 	}
 	rcfg := DefaultLegReliable()
-	if opts.Reliable != nil {
-		rcfg = *opts.Reliable
-	}
-	if err := rcfg.Validate(); err != nil {
-		return SendResult{}, err
-	}
-	maxReroutes := opts.MaxReroutes
-	if maxReroutes == 0 {
-		maxReroutes = DefaultMaxReroutes
-	}
 
 	out := SendResult{
 		PrefixBits: (&packet.RegionPrefix{
@@ -349,7 +330,7 @@ func (in *Internetwork) SendOpts(src, dst Address, payload []byte, simCfg sim.Co
 	// was not the region's primary.
 	countFailover := func(rIdx, gw int) {
 		r := in.regions[in.order[rIdx]]
-		if gw != r.Gateway {
+		if gw != r.Gateways[0] {
 			for _, g := range r.Gateways {
 				if g == gw {
 					out.GatewayFailovers++
@@ -359,7 +340,7 @@ func (in *Internetwork) SendOpts(src, dst Address, payload []byte, simCfg sim.Co
 		}
 	}
 
-	path, links, ok := in.l1Path(sIdx, dIdx, opts.Seed, 0, opts.L1WidthKm, len(payload), nil)
+	path, links, ok := in.l1Path(sIdx, dIdx, opts.Seed, 0, len(payload), nil)
 	if !ok {
 		out.Failure = FailNoLinkPath
 		out.RegionPath = []RegionID{src.Region}
@@ -423,11 +404,11 @@ func (in *Internetwork) SendOpts(src, dst Address, payload []byte, simCfg sim.Co
 		// conduit, then unrestricted.
 		banned[rIdx] = true
 		out.Reroutes++
-		if out.Reroutes > maxReroutes {
+		if out.Reroutes > DefaultMaxReroutes {
 			out.Failure = FailRerouteExhausted
 			return out, nil
 		}
-		path, links, ok = in.l1Path(prevIdx, dIdx, opts.Seed, out.Reroutes, opts.L1WidthKm, len(payload), banned)
+		path, links, ok = in.l1Path(prevIdx, dIdx, opts.Seed, out.Reroutes, len(payload), banned)
 		if !ok {
 			out.Failure = FailNoLinkPath
 			return out, nil

@@ -131,10 +131,6 @@ type Adversary struct {
 	ReplayInterval float64
 	// ReplayHorizon stops replays after this sim time.
 	ReplayHorizon float64
-	// ReplayBuffer bounds how many distinct frames a replayer retransmits.
-	// The single-packet engine holds at most one; the knob exists so the
-	// live-agent leg and future multi-message runs share one config shape.
-	ReplayBuffer int
 	// ResetTTL is the TTL a TTL-resetter rewrites onto forwarded frames
 	// (0 selects DefaultResetTTL).
 	ResetTTL uint8

@@ -66,7 +66,7 @@ func (c Config) Validate() error {
 		if a.DropProb < 0 || a.DropProb > 1 {
 			return fmt.Errorf("%w (DropProb %v)", ErrBadAdversary, a.DropProb)
 		}
-		if a.ReplayInterval < 0 || a.ReplayHorizon < 0 || a.ReplayBuffer < 0 ||
+		if a.ReplayInterval < 0 || a.ReplayHorizon < 0 ||
 			a.InjectRate < 0 || a.InjectHorizon < 0 || a.GeocastRadius < 0 {
 			return fmt.Errorf("%w (negative knob)", ErrBadAdversary)
 		}

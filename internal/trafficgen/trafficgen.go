@@ -70,8 +70,6 @@ type Config struct {
 	// Session is the per-AP service template; Building and Store are set
 	// per AP.
 	Session session.Config
-	// Reliable configures the inter-AP delivery ladder (zero = defaults).
-	Reliable core.ReliableConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -251,10 +249,7 @@ func Run(n *core.Network, simCfg sim.Config, cfg Config) (Report, error) {
 	if nb == 0 {
 		return Report{}, fmt.Errorf("trafficgen: city has no buildings")
 	}
-	rcfg := cfg.Reliable
-	if rcfg.MultipathK == 0 && rcfg.Retries == 0 && rcfg.BackoffBase == 0 {
-		rcfg = core.DefaultReliableConfig()
-	}
+	rcfg := core.DefaultReliableConfig()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Populated buildings: cfg.APs homes spread evenly across the
