@@ -114,9 +114,6 @@ func mergeKnobs(dst, src *sim.Adversary) {
 	if dst.ForgedTTL == 0 {
 		dst.ForgedTTL = src.ForgedTTL
 	}
-	if dst.GeocastRadius == 0 {
-		dst.GeocastRadius = src.GeocastRadius
-	}
 }
 
 // NumCompromised counts the assignment's Byzantine APs.

@@ -108,19 +108,27 @@ func (g *Grid) span(a, b float64, k0, n int) (first, last int) {
 	return int(lo), int(hi)
 }
 
+// disc returns the squared radius of a radius-r query around center and
+// the block of cells it reads: columns x1 to x2 and, in each, rows y1 to
+// y2. There is no column (x1 > x2) when r < 0 or the disc misses the
+// bounds.
+func (g *Grid) disc(center Point, r float64) (r2 float64, x1, x2, y1, y2 int) {
+	if r < 0 {
+		return 0, 0, -1, 0, 0
+	}
+	x1, x2 = g.span(center.X-r, center.X+r, g.x0, g.nx)
+	y1, y2 = g.span(center.Y-r, center.Y+r, g.y0, g.ny)
+	if y1 > y2 {
+		x2 = x1 - 1
+	}
+	return r * r, x1, x2, y1, y2
+}
+
 // WithinRadius calls fn with the index and location of every point within
 // radius r of center (inclusive). Iteration order is unspecified. If fn
 // returns false the query stops early.
 func (g *Grid) WithinRadius(center Point, r float64, fn func(id int, p Point) bool) {
-	if r < 0 {
-		return
-	}
-	r2 := r * r
-	x1, x2 := g.span(center.X-r, center.X+r, g.x0, g.nx)
-	y1, y2 := g.span(center.Y-r, center.Y+r, g.y0, g.ny)
-	if y1 > y2 {
-		return
-	}
+	r2, x1, x2, y1, y2 := g.disc(center, r)
 	for cx := x1; cx <= x2; cx++ {
 		col := cx * g.ny
 		for k := g.start[col+y1]; k < g.start[col+y2+1]; k++ {
@@ -129,6 +137,42 @@ func (g *Grid) WithinRadius(center Point, r float64, fn func(id int, p Point) bo
 			}
 		}
 	}
+}
+
+// FillWithinRadius writes to dst the index of every point within radius r
+// of center (inclusive) except skip, in the order WithinRadius visits
+// them, and returns how many there are. It writes no more than len(dst)
+// indices, so a nil dst only counts them; where the count is below
+// len(dst), the entries past it are overwritten with unspecified indices.
+// Pass a negative skip to keep every point.
+//
+// Counting and then filling a slice of the counted length is how a sweep
+// over every point of a large grid builds its neighbour rows: the scan
+// calls nothing per point and has no branch on the distance test, whose
+// outcome is close to a coin flip.
+func (g *Grid) FillWithinRadius(dst []int32, center Point, r float64, skip int) int {
+	r2, x1, x2, y1, y2 := g.disc(center, r)
+	n := 0
+	for cx := x1; cx <= x2; cx++ {
+		col := cx * g.ny
+		lo, hi := g.start[col+y1], g.start[col+y2+1]
+		ids := g.ids[lo:hi]
+		for k, p := range g.pts[lo:hi] {
+			id := ids[k]
+			if n < len(dst) {
+				dst[n] = id
+			}
+			in := 0
+			if p.Dist2(center) <= r2 {
+				in = 1
+			}
+			if int(id) == skip {
+				in = 0
+			}
+			n += in
+		}
+	}
+	return n
 }
 
 // InRect calls fn with the index and location of every point inside r

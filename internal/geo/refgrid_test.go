@@ -142,16 +142,67 @@ func FuzzGridMatchesReference(f *testing.F) {
 				c = pts[rng.Intn(len(pts))]
 			}
 			r := rng.Float64() * 3 * g.cell
-			if q%6 == 5 {
+			switch {
+			case q%6 == 5:
 				r = -1
+			case q%6 == 3 && len(pts) > 0:
+				c, r = pts[rng.Intn(len(pts))], 0
+			case q%6 == 1 && len(pts) > 0:
+				// A point exactly on the boundary: its distance is r to
+				// the last bit.
+				p := pts[rng.Intn(len(pts))]
+				c = Pt(p.X+(rng.Float64()*2-1)*2*g.cell, p.Y)
+				r = math.Abs(p.X - c.X)
 			}
-			same("WithinRadius", collect(func(fn func(int, Point) bool) { g.WithinRadius(c, r, fn) }),
-				collect(func(fn func(int, Point) bool) { ref.WithinRadius(c, r, fn) }))
+			want := collect(func(fn func(int, Point) bool) { ref.WithinRadius(c, r, fn) })
+			same("WithinRadius", collect(func(fn func(int, Point) bool) { g.WithinRadius(c, r, fn) }), want)
+			skip := -1
+			if q%3 != 0 && len(want) > 0 {
+				skip = want[rng.Intn(len(want))]
+			} else if q%3 != 0 {
+				skip = rng.Intn(len(pts) + 1)
+			}
+			want = slices.DeleteFunc(want, func(id int) bool { return id == skip })
+			checkFill(t, g, c, r, skip, want, ordered)
 			rect := Rect{Min: c, Max: c.Add(Pt(rng.Float64()*4*g.cell, rng.Float64()*4*g.cell))}
 			same("InRect", collect(func(fn func(int, Point) bool) { g.InRect(rect, fn) }),
 				collect(func(fn func(int, Point) bool) { ref.InRect(rect, fn) }))
 		}
 	})
+}
+
+// checkFill checks FillWithinRadius against want, the reference visit with
+// skip left out: a nil dst counts, a dst of the counted length is filled
+// with want, a longer one starts with want, and a shorter one holds the
+// start of want. Unless ordered, only the full sets are compared.
+func checkFill(t *testing.T, g *Grid, c Point, r float64, skip int, want []int, ordered bool) {
+	t.Helper()
+	n := g.FillWithinRadius(nil, c, r, skip)
+	if n != len(want) {
+		t.Fatalf("FillWithinRadius(nil, %v, %v, %d) counts %d, reference %d", c, r, skip, n, len(want))
+	}
+	for _, size := range []int{n, n + 3, n / 2} {
+		dst := make([]int32, size)
+		if got := g.FillWithinRadius(dst, c, r, skip); got != n {
+			t.Fatalf("FillWithinRadius into %d slots counts %d, into none %d", size, got, n)
+		}
+		k := min(size, n)
+		got := make([]int, k)
+		for i, id := range dst[:k] {
+			got[i] = int(id)
+		}
+		exp := slices.Clone(want[:k])
+		if !ordered {
+			if k < n {
+				continue
+			}
+			slices.Sort(got)
+			slices.Sort(exp)
+		}
+		if !slices.Equal(got, exp) {
+			t.Fatalf("FillWithinRadius(%d slots, %v, %v, %d) writes %v, reference %v", size, c, r, skip, got, exp)
+		}
+	}
 }
 
 // TestGridCellStaysLinear pins the larger cell: points so far apart that

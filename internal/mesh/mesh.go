@@ -7,10 +7,11 @@
 //
 // Placement builds three tables, once and in this order: the spatial grid
 // over the AP positions (geo.Grid, one flat array of cells), the AP graph
-// (every AP's neighbour row is a window of a single backing array, filled
-// from grid sweeps) and the landmark table (eight BFS hop counts per AP,
-// see landmarks.go). The union-find, MinTransmissions, the simulator's
-// broadcast fan-out and the live testbed's hub all read the rows. CityMesh
+// (every AP's neighbour row is a window of a single backing array, counted
+// and then filled by two parallel grid sweeps) and the landmark table
+// (eight BFS hop counts per AP, see landmarks.go). The union-find,
+// MinTransmissions, the simulator's broadcast fan-out and the live
+// testbed's hub all read the rows. CityMesh
 // routing *never* consults the AP graph — the building graph predicts
 // connectivity from the map alone — but the evaluation uses it to measure
 // how well the prediction holds.
@@ -24,6 +25,7 @@ import (
 	"citymesh/internal/freelist"
 	"citymesh/internal/geo"
 	"citymesh/internal/osm"
+	"citymesh/internal/runner"
 )
 
 // Config parameterizes AP placement and connectivity.
@@ -176,49 +178,47 @@ func (m *Mesh) NumLinks() int {
 	return n / 2
 }
 
+// graphChunk is how many APs one task of buildGraph's sweeps covers.
+const graphChunk = 2048
+
 // buildGraph realizes the AP graph from the placed positions: the flat
 // adjacency table, then the union-find over its rows. Place and AddAPs call
 // it; both are build-time, never concurrent with queries.
 //
-// The grid is swept twice, once to size the rows and once to fill them, so
-// the table is three allocations however many APs there are (a row per AP
-// grown by append cost half a million at metro scale). Row i is exactly what
-// grid.WithinRadius(pos[i], Range) visits, self excluded, in its order; the
-// simulator relies on that to replay the grid query from the row.
+// Row i is exactly what grid.WithinRadius(pos[i], Range) visits, self
+// excluded, in its order; the simulator relies on that to replay the grid
+// query from the row. The rows are windows of one backing array, built by
+// two passes of grid.FillWithinRadius over chunks of APs on the runner's
+// pool: the first counts every row, a prefix sum turns the counts into row
+// starts, and the second writes each row into its window. Each row is
+// written by one task only, so the table is the same at any GOMAXPROCS,
+// and it is the same few allocations however many APs there are.
 func (m *Mesh) buildGraph() {
 	n := len(m.APs)
+	g, r := m.grid, m.Cfg.Range
+	chunks := (n + graphChunk - 1) / graphChunk
 	start := make([]int32, n+1)
-	var (
-		self int
-		fill []int32
-	)
-	count := func(j int, _ geo.Point) bool {
-		if j != self {
-			start[self+1]++
+	runner.Map(0, chunks, func(c int) struct{} {
+		for i := c * graphChunk; i < min(n, (c+1)*graphChunk); i++ {
+			start[i+1] = int32(g.FillWithinRadius(nil, m.APs[i].Pos, r, i))
 		}
-		return true
-	}
-	for self = 0; self < n; self++ {
-		m.grid.WithinRadius(m.APs[self].Pos, m.Cfg.Range, count)
-	}
+		return struct{}{}
+	})
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
 	flat := make([]int32, start[n])
-	store := func(j int, _ geo.Point) bool {
-		if j != self {
-			fill = append(fill, int32(j))
-		}
-		return true
-	}
 	m.adj = make([][]int32, n)
-	for self = 0; self < n; self++ {
-		// A full slice expression caps the row at its own end, so an append
-		// by a careless caller copies the row and cannot overwrite the next.
-		fill = flat[start[self]:start[self]:start[self+1]]
-		m.grid.WithinRadius(m.APs[self].Pos, m.Cfg.Range, store)
-		m.adj[self] = fill
-	}
+	runner.Map(0, chunks, func(c int) struct{} {
+		for i := c * graphChunk; i < min(n, (c+1)*graphChunk); i++ {
+			// A full slice expression caps the row at its own end, so an
+			// append by a careless caller copies the row and cannot
+			// overwrite the next.
+			m.adj[i] = flat[start[i]:start[i+1]:start[i+1]]
+			g.FillWithinRadius(m.adj[i], m.APs[i].Pos, r, i)
+		}
+		return struct{}{}
+	})
 
 	m.uf = newUnionFind(n)
 	for i, row := range m.adj {

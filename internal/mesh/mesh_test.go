@@ -2,6 +2,8 @@ package mesh
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"citymesh/internal/citygen"
@@ -298,6 +300,45 @@ func TestUnionFind(t *testing.T) {
 	}
 }
 
+// TestPlaceIsTheSameAtAnyParallelism places every preset with one worker
+// and with eight: the AP graph's sweeps and the landmark searches run on
+// the runner's pool, and the rows, the union-find and the landmark table
+// must not depend on how the work was spread.
+func TestPlaceIsTheSameAtAnyParallelism(t *testing.T) {
+	for _, name := range append(citygen.PresetNames(), "metro") {
+		t.Run(name, func(t *testing.T) {
+			if name == "metro" && testing.Short() {
+				t.Skip("metro placement takes a few seconds")
+			}
+			spec, _ := citygen.Preset(name)
+			plan, err := citygen.Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			city := planCity(plan)
+			prev := runtime.GOMAXPROCS(1)
+			one := Place(city, DefaultConfig())
+			runtime.GOMAXPROCS(8)
+			eight := Place(city, DefaultConfig())
+			runtime.GOMAXPROCS(prev)
+			if len(one.adj) != len(eight.adj) {
+				t.Fatalf("%d APs with 1 worker, %d with 8", len(one.adj), len(eight.adj))
+			}
+			for i := range one.adj {
+				if !slices.Equal(one.adj[i], eight.adj[i]) {
+					t.Fatalf("row %d = %v with 1 worker, %v with 8", i, one.adj[i], eight.adj[i])
+				}
+			}
+			if !slices.Equal(one.uf.parent, eight.uf.parent) || !slices.Equal(one.uf.size, eight.uf.size) {
+				t.Error("union-find differs between 1 and 8 workers")
+			}
+			if !slices.Equal(one.landmarks, eight.landmarks) {
+				t.Error("landmark tables differ between 1 and 8 workers")
+			}
+		})
+	}
+}
+
 func BenchmarkPlace(b *testing.B) {
 	plan, err := citygen.Generate(citygen.SmallTestSpec(45))
 	if err != nil {
@@ -319,6 +360,19 @@ func BenchmarkMinTransmissions(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, _ = m.MinTransmissions(i*7919%n, (i*13+7)%n)
+			}
+		})
+	}
+}
+
+func BenchmarkBuildGraph(b *testing.B) {
+	for _, name := range []string{"gridtown", "metro"} {
+		b.Run(name, func(b *testing.B) {
+			m := presetMesh(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.buildGraph()
 			}
 		})
 	}

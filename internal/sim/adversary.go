@@ -54,7 +54,7 @@ const (
 	// to Adversary.ResetTTL, unbounding scoped floods.
 	BehaviorTTLReset
 	// BehaviorSpoofer injects forged geocast frames at InjectRate claiming
-	// a GeocastRadius target disc — honest APs inside the claimed disc
+	// a DefaultSpoofRadius target disc — honest APs inside the claimed disc
 	// rebroadcast them.
 	BehaviorSpoofer
 	// BehaviorFlooder injects forged flood frames at InjectRate with
@@ -140,8 +140,6 @@ type Adversary struct {
 	InjectHorizon float64
 	// ForgedTTL is the TTL on injected forged frames.
 	ForgedTTL uint8
-	// GeocastRadius is the spoofer's claimed target disc radius in meters.
-	GeocastRadius float64
 }
 
 // BehaviorOf returns ap's assigned behavior (BehaviorHonest when a is nil
@@ -217,13 +215,6 @@ func (a *Adversary) forgedTTL() int {
 		return DefaultForgedTTL
 	}
 	return int(a.ForgedTTL)
-}
-
-func (a *Adversary) spoofRadius() float64 {
-	if a.GeocastRadius <= 0 {
-		return DefaultSpoofRadius
-	}
-	return a.GeocastRadius
 }
 
 // Defense is the honest receiver's sanity stack — the simulator twin of the

@@ -409,7 +409,7 @@ func (s *scratch) run() Result {
 			for ft := s.rng.Float64() * iv; ft <= adv.injectHorizon(); ft += iv {
 				s.forged = append(s.forged, forgedMsg{
 					spoof:  spoof,
-					radius: adv.spoofRadius(),
+					radius: DefaultSpoofRadius,
 					center: e.pos[ap],
 					ttl:    map[int]int{ap: adv.forgedTTL()},
 				})

@@ -67,7 +67,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%w (DropProb %v)", ErrBadAdversary, a.DropProb)
 		}
 		if a.ReplayInterval < 0 || a.ReplayHorizon < 0 ||
-			a.InjectRate < 0 || a.InjectHorizon < 0 || a.GeocastRadius < 0 {
+			a.InjectRate < 0 || a.InjectHorizon < 0 {
 			return fmt.Errorf("%w (negative knob)", ErrBadAdversary)
 		}
 		for ap, b := range a.Behaviors {
