@@ -28,27 +28,31 @@ type DataMuleConfig struct {
 	City string
 	// Scale shrinks the preset (default 0.35).
 	Scale float64
-	// FloodFrac additionally drowns this fraction of APs nearest the water,
-	// widening the dead zone so no bridgehead pair is in radio range
-	// (default 0.2).
-	FloodFrac float64
 	// Pairs is how many cross-river building pairs are driven (default 8).
 	Pairs int
 	// Seed drives sampling, injection, and transport randomness.
 	Seed int64
-	// Buses is the shuttle fleet size; the buses run the same crossing
-	// route phase-shifted by period/Buses, so one is always somewhere
-	// useful (default 2).
-	Buses int
-	// BusSpeedMps is the shuttle speed (default 8 — a city bus).
-	BusSpeedMps float64
-	// HorizonS is how long a bus keeps rebroadcasting a carried message
-	// (default 240 — comfortably one route crossing).
-	HorizonS float64
 	// Parallelism is the runner worker count; output is byte-identical at
 	// any value.
 	Parallelism int
 }
+
+// The data-mule scenario: the flood that severs the river banks and the
+// bus fleet that crosses them.
+const (
+	// muleFloodFrac additionally drowns this fraction of APs nearest the
+	// water, widening the dead zone so no bridgehead pair is in radio range.
+	muleFloodFrac = 0.2
+	// muleBuses is the shuttle fleet size; the buses run the same crossing
+	// route phase-shifted by period/muleBuses, so one is always somewhere
+	// useful.
+	muleBuses = 2
+	// muleBusSpeedMps is the shuttle speed: a city bus.
+	muleBusSpeedMps = 8
+	// muleHorizonS is how long a bus keeps rebroadcasting a carried
+	// message: comfortably one route crossing.
+	muleHorizonS = 240
+)
 
 // DataMuleRow is one arm of the comparison: the same cross-river pairs,
 // same faults, same seeds, with and without the bus fleet.
@@ -78,23 +82,11 @@ func DataMule(cfg DataMuleConfig) ([]DataMuleRow, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 0.35
 	}
-	if cfg.FloodFrac <= 0 {
-		cfg.FloodFrac = 0.2
-	}
 	if cfg.Pairs <= 0 {
 		cfg.Pairs = 8
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Buses <= 0 {
-		cfg.Buses = 2
-	}
-	if cfg.BusSpeedMps <= 0 {
-		cfg.BusSpeedMps = 8
-	}
-	if cfg.HorizonS <= 0 {
-		cfg.HorizonS = 240
 	}
 	// Both arms share one store-and-heal scheduler: 5 ladder runs with a
 	// 20 s → 120 s backoff, parking after 2 exhaustions.
@@ -114,7 +106,7 @@ func DataMule(cfg DataMuleConfig) ([]DataMuleRow, error) {
 
 	// Widen the dead zone: drown the APs nearest the water.
 	inj, err := faults.Inject(n.Mesh, n.City, faults.Config{
-		Mode: faults.ModeFlood, Frac: cfg.FloodFrac, Seed: cfg.Seed,
+		Mode: faults.ModeFlood, Frac: muleFloodFrac, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -138,15 +130,15 @@ func DataMule(cfg DataMuleConfig) ([]DataMuleRow, error) {
 	}
 	route, err := mobility.NewTrack(
 		[]geo.Point{clamp(mid.Add(nrm.Scale(-reach))), clamp(mid.Add(nrm.Scale(reach)))},
-		cfg.BusSpeedMps, 0, true)
+		muleBusSpeedMps, 0, true)
 	if err != nil {
 		return nil, err
 	}
-	fleet := make([]sim.Mobile, cfg.Buses)
+	fleet := make([]sim.Mobile, muleBuses)
 	for k := range fleet {
 		fleet[k] = sim.Mobile{
-			Path:     sim.OffsetPath{Base: route, Offset: float64(k) * route.Period() / float64(cfg.Buses)},
-			HorizonS: cfg.HorizonS,
+			Path:     sim.OffsetPath{Base: route, Offset: float64(k) * route.Period() / muleBuses},
+			HorizonS: muleHorizonS,
 		}
 	}
 
@@ -267,13 +259,6 @@ type FloodFrontStudyConfig struct {
 	City string
 	// Scale shrinks the preset (default 0.35).
 	Scale float64
-	// Frac caps the front so the final submerged fraction matches the
-	// static snapshot arm (default 0.3).
-	Frac float64
-	// SpeedMps is the waterline speed (default 2).
-	SpeedMps float64
-	// JitterS is the per-AP submergence jitter bound (default 5).
-	JitterS float64
 	// ProbeTimes are the sim instants at which each arm is sampled
 	// (default {0, 60, 180, 420}).
 	ProbeTimes []float64
@@ -288,6 +273,17 @@ type FloodFrontStudyConfig struct {
 	// output is byte-identical at any value.
 	Parallelism int
 }
+
+// The advancing flood of the floodfront study.
+const (
+	// frontFrac caps the front so the final submerged fraction matches the
+	// static snapshot arm.
+	frontFrac = 0.3
+	// frontSpeedMps is the waterline speed.
+	frontSpeedMps = 2
+	// frontJitterS is the per-AP submergence jitter bound.
+	frontJitterS = 5
+)
 
 // FloodFrontRow is one (probe time, arm) cell.
 type FloodFrontRow struct {
@@ -320,15 +316,6 @@ func FloodFrontStudy(cfg FloodFrontStudyConfig) ([]FloodFrontRow, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 0.35
 	}
-	if cfg.Frac <= 0 {
-		cfg.Frac = 0.3
-	}
-	if cfg.SpeedMps <= 0 {
-		cfg.SpeedMps = 2
-	}
-	if cfg.JitterS <= 0 {
-		cfg.JitterS = 5
-	}
 	if len(cfg.ProbeTimes) == 0 {
 		cfg.ProbeTimes = []float64{0, 60, 180, 420}
 	}
@@ -355,14 +342,14 @@ func FloodFrontStudy(cfg FloodFrontStudyConfig) ([]FloodFrontRow, error) {
 	}
 
 	dynamic, err := faults.Inject(n.Mesh, n.City, faults.Config{
-		Mode: faults.ModeFloodFront, Frac: cfg.Frac, Seed: cfg.Seed,
-		FrontSpeed: cfg.SpeedMps, FrontJitter: cfg.JitterS,
+		Mode: faults.ModeFloodFront, Frac: frontFrac, Seed: cfg.Seed,
+		FrontSpeed: frontSpeedMps, FrontJitter: frontJitterS,
 	})
 	if err != nil {
 		return nil, err
 	}
 	static, err := faults.Inject(n.Mesh, n.City, faults.Config{
-		Mode: faults.ModeFlood, Frac: cfg.Frac, Seed: cfg.Seed,
+		Mode: faults.ModeFlood, Frac: frontFrac, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err

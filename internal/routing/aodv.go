@@ -1,8 +1,6 @@
 package routing
 
 import (
-	"citymesh/internal/mesh"
-	"citymesh/internal/osm"
 	"citymesh/internal/packet"
 	"citymesh/internal/sim"
 )
@@ -27,17 +25,11 @@ type AODVCost struct {
 // Total returns all transmissions charged to delivering one data packet.
 func (c AODVCost) Total() int { return c.RREQBroadcasts + c.RREPUnicasts + c.DataUnicasts }
 
-// AODVDiscover computes the AODV cost model for one src→dst building pair
-// by running a flood simulation for the RREQ and a BFS for the path. It
-// builds a throwaway engine per call; sweeps over many pairs should use
-// AODVDiscoverEngine with one shared engine instead.
-func AODVDiscover(m *mesh.Mesh, city *osm.City, src, dst int, cfg sim.Config) AODVCost {
-	return AODVDiscoverEngine(sim.NewEngine(m, city, Flood{}), src, dst, cfg)
-}
-
-// AODVDiscoverEngine is AODVDiscover over a prebuilt engine, so sweeps
-// amortize the per-mesh precomputation and reused scratch across pairs.
-// The engine's own policy is ignored: the RREQ always floods.
+// AODVDiscoverEngine computes the AODV cost model for one src→dst building
+// pair by running a flood simulation on eng for the RREQ and a BFS for the
+// path. Sweeps share one engine across pairs, so they amortize the per-mesh
+// precomputation and reused scratch. The engine's own policy is ignored:
+// the RREQ always floods.
 func AODVDiscoverEngine(eng *sim.Engine, src, dst int, cfg sim.Config) AODVCost {
 	pkt := &packet.Packet{
 		Header: packet.Header{

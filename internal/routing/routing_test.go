@@ -225,7 +225,7 @@ func TestGreedyGeoPureDropsAtVoid(t *testing.T) {
 func TestAODVDiscover(t *testing.T) {
 	city, g, m := testSetup(t, 57)
 	src, dst := reachablePair(t, city, g, m, 7)
-	cost := AODVDiscover(m, city, src, dst, sim.DefaultConfig())
+	cost := AODVDiscoverEngine(sim.NewEngine(m, city, Flood{}), src, dst, sim.DefaultConfig())
 	if !cost.Delivered {
 		t.Fatal("AODV discovery should reach a reachable pair")
 	}
@@ -254,7 +254,7 @@ func TestAODVUnreachable(t *testing.T) {
 		})
 	}
 	m := mesh.Place(city, mesh.DefaultConfig())
-	cost := AODVDiscover(m, city, 0, 1, sim.DefaultConfig())
+	cost := AODVDiscoverEngine(sim.NewEngine(m, city, Flood{}), 0, 1, sim.DefaultConfig())
 	if cost.Delivered {
 		t.Error("isolated pair should not be delivered")
 	}

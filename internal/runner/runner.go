@@ -89,7 +89,10 @@ func Map[T any](parallelism, n int, task func(i int) T) []T {
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
-							panicked.CompareAndSwap(nil, &r)
+							// A fresh copy, so that only a panicking task
+							// moves its value to the heap.
+							v := r
+							panicked.CompareAndSwap(nil, &v)
 						}
 					}()
 					out[i] = task(i)

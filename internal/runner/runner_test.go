@@ -80,6 +80,20 @@ func TestMapPropagatesPanic(t *testing.T) {
 	})
 }
 
+// TestMapAllocsIndependentOfTaskCount pins the parallel path's
+// allocations to the pool, not the tasks: the panic slot of a task must not
+// escape to the heap unless the task panics.
+func TestMapAllocsIndependentOfTaskCount(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			Map(2, n, func(i int) int { return i })
+		})
+	}
+	if small, large := allocs(64), allocs(1024); small != large {
+		t.Errorf("Map(2, n) allocates %.0f times at n=64 and %.0f at n=1024; want equal", small, large)
+	}
+}
+
 func TestMapErrReturnsLowestIndexedError(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")

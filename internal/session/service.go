@@ -73,8 +73,6 @@ type Config struct {
 	OverloadAt       float64
 	PowBitsCongested int
 	PowBitsOverload  int
-
-	RetryAfter float64
 }
 
 func (c Config) withDefaults() Config {
@@ -110,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PowBitsOverload <= 0 {
 		c.PowBitsOverload = DefaultPowBitsOverload
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = DefaultRetryAfter
 	}
 	return c
 }
@@ -288,7 +283,7 @@ func (s *Service) acceptLocked() Reply {
 func (s *Service) rejectLocked(cause Cause) Reply {
 	t := s.tierLocked()
 	s.noteTierLocked(t)
-	retry := s.cfg.RetryAfter * float64(uint32(1)<<t)
+	retry := DefaultRetryAfter * float64(uint32(1)<<t)
 	return Reply{
 		Type: TReject, Cause: cause, Tier: t, PowBits: s.powBits(t),
 		RetryAfterMs: uint32(retry * 1000),

@@ -30,6 +30,29 @@ import (
 	"citymesh/internal/stats"
 )
 
+// The simulated population and its habits, one fixed value each; the
+// overload and floodfront goldens pin them.
+const (
+	// tickS is the tick duration in simulation seconds.
+	tickS = 1.0
+	// baseRate is the per-user baseline send rate, 0.1 msgs/sec,
+	// modulated by a diurnal factor.
+	baseRate = 0.1
+	// flashBurst is the number of messages each send event becomes during
+	// the flash crowd: people re-sending "are you ok?" repeatedly.
+	flashBurst = 3
+	// legacyFrac and midFrac split the population by proof-of-work
+	// capability: legacy devices solve nothing, mid devices up to
+	// midPowCap bits, the rest up to session.MaxPowBits.
+	legacyFrac = 0.2
+	midFrac    = 0.5
+	midPowCap  = 8
+	// fetchEvery is the tick interval between a user's fetch+ack polls.
+	fetchEvery = 2
+	// drainBudget is the number of messages forwarded per AP per tick: 4.
+	drainBudget = 4
+)
+
 // Config parameterizes one traffic run.
 type Config struct {
 	// Users is the total user population, assigned round-robin to the
@@ -39,32 +62,12 @@ type Config struct {
 	// city's building count). Concentrating the population is what makes
 	// per-AP queue dynamics visible at simulation scale.
 	APs int
-	// Ticks is the run length in ticks (default 90); Tick is the tick
-	// duration in simulation seconds (default 1).
+	// Ticks is the run length in ticks of tickS seconds (default 90).
 	Ticks int
-	Tick  float64
-	// BaseRate is the per-user baseline send rate in msgs/sec, modulated
-	// by a diurnal factor (default 0.03).
-	BaseRate float64
-	// FlashAtTick starts the flash crowd (default Ticks/2); from then on
-	// the per-user rate is multiplied by FlashMultiplier (default 1 = no
-	// crowd) and each send event becomes a burst of FlashBurst messages
-	// (default 3) — people re-sending "are you ok?" repeatedly.
-	FlashAtTick     int
+	// FlashMultiplier multiplies the per-user rate from tick Ticks/2 on,
+	// when the flash crowd starts (default 1 = no crowd); each send event
+	// then becomes a burst of flashBurst messages.
 	FlashMultiplier float64
-	FlashBurst      int
-	// LegacyFrac / MidFrac split the population by proof-of-work
-	// capability: legacy devices solve nothing, mid devices up to
-	// MidPowCap bits, the rest up to session.MaxPowBits. Defaults 0.2 /
-	// 0.5 with MidPowCap 8.
-	LegacyFrac float64
-	MidFrac    float64
-	MidPowCap  int
-	// FetchEvery is the tick interval between a user's fetch+ack polls
-	// (default 2).
-	FetchEvery int
-	// DrainBudget is messages forwarded per AP per tick (default 8).
-	DrainBudget int
 	// Seed drives all generator randomness.
 	Seed int64
 	// Session is the per-AP service template; Building and Store are set
@@ -82,35 +85,8 @@ func (c Config) withDefaults() Config {
 	if c.Ticks <= 0 {
 		c.Ticks = 90
 	}
-	if c.Tick <= 0 {
-		c.Tick = 1
-	}
-	if c.BaseRate <= 0 {
-		c.BaseRate = 0.1
-	}
-	if c.FlashAtTick <= 0 {
-		c.FlashAtTick = c.Ticks / 2
-	}
 	if c.FlashMultiplier <= 0 {
 		c.FlashMultiplier = 1
-	}
-	if c.FlashBurst <= 0 {
-		c.FlashBurst = 3
-	}
-	if c.LegacyFrac <= 0 {
-		c.LegacyFrac = 0.2
-	}
-	if c.MidFrac <= 0 {
-		c.MidFrac = 0.5
-	}
-	if c.MidPowCap <= 0 {
-		c.MidPowCap = 8
-	}
-	if c.FetchEvery <= 0 {
-		c.FetchEvery = 2
-	}
-	if c.DrainBudget <= 0 {
-		c.DrainBudget = 4
 	}
 	// The session template defaults are tuned for AP-scale queue dynamics
 	// at traffic-generator scale: a small queue so tiers move within a
@@ -269,10 +245,10 @@ func Run(n *core.Network, simCfg sim.Config, cfg Config) (Report, error) {
 		u := &user{id: uint64(i + 1), home: homes[i%naps]}
 		u.addr = userAddr(u.id)
 		switch roll := rng.Float64(); {
-		case roll < cfg.LegacyFrac:
+		case roll < legacyFrac:
 			u.powCap = 0
-		case roll < cfg.LegacyFrac+cfg.MidFrac:
-			u.powCap = cfg.MidPowCap
+		case roll < legacyFrac+midFrac:
+			u.powCap = midPowCap
 		default:
 			u.powCap = session.MaxPowBits
 		}
@@ -336,7 +312,7 @@ func Run(n *core.Network, simCfg sim.Config, cfg Config) (Report, error) {
 
 	drainAll := func(now float64) {
 		for _, b := range buildings {
-			for _, d := range services[b].Drain(now, cfg.DrainBudget, forwarders[b]) {
+			for _, d := range services[b].Drain(now, drainBudget, forwarders[b]) {
 				if d.Delivered {
 					latencies = append(latencies, d.Latency)
 				}
@@ -345,22 +321,23 @@ func Run(n *core.Network, simCfg sim.Config, cfg Config) (Report, error) {
 		}
 	}
 
+	flashAt := cfg.Ticks / 2
 	for tick := 0; tick < cfg.Ticks; tick++ {
-		now := float64(tick) * cfg.Tick
-		flash := tick >= cfg.FlashAtTick
+		now := float64(tick) * tickS
+		flash := tick >= flashAt
 		// Diurnal modulation: a smooth day curve over the run.
 		diurnal := 0.6 + 0.4*math.Sin(2*math.Pi*float64(tick)/float64(cfg.Ticks))
-		rate := cfg.BaseRate * diurnal
+		rate := baseRate * diurnal
 		burst := 1
 		if flash {
 			rate *= cfg.FlashMultiplier
-			burst = cfg.FlashBurst
+			burst = flashBurst
 		}
 		for ui, u := range users {
 			if u.retryAt > now {
 				continue
 			}
-			if rng.Float64() >= rate*cfg.Tick {
+			if rng.Float64() >= rate*tickS {
 				continue
 			}
 			svc := services[u.home]
@@ -399,7 +376,7 @@ func Run(n *core.Network, simCfg sim.Config, cfg Config) (Report, error) {
 			}
 		}
 		drainAll(now)
-		if tick%cfg.FetchEvery == 0 {
+		if tick%fetchEvery == 0 {
 			for _, u := range users {
 				fetchUser(u, now)
 			}
@@ -411,18 +388,18 @@ func Run(n *core.Network, simCfg sim.Config, cfg Config) (Report, error) {
 	maxFlush := 0
 	for _, b := range buildings {
 		if q := services[b].QueueLen(); q > 0 {
-			need := (q + cfg.DrainBudget - 1) / cfg.DrainBudget
+			need := (q + drainBudget - 1) / drainBudget
 			if need > maxFlush {
 				maxFlush = need
 			}
 		}
 	}
 	for ft := 0; ft < maxFlush; ft++ {
-		now := float64(cfg.Ticks+ft) * cfg.Tick
+		now := float64(cfg.Ticks+ft) * tickS
 		drainAll(now)
 		rep.FlushTicks++
 	}
-	finalNow := float64(cfg.Ticks+rep.FlushTicks) * cfg.Tick
+	finalNow := float64(cfg.Ticks+rep.FlushTicks) * tickS
 	for _, u := range users {
 		fetchUser(u, finalNow)
 	}
@@ -446,7 +423,7 @@ func Run(n *core.Network, simCfg sim.Config, cfg Config) (Report, error) {
 		rep.LatencyP50 = stats.Percentile(latencies, 50)
 		rep.LatencyP99 = stats.Percentile(latencies, 99)
 	}
-	if d := float64(cfg.Ticks) * cfg.Tick; d > 0 {
+	if d := float64(cfg.Ticks) * tickS; d > 0 {
 		rep.Throughput = float64(rep.Delivered) / d
 	}
 	if err := rep.AccountingError(); err != nil {

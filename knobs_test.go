@@ -2,8 +2,10 @@ package citymesh_test
 
 import (
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -147,6 +149,232 @@ func (ft fileTypes) exprType(d decls, e ast.Expr) (typeKey, bool) {
 	return typeKey{}, false
 }
 
+// knobLint holds TestEveryConfigFieldIsSet's two passes: declare learns
+// the module's declarations and its knob fields, then scanWrites records
+// which of those fields some file writes.
+type knobLint struct {
+	d             decls
+	knobs         map[typeKey][]string
+	written       map[fieldRef]bool
+	writtenByName map[string]bool
+}
+
+func newKnobLint() *knobLint {
+	return &knobLint{
+		d: decls{
+			aliases: map[typeKey]typeKey{},
+			fields:  map[typeKey]map[string]typeKey{},
+			results: map[typeKey]typeKey{},
+		},
+		knobs:         map[typeKey][]string{},
+		written:       map[fieldRef]bool{},
+		writtenByName: map[string]bool{},
+	}
+}
+
+// declare is pass one, over a non-test file: its aliases, struct field
+// types, function result types and, under internal/, knob fields.
+func (l *knobLint) declare(path string, f *ast.File) {
+	ft := newFileTypes(path, f)
+	for _, decl := range f.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			if fd.Recv == nil && fd.Type.Results != nil {
+				if k, ok := ft.resolve(fd.Type.Results.List[0].Type); ok {
+					l.d.results[typeKey{ft.dir, fd.Name.Name}] = k
+				}
+			}
+			continue
+		}
+		gd := decl.(*ast.GenDecl)
+		if gd.Tok != token.TYPE {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts := spec.(*ast.TypeSpec)
+			k := typeKey{ft.dir, ts.Name.Name}
+			if ts.Assign.IsValid() {
+				if to, ok := ft.resolve(ts.Type); ok {
+					l.d.aliases[k] = to
+				}
+				continue
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				continue
+			}
+			l.d.fields[k] = map[string]typeKey{}
+			knob := strings.HasPrefix(ft.dir, "internal/") && isKnobStruct(k)
+			if knob {
+				l.knobs[k] = []string{}
+			}
+			for _, fl := range st.Fields.List {
+				ftype, typed := ft.resolve(fl.Type)
+				for _, name := range fl.Names {
+					if typed {
+						l.d.fields[k][name.Name] = ftype
+					}
+					if knob && name.IsExported() {
+						l.knobs[k] = append(l.knobs[k], name.Name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// selector resolves x.F to the field it names, where exprType can tell
+// x's type.
+func (l *knobLint) selector(ft fileTypes, e ast.Expr) (*ast.SelectorExpr, fieldRef, bool) {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return nil, fieldRef{}, false
+	}
+	k, ok := ft.exprType(l.d, sel.X)
+	return sel, fieldRef{l.d.canon(k), sel.Sel.Name}, ok
+}
+
+// selfDefault returns the assignment of a zero-means-default branch,
+// `if c.X <= 0 { c.X = d }`, that does not count as a write of X: the
+// assignment is the only statement of the if's body, the condition reads
+// the same field, and the file is in the package that declares it. In
+// another package the same branch is a caller overriding a default, and
+// counts.
+func (l *knobLint) selfDefault(ft fileTypes, s *ast.IfStmt) *ast.AssignStmt {
+	if len(s.Body.List) != 1 {
+		return nil
+	}
+	as, ok := s.Body.List[0].(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != 1 {
+		return nil
+	}
+	_, ref, ok := l.selector(ft, as.Lhs[0])
+	if !ok || ref.typ.dir != ft.dir {
+		return nil
+	}
+	read := false
+	ast.Inspect(s.Cond, func(n ast.Node) bool {
+		if e, ok := n.(ast.Expr); ok {
+			if _, r, ok := l.selector(ft, e); ok && r == ref {
+				read = true
+			}
+		}
+		return !read
+	})
+	if !read {
+		return nil
+	}
+	return as
+}
+
+// scanWrites is pass two, over any Go file of the repository, tests and
+// bench/ included: it records each knob field the file writes.
+func (l *knobLint) scanWrites(path string, f *ast.File) {
+	ft := newFileTypes(path, f)
+	selWrite := func(e ast.Expr) {
+		sel, ref, ok := l.selector(ft, e)
+		switch {
+		case ok:
+			l.written[ref] = true
+		case sel != nil:
+			l.writtenByName[sel.Sel.Name] = true
+		}
+	}
+	elided := map[*ast.CompositeLit]ast.Expr{}
+	defaults := map[*ast.AssignStmt]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.IfStmt:
+			if as := l.selfDefault(ft, n); as != nil {
+				defaults[as] = true
+			}
+		case *ast.AssignStmt:
+			if defaults[n] {
+				return true
+			}
+			for _, lhs := range n.Lhs {
+				selWrite(lhs)
+			}
+		case *ast.IncDecStmt:
+			selWrite(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				selWrite(n.X)
+			}
+		case *ast.CompositeLit:
+			typ := n.Type
+			if typ == nil {
+				typ = elided[n]
+			}
+			var elem ast.Expr
+			switch tt := typ.(type) {
+			case *ast.ArrayType:
+				elem = tt.Elt
+			case *ast.MapType:
+				elem = tt.Value
+			}
+			if elem != nil {
+				if star, ok := elem.(*ast.StarExpr); ok {
+					elem = star.X
+				}
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						el = kv.Value
+					}
+					if cl, ok := el.(*ast.CompositeLit); ok && cl.Type == nil {
+						elided[cl] = elem
+					}
+				}
+				return true
+			}
+			k, ok := ft.resolve(typ)
+			if !ok {
+				return true
+			}
+			k = l.d.canon(k)
+			if _, knob := l.knobs[k]; !knob {
+				return true
+			}
+			for _, el := range n.Elts {
+				kv, ok := el.(*ast.KeyValueExpr)
+				if !ok {
+					for _, name := range l.knobs[k] {
+						l.written[fieldRef{k, name}] = true
+					}
+					break
+				}
+				if key, ok := kv.Key.(*ast.Ident); ok {
+					l.written[fieldRef{k, key.Name}] = true
+				}
+			}
+		}
+		return true
+	})
+}
+
+// unset returns every knob field nothing writes, as "dir.Type.Field" in
+// sorted order, and the number of knob fields.
+func (l *knobLint) unset() (names []string, total int) {
+	keys := make([]typeKey, 0, len(l.knobs))
+	for k := range l.knobs {
+		keys = append(keys, k)
+		total += len(l.knobs[k])
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].dir != keys[j].dir {
+			return keys[i].dir < keys[j].dir
+		}
+		return keys[i].name < keys[j].name
+	})
+	for _, k := range keys {
+		for _, name := range l.knobs[k] {
+			if !l.written[fieldRef{k, name}] && !l.writtenByName[name] {
+				names = append(names, k.dir+"."+k.name+"."+name)
+			}
+		}
+	}
+	return names, total
+}
+
 // TestEveryConfigFieldIsSet fails on a knob nothing turns: an exported
 // field of a knob struct (see isKnobStruct) in non-test internal/ code that
 // no Go file of the repository writes, tests and bench/ included. Such a
@@ -158,163 +386,112 @@ func (ft fileTypes) exprType(d decls, e ast.Expr) (typeKey, bool) {
 // slice or map literal) writes the keys it names, and a positional one
 // writes every field. An assignment, ++/-- or &x.F writes field F of x's
 // type where exprType can tell it, and every knob field named F where it
-// cannot.
+// cannot. One assignment is not a write: a field's own default branch,
+// `if c.X <= 0 { c.X = d }`, where the assignment is the only statement of
+// the if's body, the if's condition reads the same field, and the file is
+// in the package that declares the field (see selfDefault). The same
+// branch in another package is a caller overriding the default, and is a
+// write.
 func TestEveryConfigFieldIsSet(t *testing.T) {
-	knobs := map[typeKey][]string{}
-	d := decls{
-		aliases: map[typeKey]typeKey{},
-		fields:  map[typeKey]map[string]typeKey{},
-		results: map[typeKey]typeKey{},
-	}
-	parseModule(t, false, func(path string, f *ast.File) {
-		ft := newFileTypes(path, f)
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				if fd.Recv == nil && fd.Type.Results != nil {
-					if k, ok := ft.resolve(fd.Type.Results.List[0].Type); ok {
-						d.results[typeKey{ft.dir, fd.Name.Name}] = k
-					}
-				}
-				continue
-			}
-			gd := decl.(*ast.GenDecl)
-			if gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts := spec.(*ast.TypeSpec)
-				k := typeKey{ft.dir, ts.Name.Name}
-				if ts.Assign.IsValid() {
-					if to, ok := ft.resolve(ts.Type); ok {
-						d.aliases[k] = to
-					}
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				d.fields[k] = map[string]typeKey{}
-				knob := strings.HasPrefix(ft.dir, "internal/") && isKnobStruct(k)
-				if knob {
-					knobs[k] = []string{}
-				}
-				for _, fl := range st.Fields.List {
-					ftype, typed := ft.resolve(fl.Type)
-					for _, name := range fl.Names {
-						if typed {
-							d.fields[k][name.Name] = ftype
-						}
-						if knob && name.IsExported() {
-							knobs[k] = append(knobs[k], name.Name)
-						}
-					}
-				}
-			}
-		}
-	})
-	if len(knobs) == 0 {
+	l := newKnobLint()
+	parseModule(t, false, l.declare)
+	if len(l.knobs) == 0 {
 		t.Fatal("no knob structs found: run from the module root")
 	}
-
-	written := map[fieldRef]bool{}
-	writtenByName := map[string]bool{}
-	parseModule(t, true, func(path string, f *ast.File) {
-		ft := newFileTypes(path, f)
-		selWrite := func(e ast.Expr) {
-			sel, ok := e.(*ast.SelectorExpr)
-			if !ok {
-				return
-			}
-			if k, ok := ft.exprType(d, sel.X); ok {
-				written[fieldRef{d.canon(k), sel.Sel.Name}] = true
-			} else {
-				writtenByName[sel.Sel.Name] = true
-			}
-		}
-		elided := map[*ast.CompositeLit]ast.Expr{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					selWrite(lhs)
-				}
-			case *ast.IncDecStmt:
-				selWrite(n.X)
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					selWrite(n.X)
-				}
-			case *ast.CompositeLit:
-				typ := n.Type
-				if typ == nil {
-					typ = elided[n]
-				}
-				var elem ast.Expr
-				switch tt := typ.(type) {
-				case *ast.ArrayType:
-					elem = tt.Elt
-				case *ast.MapType:
-					elem = tt.Value
-				}
-				if elem != nil {
-					if star, ok := elem.(*ast.StarExpr); ok {
-						elem = star.X
-					}
-					for _, el := range n.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							el = kv.Value
-						}
-						if cl, ok := el.(*ast.CompositeLit); ok && cl.Type == nil {
-							elided[cl] = elem
-						}
-					}
-					return true
-				}
-				k, ok := ft.resolve(typ)
-				if !ok {
-					return true
-				}
-				k = d.canon(k)
-				if _, knob := knobs[k]; !knob {
-					return true
-				}
-				for _, el := range n.Elts {
-					kv, ok := el.(*ast.KeyValueExpr)
-					if !ok {
-						for _, name := range knobs[k] {
-							written[fieldRef{k, name}] = true
-						}
-						break
-					}
-					if key, ok := kv.Key.(*ast.Ident); ok {
-						written[fieldRef{k, key.Name}] = true
-					}
-				}
-			}
-			return true
-		})
-	})
-
-	keys := make([]typeKey, 0, len(knobs))
-	total := 0
-	for k := range knobs {
-		keys = append(keys, k)
-		total += len(knobs[k])
+	parseModule(t, true, l.scanWrites)
+	unset, total := l.unset()
+	t.Logf("%d exported fields in %d knob structs", total, len(l.knobs))
+	for _, name := range unset {
+		t.Errorf("%s is never set anywhere in the repository: delete it, or make its default a constant", name)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dir != keys[j].dir {
-			return keys[i].dir < keys[j].dir
-		}
-		return keys[i].name < keys[j].name
-	})
-	t.Logf("%d exported fields in %d knob structs", total, len(keys))
-	for _, k := range keys {
-		for _, name := range knobs[k] {
-			if !written[fieldRef{k, name}] && !writtenByName[name] {
-				t.Errorf("%s.%s.%s is never set anywhere in the repository: delete it, or make its default a constant",
-					k.dir, k.name, name)
+}
+
+// TestKnobWriteRule runs the lint's two passes over small sources: a
+// field's own default branch is not a write in its declaring package, and
+// everything else that assigns the field is.
+func TestKnobWriteRule(t *testing.T) {
+	const decl = `package a
+
+type Config struct{ X, Y int }
+
+var base = Config{Y: 1}
+`
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		unset []string
+	}{
+		{"self-default in the declaring package", map[string]string{
+			"internal/a/a.go": decl,
+			"internal/a/x.go": `package a
+
+func (c *Config) fill() {
+	if c.X == 0 {
+		c.X = 3
+	}
+}
+`}, []string{"internal/a.Config.X"}},
+		{"self-default in another package", map[string]string{
+			"internal/a/a.go": decl,
+			"internal/b/b.go": `package b
+
+import "citymesh/internal/a"
+
+func f(c a.Config) a.Config {
+	if c.X <= 0 {
+		c.X = 3
+	}
+	return c
+}
+`}, nil},
+		{"plain assignment", map[string]string{
+			"internal/a/a.go": decl + `
+func tune(c *Config) { c.X = 2 }
+`}, nil},
+		{"keyed literal", map[string]string{
+			"internal/a/a.go": decl,
+			"cmd/b/main.go": `package main
+
+import "citymesh/internal/a"
+
+var c = a.Config{X: 2}
+`}, nil},
+		{"branch with a second statement", map[string]string{
+			"internal/a/a.go": decl + `
+func (c *Config) fill() {
+	if c.X <= 0 {
+		c.X = 3
+		c.Y++
+	}
+}
+`}, nil},
+		{"condition reads another field", map[string]string{
+			"internal/a/a.go": decl + `
+func (c *Config) fill() {
+	if c.Y > 4 {
+		c.X = 3
+	}
+}
+`}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			l := newKnobLint()
+			parsed := map[string]*ast.File{}
+			for path, src := range tc.files {
+				f, err := parser.ParseFile(fset, path, src, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parsed[path] = f
+				l.declare(path, f)
 			}
-		}
+			for path, f := range parsed {
+				l.scanWrites(path, f)
+			}
+			if got, _ := l.unset(); !slices.Equal(got, tc.unset) {
+				t.Errorf("unset = %q, want %q", got, tc.unset)
+			}
+		})
 	}
 }
