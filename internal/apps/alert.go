@@ -1,6 +1,6 @@
 // Package apps implements the low-bandwidth disaster applications the
-// paper motivates in §1–§2: signed emergency broadcast messages, geospatial
-// (area-addressed) messaging, and offline payments. Each application rides
+// paper motivates in §1–§2: signed emergency broadcast messages and
+// geospatial (area-addressed) messaging. Each application rides
 // on the CityMesh substrate — postboxes, conduits, flooding — and none
 // requires cloud access.
 package apps

@@ -165,144 +165,6 @@ func TestGeocastResultCoverageZero(t *testing.T) {
 	}
 }
 
-func TestWalletPayAndLedger(t *testing.T) {
-	_, alicePriv := authority(t)
-	bobPub, _ := authority(t)
-	alice := NewWallet(alicePriv)
-
-	n1, err := alice.Pay(bobPub, 1500, "water")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyNote(n1); err != nil {
-		t.Fatal(err)
-	}
-	// Wire round trip.
-	dec, err := DecodeNote(EncodeNote(n1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyNote(dec); err != nil {
-		t.Errorf("decoded note fails verify: %v", err)
-	}
-	if dec.AmountCents != 1500 || dec.Memo != "water" || dec.Seq != 1 {
-		t.Errorf("decoded = %+v", dec)
-	}
-
-	l := NewLedger()
-	if err := l.Accept(dec); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent re-delivery.
-	if err := l.Accept(dec); err != nil {
-		t.Errorf("idempotent accept = %v", err)
-	}
-	if l.Size() != 1 {
-		t.Errorf("size = %d", l.Size())
-	}
-	if l.Balance(alice.Pub()) != -1500 || l.Balance(bobPub) != 1500 {
-		t.Errorf("balances = %d, %d", l.Balance(alice.Pub()), l.Balance(bobPub))
-	}
-}
-
-func TestDoubleSpendDetected(t *testing.T) {
-	_, alicePriv := authority(t)
-	bobPub, _ := authority(t)
-	carolPub, _ := authority(t)
-	alice := NewWallet(alicePriv)
-
-	n1, _ := alice.Pay(bobPub, 1000, "bread")
-	// Forge a conflicting note with the same sequence by re-signing.
-	n2 := &Note{Payer: n1.Payer, Payee: carolPub, Seq: n1.Seq, AmountCents: 1000, Memo: "bread"}
-	n2.Sig = ed25519.Sign(alicePriv, noteSigned(n2))
-
-	l := NewLedger()
-	if err := l.Accept(n1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Accept(n2); !errors.Is(err, ErrDoubleSpend) {
-		t.Errorf("double spend accepted: %v", err)
-	}
-}
-
-func TestNoteValidation(t *testing.T) {
-	_, alicePriv := authority(t)
-	bobPub, _ := authority(t)
-	alice := NewWallet(alicePriv)
-	if _, err := alice.Pay(bobPub, 0, ""); err == nil {
-		t.Error("zero amount accepted")
-	}
-	long := make([]byte, 300)
-	if _, err := alice.Pay(bobPub, 1, string(long)); err == nil {
-		t.Error("oversized memo accepted")
-	}
-	n, _ := alice.Pay(bobPub, 5, "ok")
-	n.AmountCents = 500 // tamper
-	if err := VerifyNote(n); !errors.Is(err, ErrNoteSignature) {
-		t.Errorf("tampered note verified: %v", err)
-	}
-	bad := &Note{Payer: []byte{1}, Payee: bobPub}
-	if err := VerifyNote(bad); err == nil {
-		t.Error("bad key length verified")
-	}
-	if _, err := DecodeNote(nil); err == nil {
-		t.Error("nil decode should error")
-	}
-	if _, err := DecodeNote([]byte{0, 200, 1}); err == nil {
-		t.Error("truncated decode should error")
-	}
-}
-
-func TestLedgerMerge(t *testing.T) {
-	_, alicePriv := authority(t)
-	bobPub, _ := authority(t)
-	carolPub, _ := authority(t)
-	alice := NewWallet(alicePriv)
-
-	n1, _ := alice.Pay(bobPub, 100, "a")
-	n2, _ := alice.Pay(bobPub, 200, "b")
-	// A conflicting version of n2 paid to carol (double spend across
-	// ledgers).
-	n2evil := &Note{Payer: n2.Payer, Payee: carolPub, Seq: n2.Seq, AmountCents: 200, Memo: "b"}
-	n2evil.Sig = ed25519.Sign(alicePriv, noteSigned(n2evil))
-
-	la, lb := NewLedger(), NewLedger()
-	if err := la.Accept(n1); err != nil {
-		t.Fatal(err)
-	}
-	if err := la.Accept(n2); err != nil {
-		t.Fatal(err)
-	}
-	if err := lb.Accept(n2evil); err != nil {
-		t.Fatal(err)
-	}
-
-	absorbed, conflicts := lb.Merge(la)
-	if absorbed != 1 { // n1 is new to lb; n2 conflicts
-		t.Errorf("absorbed = %d", absorbed)
-	}
-	if conflicts != 1 {
-		t.Errorf("conflicts = %d", conflicts)
-	}
-}
-
-func TestWalletSequencesMonotonic(t *testing.T) {
-	_, priv := authority(t)
-	bobPub, _ := authority(t)
-	w := NewWallet(priv)
-	var last uint64
-	for i := 0; i < 20; i++ {
-		n, err := w.Pay(bobPub, 1, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Seq <= last {
-			t.Fatalf("sequence not monotonic: %d after %d", n.Seq, last)
-		}
-		last = n.Seq
-	}
-}
-
 func TestPollSignVerifyRoundTrip(t *testing.T) {
 	id, err := postbox.NewIdentity(rand.Reader)
 	if err != nil {
