@@ -59,32 +59,22 @@ var ErrCorruptSnapshot = errors.New("postbox: corrupt snapshot")
 // persister is the store's attachment to disk. Its methods are called with
 // the store mutex held, so log order always matches seq order.
 type persister struct {
-	dir       string
-	log       *os.File
-	logBytes  int64
-	compactAt int64
-	err       error // first append/compact failure, surfaced by Sync
-}
-
-// WithCompactThreshold overrides the log size that triggers automatic
-// compaction (0 keeps DefaultCompactBytes).
-func WithCompactThreshold(n int64) StoreOption {
-	return func(s *Store) { s.compactAt = n }
+	dir      string
+	log      *os.File
+	logBytes int64
+	err      error // first append/compact failure, surfaced by Sync
 }
 
 // OpenDir opens (or creates) a persistent store rooted at dir: it loads the
 // snapshot if one exists, replays the append-only log, and leaves the log
-// open for appending. Options apply before replay, so an injected clock and
-// retention govern which replayed messages survive.
+// open for appending. Options apply before replay, so an injected clock
+// decides which replayed messages are past retention.
 func OpenDir(dir string, opts ...StoreOption) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("postbox: open %s: %w", dir, err)
 	}
 	s := NewStore(opts...)
-	p := &persister{dir: dir, compactAt: s.compactAt}
-	if p.compactAt <= 0 {
-		p.compactAt = DefaultCompactBytes
-	}
+	p := &persister{dir: dir}
 
 	if snap, err := os.ReadFile(filepath.Join(dir, snapName)); err == nil {
 		if err := s.applySnapshot(snap); err != nil {
@@ -164,14 +154,6 @@ func (s *Store) Close() error {
 	s.persist.log = nil
 	s.persist = nil
 	return err
-}
-
-// Compact writes a snapshot of the live state and truncates the log. It is
-// also invoked automatically when the log exceeds the compaction threshold.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
 }
 
 // LogBytes reports the current append-only log size (diagnostics).
@@ -277,7 +259,7 @@ func (s *Store) logAck(addr Address, seq uint64) {
 
 func (s *Store) maybeCompactLocked() {
 	p := s.persist
-	if p == nil || p.log == nil || p.logBytes < p.compactAt {
+	if p == nil || p.log == nil || p.logBytes < DefaultCompactBytes {
 		return
 	}
 	if err := s.compactLocked(); err != nil && p.err == nil {
@@ -348,15 +330,15 @@ func (s *Store) applyRecord(payload []byte) error {
 // insertReplayed re-inserts a persisted message, preserving its original
 // seq and timestamp, honoring retention and the per-box capacity.
 func (s *Store) insertReplayed(m StoredMessage) {
-	if s.retention > 0 && s.clock().Sub(m.StoredAt) > s.retention {
+	if s.clock().Sub(m.StoredAt) > retention {
 		if m.Seq > s.seq {
 			s.seq = m.Seq
 		}
 		return
 	}
 	box := append(s.boxes[m.To], m)
-	if s.maxPerBox > 0 && len(box) > s.maxPerBox {
-		box = box[len(box)-s.maxPerBox:]
+	if len(box) > maxPerBox {
+		box = box[len(box)-maxPerBox:]
 	}
 	s.boxes[m.To] = box
 	if m.Seq > s.seq {

@@ -144,12 +144,13 @@ func TestPersistTornTail(t *testing.T) {
 
 func TestPersistCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDir(dir, WithCompactThreshold(256))
+	s, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := addr(5)
-	payload := bytes.Repeat([]byte{0x42}, 64)
+	// Twenty puts of 1/16 of the threshold each cross it once.
+	payload := bytes.Repeat([]byte{0x42}, DefaultCompactBytes/16)
 	for i := 0; i < 20; i++ {
 		s.Put(a, payload, false)
 	}
@@ -159,12 +160,12 @@ func TestPersistCompaction(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, snapName)); err != nil {
 		t.Fatalf("compaction never produced a snapshot: %v", err)
 	}
-	if lb := s.LogBytes(); lb >= 20*64 {
+	if lb := s.LogBytes(); lb >= 20*int64(len(payload)) {
 		t.Errorf("log not reset by compaction: %d bytes", lb)
 	}
 	s.Close()
 
-	r, err := OpenDir(dir, WithCompactThreshold(256))
+	r, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,10 @@ func TestPersistManualCompactAndAck(t *testing.T) {
 	m := s.Put(b, []byte("b1"), false)
 	s.Put(b, []byte("b2"), false)
 	s.Ack(b, m.Seq)
-	if err := s.Compact(); err != nil {
+	s.mu.Lock()
+	err = s.compactLocked()
+	s.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if s.LogBytes() != 0 {

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"strconv"
 	"testing"
-	"time"
 )
 
 func mustIdentity(t testing.TB) *Identity {
@@ -177,36 +177,14 @@ func TestStorePutRetrieveAck(t *testing.T) {
 }
 
 func TestStoreCapacityEviction(t *testing.T) {
-	s := NewStore(WithCapacity(2))
+	s := NewStore()
 	var addr Address
-	s.Put(addr, []byte("a"), false)
-	s.Put(addr, []byte("b"), false)
-	s.Put(addr, []byte("c"), false)
+	for i := 0; i <= maxPerBox; i++ {
+		s.Put(addr, []byte(strconv.Itoa(i)), false)
+	}
 	msgs := s.Retrieve(addr, 0, 0)
-	if len(msgs) != 2 || string(msgs[0].Sealed) != "b" {
-		t.Errorf("eviction kept %v", msgs)
-	}
-}
-
-func TestStoreExpire(t *testing.T) {
-	now := time.Unix(1000000, 0)
-	clock := func() time.Time { return now }
-	s := NewStore(WithClock(clock), WithRetention(time.Hour))
-	var a1, a2 Address
-	a2[0] = 1
-	s.Put(a1, []byte("old"), false)
-	s.Put(a2, []byte("old2"), false)
-	now = now.Add(30 * time.Minute)
-	s.Put(a1, []byte("new"), false)
-	now = now.Add(45 * time.Minute) // first messages now 75 min old
-	if dropped := s.Expire(); dropped != 2 {
-		t.Errorf("dropped = %d, want 2", dropped)
-	}
-	if s.Len(a1) != 1 || s.Len(a2) != 0 {
-		t.Errorf("post-expire lens = %d, %d", s.Len(a1), s.Len(a2))
-	}
-	if dropped := s.Expire(); dropped != 0 {
-		t.Errorf("second expire dropped %d", dropped)
+	if len(msgs) != maxPerBox || string(msgs[0].Sealed) != "1" {
+		t.Errorf("eviction kept %d messages from %q, want %d from \"1\"", len(msgs), msgs[0].Sealed, maxPerBox)
 	}
 }
 

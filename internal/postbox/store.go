@@ -31,10 +31,6 @@ type Store struct {
 	mu sync.Mutex
 	// clock is injectable for deterministic tests.
 	clock func() time.Time
-	// maxPerBox bounds memory per recipient; oldest messages are evicted.
-	maxPerBox int
-	// retention drops messages older than this on Expire.
-	retention time.Duration
 
 	seq   uint64
 	boxes map[Address][]StoredMessage
@@ -46,10 +42,15 @@ type Store struct {
 	// persist is the optional disk attachment (see persist.go); nil for a
 	// purely in-memory store.
 	persist *persister
-	// compactAt carries WithCompactThreshold until OpenDir builds the
-	// persister.
-	compactAt int64
 }
+
+const (
+	// maxPerBox bounds memory per recipient; the oldest messages are
+	// evicted.
+	maxPerBox = 1024
+	// retention is the age past which a message is dropped at replay.
+	retention = 72 * time.Hour
+)
 
 // StoreOption configures a Store.
 type StoreOption func(*Store)
@@ -59,30 +60,18 @@ func WithClock(clock func() time.Time) StoreOption {
 	return func(s *Store) { s.clock = clock }
 }
 
-// WithCapacity bounds the number of messages kept per postbox.
-func WithCapacity(n int) StoreOption {
-	return func(s *Store) { s.maxPerBox = n }
-}
-
-// WithRetention sets the maximum message age enforced by Expire.
-func WithRetention(d time.Duration) StoreOption {
-	return func(s *Store) { s.retention = d }
-}
-
 // WithPush registers the urgent-message push hook.
 func WithPush(fn PushFunc) StoreOption {
 	return func(s *Store) { s.push = fn }
 }
 
-// NewStore returns an empty store. Defaults: real clock, 1024 messages per
-// box, 72 h retention.
+// NewStore returns an empty store on the real clock, holding up to
+// maxPerBox messages per box.
 func NewStore(opts ...StoreOption) *Store {
 	s := &Store{
-		clock:     time.Now,
-		maxPerBox: 1024,
-		retention: 72 * time.Hour,
-		boxes:     make(map[Address][]StoredMessage),
-		lastSeen:  make(map[Address]int),
+		clock:    time.Now,
+		boxes:    make(map[Address][]StoredMessage),
+		lastSeen: make(map[Address]int),
 	}
 	for _, o := range opts {
 		o(s)
@@ -103,8 +92,8 @@ func (s *Store) Put(to Address, sealed []byte, urgent bool) StoredMessage {
 		StoredAt: s.clock(),
 	}
 	box := append(s.boxes[to], msg)
-	if s.maxPerBox > 0 && len(box) > s.maxPerBox {
-		box = box[len(box)-s.maxPerBox:]
+	if len(box) > maxPerBox {
+		box = box[len(box)-maxPerBox:]
 	}
 	s.boxes[to] = box
 	s.logPut(&msg)
@@ -162,31 +151,6 @@ func (s *Store) ackLocked(addr Address, seq uint64) bool {
 	}
 	s.boxes[addr] = append([]StoredMessage(nil), remaining...)
 	return true
-}
-
-// Expire drops messages older than the retention window. It returns the
-// number dropped.
-func (s *Store) Expire() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cutoff := s.clock().Add(-s.retention)
-	dropped := 0
-	for addr, box := range s.boxes {
-		i := 0
-		for i < len(box) && box[i].StoredAt.Before(cutoff) {
-			i++
-		}
-		if i == 0 {
-			continue
-		}
-		dropped += i
-		if i == len(box) {
-			delete(s.boxes, addr)
-		} else {
-			s.boxes[addr] = append([]StoredMessage(nil), box[i:]...)
-		}
-	}
-	return dropped
 }
 
 // Totals reports the number of non-empty postboxes and total held
