@@ -240,6 +240,7 @@ func TestDistrictString(t *testing.T) {
 }
 
 func TestSplitRect(t *testing.T) {
+	area := func(r geo.Rect) float64 { return r.Width() * r.Height() }
 	r := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(10, 20)}
 	if got := splitRect(r, 1); len(got) != 1 || got[0] != r {
 		t.Errorf("split 1 = %v", got)
@@ -248,8 +249,8 @@ func TestSplitRect(t *testing.T) {
 	if len(halves) != 2 {
 		t.Fatalf("split 2 = %d cells", len(halves))
 	}
-	if a := halves[0].Area() + halves[1].Area(); a != r.Area() {
-		t.Errorf("split 2 area = %v, want %v", a, r.Area())
+	if a := area(halves[0]) + area(halves[1]); a != area(r) {
+		t.Errorf("split 2 area = %v, want %v", a, area(r))
 	}
 	quads := splitRect(r, 4)
 	if len(quads) != 4 {
@@ -257,10 +258,10 @@ func TestSplitRect(t *testing.T) {
 	}
 	var total float64
 	for _, q := range quads {
-		total += q.Area()
+		total += area(q)
 	}
-	if total != r.Area() {
-		t.Errorf("split 4 area = %v, want %v", total, r.Area())
+	if total != area(r) {
+		t.Errorf("split 4 area = %v, want %v", total, area(r))
 	}
 }
 

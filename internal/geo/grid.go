@@ -87,12 +87,6 @@ func NewGrid(cellSize float64, pts []Point) *Grid {
 	return g
 }
 
-// Len returns the number of points in the grid.
-func (g *Grid) Len() int { return len(g.pts) }
-
-// At returns the point with index id.
-func (g *Grid) At(id int) Point { return g.pts[g.slot[id]] }
-
 // Bounds returns the bounding box of all points.
 func (g *Grid) Bounds() Rect { return g.bounds }
 
@@ -173,24 +167,6 @@ func (g *Grid) FillWithinRadius(dst []int32, center Point, r float64, skip int) 
 		}
 	}
 	return n
-}
-
-// InRect calls fn with the index and location of every point inside r
-// (boundary inclusive). If fn returns false the query stops early.
-func (g *Grid) InRect(r Rect, fn func(id int, p Point) bool) {
-	x1, x2 := g.span(r.Min.X, r.Max.X, g.x0, g.nx)
-	y1, y2 := g.span(r.Min.Y, r.Max.Y, g.y0, g.ny)
-	if y1 > y2 {
-		return
-	}
-	for cx := x1; cx <= x2; cx++ {
-		col := cx * g.ny
-		for k := g.start[col+y1]; k < g.start[col+y2+1]; k++ {
-			if p := g.pts[k]; r.Contains(p) && !fn(int(g.ids[k]), p) {
-				return
-			}
-		}
-	}
 }
 
 // Nearest returns the index of the point nearest to center and its distance.

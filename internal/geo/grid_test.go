@@ -10,16 +10,13 @@ import (
 func TestGridInsertAndAt(t *testing.T) {
 	pts := []Point{Pt(1, 1), Pt(50, 50), Pt(-30, 20)}
 	g := NewGrid(10, pts)
-	if g.Len() != 3 {
-		t.Fatalf("Len = %d", g.Len())
+	if len(g.pts) != 3 {
+		t.Fatalf("grid holds %d points", len(g.pts))
 	}
 	for i, p := range pts {
-		if g.At(i) != p {
-			t.Errorf("At(%d) = %v, want %v", i, g.At(i), p)
+		if got := g.pts[g.slot[i]]; got != p {
+			t.Errorf("point %d = %v, want %v", i, got, p)
 		}
-	}
-	if g.At(1) != Pt(50, 50) {
-		t.Errorf("At(1) = %v", g.At(1))
 	}
 	b := g.Bounds()
 	if b.Min != Pt(-30, 1) || b.Max != Pt(50, 50) {
@@ -73,24 +70,6 @@ func TestGridWithinRadiusEarlyStop(t *testing.T) {
 	})
 	if n != 5 {
 		t.Errorf("early stop visited %d, want 5", n)
-	}
-}
-
-func TestGridInRect(t *testing.T) {
-	var pts []Point
-	for x := 0; x < 10; x++ {
-		for y := 0; y < 10; y++ {
-			pts = append(pts, Pt(float64(x)*10, float64(y)*10))
-		}
-	}
-	g := NewGrid(10, pts)
-	count := 0
-	g.InRect(Rect{Min: Pt(15, 15), Max: Pt(45, 45)}, func(int, Point) bool {
-		count++
-		return true
-	})
-	if count != 9 { // x,y in {20,30,40}
-		t.Errorf("InRect count = %d, want 9", count)
 	}
 }
 

@@ -75,9 +75,6 @@ type Segment struct {
 	A, B Point
 }
 
-// Length returns the length of the segment.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
 // DistToPoint returns the minimum distance from p to any point on s.
 func (s Segment) DistToPoint(p Point) float64 {
 	d := s.B.Sub(s.A)

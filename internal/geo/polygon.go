@@ -73,19 +73,6 @@ func (pg Polygon) Contains(p Point) bool {
 	return inside
 }
 
-// Perimeter returns the total edge length of the polygon.
-func (pg Polygon) Perimeter() float64 {
-	n := len(pg)
-	if n < 2 {
-		return 0
-	}
-	var s float64
-	for i, p := range pg {
-		s += p.Dist(pg[(i+1)%n])
-	}
-	return s
-}
-
 // DistToPoint returns the minimum distance from p to the polygon boundary,
 // or 0 if p is inside the polygon.
 func (pg Polygon) DistToPoint(p Point) float64 {
@@ -140,37 +127,8 @@ func (pg Polygon) GapTo(other Polygon) float64 {
 	return best
 }
 
-// IntersectsSegment reports whether the segment crosses or touches the
-// polygon boundary or lies inside it.
-func (pg Polygon) IntersectsSegment(s Segment) bool {
-	n := len(pg)
-	if n < 2 {
-		return false
-	}
-	for i := range pg {
-		if (Segment{pg[i], pg[(i+1)%n]}).Intersects(s) {
-			return true
-		}
-	}
-	return pg.Contains(s.A) || pg.Contains(s.B)
-}
-
 // RectPolygon returns the polygon form of an axis-aligned rectangle.
 func RectPolygon(r Rect) Polygon {
 	c := r.Corners()
 	return Polygon{c[0], c[1], c[2], c[3]}
-}
-
-// RegularPolygon returns an n-gon of the given circumradius centered at c,
-// with the first vertex at angle phase (radians).
-func RegularPolygon(c Point, radius float64, n int, phase float64) Polygon {
-	if n < 3 {
-		n = 3
-	}
-	pg := make(Polygon, n)
-	for i := range pg {
-		a := phase + 2*math.Pi*float64(i)/float64(n)
-		pg[i] = Point{c.X + radius*math.Cos(a), c.Y + radius*math.Sin(a)}
-	}
-	return pg
 }

@@ -68,12 +68,6 @@ func TestPolygonContainsConcave(t *testing.T) {
 	}
 }
 
-func TestPolygonPerimeter(t *testing.T) {
-	if p := unitSquare().Perimeter(); !almostEq(p, 4, 1e-12) {
-		t.Errorf("perimeter = %v", p)
-	}
-}
-
 func TestPolygonDistToPoint(t *testing.T) {
 	sq := unitSquare()
 	if d := sq.DistToPoint(Pt(0.5, 0.5)); d != 0 {
@@ -114,21 +108,19 @@ func TestPolygonGapTo(t *testing.T) {
 	}
 }
 
-func TestIntersectsSegment(t *testing.T) {
-	sq := unitSquare()
-	if !sq.IntersectsSegment(Segment{Pt(-1, 0.5), Pt(2, 0.5)}) {
-		t.Error("crossing segment should intersect")
+// regularPolygon returns an n-gon of the given circumradius centered at c,
+// with the first vertex at angle phase (radians).
+func regularPolygon(c Point, radius float64, n int, phase float64) Polygon {
+	pg := make(Polygon, n)
+	for i := range pg {
+		a := phase + 2*math.Pi*float64(i)/float64(n)
+		pg[i] = Point{c.X + radius*math.Cos(a), c.Y + radius*math.Sin(a)}
 	}
-	if !sq.IntersectsSegment(Segment{Pt(0.4, 0.4), Pt(0.6, 0.6)}) {
-		t.Error("interior segment should intersect")
-	}
-	if sq.IntersectsSegment(Segment{Pt(2, 2), Pt(3, 3)}) {
-		t.Error("distant segment should not intersect")
-	}
+	return pg
 }
 
 func TestRegularPolygon(t *testing.T) {
-	hex := RegularPolygon(Pt(0, 0), 1, 6, 0)
+	hex := regularPolygon(Pt(0, 0), 1, 6, 0)
 	if len(hex) != 6 {
 		t.Fatalf("hexagon has %d vertices", len(hex))
 	}
@@ -141,10 +133,6 @@ func TestRegularPolygon(t *testing.T) {
 	if !almostEq(c.X, 0, 1e-9) || !almostEq(c.Y, 0, 1e-9) {
 		t.Errorf("hexagon centroid = %v, want origin", c)
 	}
-	// n < 3 is clamped.
-	if got := len(RegularPolygon(Pt(0, 0), 1, 2, 0)); got != 3 {
-		t.Errorf("clamped polygon has %d vertices, want 3", got)
-	}
 }
 
 // Property: the centroid of a convex polygon lies inside it.
@@ -154,7 +142,7 @@ func TestQuickConvexCentroidInside(t *testing.T) {
 		n := 3 + rng.Intn(8)
 		c := Pt(rng.Float64()*1000-500, rng.Float64()*1000-500)
 		r := 1 + rng.Float64()*200
-		pg := RegularPolygon(c, r, n, rng.Float64()*math.Pi)
+		pg := regularPolygon(c, r, n, rng.Float64()*math.Pi)
 		if !pg.Contains(pg.Centroid()) {
 			t.Fatalf("centroid %v outside polygon %v", pg.Centroid(), pg)
 		}
@@ -170,7 +158,7 @@ func TestQuickRegularPolygonContainsSandwich(t *testing.T) {
 		n := 3 + rng.Intn(9)
 		r := 10 + rng.Float64()*100
 		c := Pt(rng.Float64()*100, rng.Float64()*100)
-		pg := RegularPolygon(c, r, n, rng.Float64())
+		pg := regularPolygon(c, r, n, rng.Float64())
 		inradius := r * math.Cos(math.Pi/float64(n))
 		p := Pt(c.X+(rng.Float64()*2-1)*r*1.5, c.Y+(rng.Float64()*2-1)*r*1.5)
 		d := p.Dist(c)

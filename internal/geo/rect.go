@@ -68,9 +68,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
@@ -85,14 +82,6 @@ func (r Rect) Corners() [4]Point {
 		r.Max,
 		{r.Min.X, r.Max.Y},
 	}
-}
-
-// DistToPoint returns the distance from p to the nearest point of r; zero if
-// p is inside r.
-func (r Rect) DistToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
 }
 
 // OrientedRect is a rectangle of the given half-width extruded along the
@@ -151,6 +140,3 @@ func (o OrientedRect) MayContain(p Point) bool {
 	}
 	return p.Y >= minY-pad && p.Y <= maxY+pad
 }
-
-// Length returns the axis length of the oriented rectangle (without caps).
-func (o OrientedRect) Length() float64 { return o.A.Dist(o.B) }

@@ -38,8 +38,8 @@ func TestRectContainsOverlaps(t *testing.T) {
 
 func TestRectGeometry(t *testing.T) {
 	r := Rect{Min: Pt(1, 2), Max: Pt(4, 6)}
-	if r.Width() != 3 || r.Height() != 4 || r.Area() != 12 {
-		t.Errorf("W/H/A = %v/%v/%v", r.Width(), r.Height(), r.Area())
+	if r.Width() != 3 || r.Height() != 4 {
+		t.Errorf("W/H = %v/%v", r.Width(), r.Height())
 	}
 	if c := r.Center(); c != Pt(2.5, 4) {
 		t.Errorf("Center = %v", c)
@@ -51,19 +51,6 @@ func TestRectGeometry(t *testing.T) {
 	u := r.Union(Rect{Min: Pt(-1, 0), Max: Pt(2, 3)})
 	if u.Min != Pt(-1, 0) || u.Max != Pt(4, 6) {
 		t.Errorf("Union = %+v", u)
-	}
-}
-
-func TestRectDistToPoint(t *testing.T) {
-	r := Rect{Min: Pt(0, 0), Max: Pt(10, 10)}
-	if d := r.DistToPoint(Pt(5, 5)); d != 0 {
-		t.Errorf("inside dist = %v", d)
-	}
-	if d := r.DistToPoint(Pt(13, 14)); !almostEq(d, 5, 1e-12) {
-		t.Errorf("corner dist = %v, want 5", d)
-	}
-	if d := r.DistToPoint(Pt(-3, 5)); !almostEq(d, 3, 1e-12) {
-		t.Errorf("edge dist = %v, want 3", d)
 	}
 }
 
@@ -145,13 +132,6 @@ func TestOrientedRectBounds(t *testing.T) {
 				t.Fatalf("point %v in conduit but outside Bounds %+v", p, bounds)
 			}
 		}
-	}
-}
-
-func TestOrientedRectLength(t *testing.T) {
-	o := OrientedRect{A: Pt(0, 0), B: Pt(3, 4)}
-	if l := o.Length(); !almostEq(l, 5, 1e-12) {
-		t.Errorf("Length = %v, want 5", l)
 	}
 }
 

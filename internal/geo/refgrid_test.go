@@ -56,10 +56,6 @@ func (g *refGrid) WithinRadius(center Point, r float64, fn func(id int, p Point)
 		func(p Point) bool { return p.Dist2(center) <= r2 }, fn)
 }
 
-func (g *refGrid) InRect(r Rect, fn func(id int, p Point) bool) {
-	g.visit(r.Min, r.Max, r.Contains, fn)
-}
-
 // collect returns the ids a query visits, in visit order.
 func collect(query func(fn func(id int, p Point) bool)) []int {
 	var ids []int
@@ -116,12 +112,12 @@ func FuzzGridMatchesReference(f *testing.F) {
 		if !ordered {
 			ref = newRefGrid(g.cell, pts)
 		}
-		if g.Len() != len(pts) {
-			t.Fatalf("Len = %d, want %d", g.Len(), len(pts))
+		if len(g.pts) != len(pts) {
+			t.Fatalf("grid holds %d points, want %d", len(g.pts), len(pts))
 		}
 		for i, p := range pts {
-			if g.At(i) != p {
-				t.Fatalf("At(%d) = %v, want %v", i, g.At(i), p)
+			if got := g.pts[g.slot[i]]; got != p {
+				t.Fatalf("point %d = %v, want %v", i, got, p)
 			}
 		}
 		same := func(what string, got, want []int) {
@@ -164,9 +160,6 @@ func FuzzGridMatchesReference(f *testing.F) {
 			}
 			want = slices.DeleteFunc(want, func(id int) bool { return id == skip })
 			checkFill(t, g, c, r, skip, want, ordered)
-			rect := Rect{Min: c, Max: c.Add(Pt(rng.Float64()*4*g.cell, rng.Float64()*4*g.cell))}
-			same("InRect", collect(func(fn func(int, Point) bool) { g.InRect(rect, fn) }),
-				collect(func(fn func(int, Point) bool) { ref.InRect(rect, fn) }))
 		}
 	})
 }

@@ -71,20 +71,8 @@ func NewCDF(xs []float64) *CDF {
 // Len returns the sample size.
 func (c *CDF) Len() int { return len(c.sorted) }
 
-// At returns P(X <= x), the fraction of samples at or below x.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of the sample.
 func (c *CDF) Quantile(q float64) float64 { return percentileSorted(c.sorted, q*100) }
-
-// Median returns the sample median.
-func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
 // Min returns the smallest sample, or NaN if empty.
 func (c *CDF) Min() float64 {
@@ -211,40 +199,3 @@ func (b *Binned) Table() string {
 	}
 	return sb.String()
 }
-
-// Welford accumulates a running mean and variance without storing samples.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates x into the running statistics.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples seen.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean, or NaN before any samples.
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Variance returns the sample variance, or NaN with fewer than two samples.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }

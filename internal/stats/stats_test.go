@@ -49,23 +49,14 @@ func TestCDF(t *testing.T) {
 	if c.Len() != 5 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	if got := c.At(0); got != 0 {
-		t.Errorf("At(0) = %v", got)
-	}
-	if got := c.At(2); got != 0.6 {
-		t.Errorf("At(2) = %v", got)
-	}
-	if got := c.At(100); got != 1 {
-		t.Errorf("At(100) = %v", got)
-	}
 	if got := c.Min(); got != 1 {
 		t.Errorf("Min = %v", got)
 	}
 	if got := c.Max(); got != 10 {
 		t.Errorf("Max = %v", got)
 	}
-	if got := c.Median(); got != 2 {
-		t.Errorf("Median = %v", got)
+	if got := c.Quantile(0.5); got != 2 {
+		t.Errorf("Quantile(0.5) = %v", got)
 	}
 }
 
@@ -135,32 +126,8 @@ func TestBinnedZeroWidth(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Variance()) {
-		t.Error("empty Welford should be NaN")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != len(xs) {
-		t.Errorf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", w.Mean())
-	}
-	// Sample variance of that classic dataset is 32/7.
-	if math.Abs(w.Variance()-32.0/7.0) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", w.Variance(), 32.0/7.0)
-	}
-	if math.Abs(w.Stddev()-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Errorf("Stddev = %v", w.Stddev())
-	}
-}
-
-// Property: CDF.At is monotone nondecreasing and Quantile inverts At within
-// sample resolution.
+// Property: the plotted CDF curve is nondecreasing in both x and
+// P(X<=x).
 func TestQuickCDFMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 100; trial++ {
@@ -170,13 +137,12 @@ func TestQuickCDFMonotone(t *testing.T) {
 			xs[i] = rng.NormFloat64() * 100
 		}
 		c := NewCDF(xs)
-		prev := -1.0
-		for x := -300.0; x <= 300; x += 17 {
-			v := c.At(x)
-			if v < prev {
-				t.Fatalf("CDF not monotone at %v: %v < %v", x, v, prev)
+		prev := [2]float64{math.Inf(-1), 0}
+		for _, p := range c.Points(20) {
+			if p[0] < prev[0] || p[1] < prev[1] {
+				t.Fatalf("CDF not monotone: %v after %v", p, prev)
 			}
-			prev = v
+			prev = p
 		}
 	}
 }
@@ -202,30 +168,6 @@ func TestQuickPercentileBounds(t *testing.T) {
 		s := append([]float64(nil), xs...)
 		sort.Float64s(s)
 		return v1 <= v2 && v1 >= s[0] && v2 <= s[len(s)-1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Welford mean matches direct mean.
-func TestQuickWelfordMatchesMean(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && math.Abs(x) < 1e9 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		var w Welford
-		for _, x := range xs {
-			w.Add(x)
-		}
-		m := Mean(xs)
-		return math.Abs(w.Mean()-m) <= 1e-6*(1+math.Abs(m))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
