@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"citymesh/internal/mesh"
@@ -138,46 +137,6 @@ func Select(m *mesh.Mesh, b sim.APBehavior, frac float64, seed int64) Assignment
 		Adversary: &sim.Adversary{Behaviors: behaviors},
 		Desc:      fmt.Sprintf("%s: %d/%d APs (p=%.2f)", b, k, n, frac),
 	}
-}
-
-// Explicit compromises exactly the given APs with behavior b.
-func Explicit(b sim.APBehavior, aps []int) Assignment {
-	behaviors := make(map[int]sim.APBehavior, len(aps))
-	if b != sim.BehaviorHonest {
-		for _, ap := range aps {
-			behaviors[ap] = b
-		}
-	}
-	sorted := append([]int(nil), aps...)
-	sort.Ints(sorted)
-	return Assignment{
-		Adversary: &sim.Adversary{Behaviors: behaviors},
-		Desc:      fmt.Sprintf("%s: explicit %v", b, sorted),
-	}
-}
-
-// Combine merges assignments into one (later assignments win on
-// overlapping APs; the first non-zero value of each knob wins).
-func Combine(as ...Assignment) Assignment {
-	out := Assignment{Adversary: &sim.Adversary{Behaviors: make(map[int]sim.APBehavior)}}
-	var descs []string
-	for _, a := range as {
-		if a.Adversary == nil {
-			continue
-		}
-		for ap, b := range a.Adversary.Behaviors {
-			out.Adversary.Behaviors[ap] = b
-		}
-		mergeKnobs(out.Adversary, a.Adversary)
-		if len(a.Adversary.Behaviors) > 0 {
-			descs = append(descs, a.Desc)
-		}
-	}
-	out.Desc = strings.Join(descs, " + ")
-	if out.Desc == "" {
-		out.Desc = "no adversary"
-	}
-	return out
 }
 
 // DefaultDefense is the recommended honest-receiver stack for a deployment

@@ -87,7 +87,7 @@ func TestApplyComposesWithFailures(t *testing.T) {
 	}
 
 	// A second Apply merges rather than replaces.
-	b := Explicit(sim.BehaviorFlooder, []int{19})
+	b := Assignment{Adversary: &sim.Adversary{Behaviors: map[int]sim.APBehavior{19: sim.BehaviorFlooder}}}
 	b.Apply(&cfg)
 	if cfg.Adversary.BehaviorOf(19) != sim.BehaviorFlooder {
 		t.Error("second Apply lost its behaviors")
@@ -105,21 +105,24 @@ func TestApplyComposesWithFailures(t *testing.T) {
 	}
 }
 
-func TestCombineMergesBehaviorsAndKnobs(t *testing.T) {
+func TestApplyMergesBehaviorsAndKnobs(t *testing.T) {
 	g := Select(testMesh(30), sim.BehaviorGrayhole, 0.1, 3)
 	g.Adversary.DropProb = 0.9
-	f := Explicit(sim.BehaviorFlooder, []int{29})
-	f.Adversary.InjectRate = 7
+	f := Assignment{Adversary: &sim.Adversary{
+		Behaviors:  map[int]sim.APBehavior{29: sim.BehaviorFlooder},
+		DropProb:   0.5,
+		InjectRate: 7,
+	}}
 
-	c := Combine(g, f)
-	if c.Adversary.NumByzantine() != g.NumCompromised()+1 {
-		t.Errorf("combined %d Byzantine APs, want %d", c.Adversary.NumByzantine(), g.NumCompromised()+1)
+	var cfg sim.Config
+	g.Apply(&cfg)
+	f.Apply(&cfg)
+	if cfg.Adversary.NumByzantine() != g.NumCompromised()+1 {
+		t.Errorf("merged %d Byzantine APs, want %d", cfg.Adversary.NumByzantine(), g.NumCompromised()+1)
 	}
-	if c.Adversary.DropProb != 0.9 || c.Adversary.InjectRate != 7 {
-		t.Errorf("knobs not merged: %+v", c.Adversary)
-	}
-	if c.Desc == "" || c.Desc == "no adversary" {
-		t.Errorf("description lost: %q", c.Desc)
+	// The first non-zero value of each knob wins.
+	if cfg.Adversary.DropProb != 0.9 || cfg.Adversary.InjectRate != 7 {
+		t.Errorf("knobs not merged: %+v", cfg.Adversary)
 	}
 }
 

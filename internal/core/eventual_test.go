@@ -108,7 +108,7 @@ func TestSendEventuallyHealsAfterRecovery(t *testing.T) {
 	}
 	const recoverAt = 60.0
 	simCfg := sim.DefaultConfig()
-	simCfg.Schedule = faults.Recovery(failed, recoverAt)
+	simCfg.Schedule = faults.Injection{FailedSet: failed}.WithRecovery(recoverAt).Schedule
 
 	ecfg := EventualConfig{MaxAttempts: 8, BackoffBase: 8, BackoffMax: 64, ParkAfter: 2}
 	res, err := n.SendEventually(src, dst, []byte("park me"), simCfg, DefaultReliableConfig(), ecfg)
@@ -172,7 +172,7 @@ func TestSendEventuallyDeterministic(t *testing.T) {
 			failed = failed.Add(int(ap))
 		}
 		simCfg := sim.DefaultConfig()
-		simCfg.Schedule = faults.Recovery(failed, 60)
+		simCfg.Schedule = faults.Injection{FailedSet: failed}.WithRecovery(60).Schedule
 		ecfg := EventualConfig{MaxAttempts: 8, BackoffBase: 8, BackoffMax: 64, ParkAfter: 2}
 		res, err := n.SendEventually(src, dst, nil, simCfg, DefaultReliableConfig(), ecfg)
 		if err != nil {

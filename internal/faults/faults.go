@@ -271,7 +271,7 @@ func injectFlood(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
 
 // RecoverySchedule models injected repair: a failure realization that
 // heals at a known instant — crews restore power, APs reboot — after which
-// every AP is up. Before RecoverAt the static failed set (and any wrapped
+// every AP is up. Before then the static failed set (and any wrapped
 // base schedule, e.g. churn) applies unchanged. It is the deterministic
 // recovery model behind store-and-heal delivery (core.SendEventually) and
 // its time-to-heal measurements.
@@ -279,12 +279,6 @@ type RecoverySchedule struct {
 	failed    mesh.NodeSet
 	base      sim.FailureSchedule
 	recoverAt float64
-}
-
-// Recovery returns a schedule where the given APs are down until recoverAt
-// and everything is up afterward.
-func Recovery(failed mesh.NodeSet, recoverAt float64) *RecoverySchedule {
-	return &RecoverySchedule{failed: failed, recoverAt: recoverAt}
 }
 
 // Down implements sim.FailureSchedule.
@@ -297,9 +291,6 @@ func (r *RecoverySchedule) Down(ap int, t float64) bool {
 	}
 	return r.base != nil && r.base.Down(ap, t)
 }
-
-// RecoverAt returns the healing instant.
-func (r *RecoverySchedule) RecoverAt() float64 { return r.recoverAt }
 
 // WithRecovery converts an injection into a time-varying one that fully
 // heals at recoverAt: the static failed set moves into a RecoverySchedule

@@ -312,18 +312,15 @@ func TestInjectUnknownMode(t *testing.T) {
 }
 
 func TestRecoveryScheduleHealsAtInstant(t *testing.T) {
-	r := Recovery(mesh.NewNodeSet(8).Add(3).Add(7), 5.0)
+	r := &RecoverySchedule{failed: mesh.NewNodeSet(8).Add(3).Add(7), recoverAt: 5.0}
 	if !r.Down(3, 0) || !r.Down(7, 4.999) {
-		t.Error("failed APs must be down before RecoverAt")
+		t.Error("failed APs must be down before the recovery instant")
 	}
 	if r.Down(3, 5.0) || r.Down(7, 100) {
-		t.Error("every AP must be up at and after RecoverAt")
+		t.Error("every AP must be up at and after the recovery instant")
 	}
 	if r.Down(1, 0) {
 		t.Error("unlisted APs are never down")
-	}
-	if r.RecoverAt() != 5.0 {
-		t.Errorf("RecoverAt = %v", r.RecoverAt())
 	}
 }
 
@@ -355,7 +352,8 @@ func TestWithRecoveryMovesStaticFailuresIntoSchedule(t *testing.T) {
 	if healed.Schedule.Down(anyAP, 10) {
 		t.Error("failed AP must be up after recovery")
 	}
-	// Churn injections heal too: the base schedule is muted after RecoverAt.
+	// Churn injections heal too: the base schedule is muted after the
+	// recovery instant.
 	cinj, err := Inject(m, n.City, Config{Mode: ModeChurn, Frac: 0.5, Seed: 5, Horizon: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +367,7 @@ func TestWithRecoveryMovesStaticFailuresIntoSchedule(t *testing.T) {
 }
 
 func TestOffsetScheduleShiftsClock(t *testing.T) {
-	r := Recovery(mesh.NewNodeSet(2).Add(1), 5.0)
+	r := &RecoverySchedule{failed: mesh.NewNodeSet(2).Add(1), recoverAt: 5.0}
 	off := sim.OffsetSchedule{Base: r, Offset: 4.5}
 	if !off.Down(1, 0.2) {
 		t.Error("offset 4.5 + t 0.2 = 4.7 is before recovery; AP must be down")

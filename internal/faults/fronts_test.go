@@ -257,7 +257,7 @@ func TestOffsetScheduleComposes(t *testing.T) {
 func TestOffsetScheduleNegativeOffsetLooksBack(t *testing.T) {
 	// A negative offset rewinds the schedule: a recovery that already
 	// happened is un-happened from the shifted run's perspective.
-	r := Recovery(mesh.NewNodeSet(3).Add(2), 10)
+	r := &RecoverySchedule{failed: mesh.NewNodeSet(3).Add(2), recoverAt: 10}
 	off := sim.OffsetSchedule{Base: r, Offset: -5}
 	if !off.Down(2, 12) {
 		t.Error("offset -5 + t 12 = 7 is before recovery; AP must be down")
@@ -270,7 +270,7 @@ func TestOffsetScheduleNegativeOffsetLooksBack(t *testing.T) {
 func TestRecoveryAtZeroHealsImmediately(t *testing.T) {
 	// Zero-duration outage: recovery at t=0 means nothing is ever down,
 	// even though the static set says otherwise.
-	r := Recovery(mesh.NewNodeSet(2).Add(0).Add(1), 0)
+	r := &RecoverySchedule{failed: mesh.NewNodeSet(2).Add(0).Add(1), recoverAt: 0}
 	for _, tm := range []float64{0, 0.001, 5} {
 		if r.Down(0, tm) || r.Down(1, tm) {
 			t.Fatalf("t=%v: recovery at 0 must heal from the first instant", tm)

@@ -210,18 +210,6 @@ func (in *Internetwork) Region(id RegionID) (*Region, bool) {
 	return r, ok
 }
 
-// Index returns a region's dense level-1 index (its node id in the
-// summary graph and in packet.RegionPrefix).
-func (in *Internetwork) Index(id RegionID) (int, bool) {
-	i, ok := in.index[id]
-	return i, ok
-}
-
-// RegionIDs lists the registered regions in dense-index order.
-func (in *Internetwork) RegionIDs() []RegionID {
-	return append([]RegionID(nil), in.order...)
-}
-
 // FailLink marks links between two regions as down (failure injection) and
 // returns how many links changed state. Flapping a link down→up→down is
 // fully supported: path computation reads Down at search time.
@@ -287,9 +275,6 @@ func (in *Internetwork) liveGateways(idx int) []int {
 	}
 	return out
 }
-
-// Regions returns the registered region count.
-func (in *Internetwork) Regions() int { return len(in.regions) }
 
 // Links returns a copy of the link table.
 func (in *Internetwork) Links() []Link { return append([]Link(nil), in.links...) }

@@ -574,9 +574,6 @@ func TestReasonStrings(t *testing.T) {
 
 func TestAccessorsAndStateBytes(t *testing.T) {
 	in, ra, rb, _ := buildInternetwork(t)
-	if in.Regions() != 3 {
-		t.Errorf("Regions = %d", in.Regions())
-	}
 	if len(in.Links()) != 2 {
 		t.Errorf("Links = %d", len(in.Links()))
 	}
@@ -586,12 +583,12 @@ func TestAccessorsAndStateBytes(t *testing.T) {
 	if _, ok := in.Region("nope"); ok {
 		t.Error("unknown region resolved")
 	}
-	if i, ok := in.Index("worcester"); !ok || i != 2 {
-		t.Errorf("Index(worcester) = %d, %v", i, ok)
+	// Dense level-1 indices follow registration order.
+	if i, ok := in.index["worcester"]; !ok || i != 2 {
+		t.Errorf("index[worcester] = %d, %v", i, ok)
 	}
-	ids := in.RegionIDs()
-	if !reflect.DeepEqual(ids, []RegionID{"boston", "providence", "worcester"}) {
-		t.Errorf("RegionIDs = %v", ids)
+	if !reflect.DeepEqual(in.order, []RegionID{"boston", "providence", "worcester"}) {
+		t.Errorf("order = %v", in.order)
 	}
 
 	// The hierarchy's state argument, in miniature: ordinary-AP state is a
