@@ -264,9 +264,6 @@ func (a *Agent) NeighborsSince(maxAge time.Duration) []string {
 	return out
 }
 
-// ID returns the agent's identifier.
-func (a *Agent) ID() int { return a.cfg.ID }
-
 // Inject submits a locally originated packet to the network: the paper's
 // step where Alice's device hands the message to the AP it associates with.
 // The injecting AP always transmits (the kernel's first-hop rule).
@@ -502,6 +499,3 @@ func (a *Agent) Close() error {
 
 // Building returns the agent's building index.
 func (a *Agent) Building() int { return a.cfg.Building }
-
-// Pos returns the agent's location.
-func (a *Agent) Pos() geo.Point { return a.cfg.Pos }

@@ -202,8 +202,7 @@ func Build(city *osm.City, cfg Config) *Graph {
 		}
 	}
 
-	g.comp = make([]int32, n)
-	g.label(g.comp, nil)
+	g.label()
 	g.lm = g.pickLandmarks()
 	return g
 }
@@ -213,14 +212,6 @@ func (g *Graph) NumVertices() int { return len(g.off) - 1 }
 
 // NumEdges returns the undirected edge count.
 func (g *Graph) NumEdges() int { return g.numEdges }
-
-// Degree returns the number of predicted neighbors of building v.
-func (g *Graph) Degree(v int) int {
-	if v < 0 || v >= g.NumVertices() {
-		return 0
-	}
-	return int(g.off[v+1] - g.off[v])
-}
 
 // Neighbors calls fn with each predicted neighbor of v and the gap distance
 // of the connecting edge.
@@ -245,57 +236,32 @@ func (g *Graph) NearestBuilding(p geo.Point) int {
 }
 
 // label numbers the connected components in order of their lowest
-// building, writing each building's id to compOf, and calls visit (if
-// non-nil) with each component's buildings in depth-first order once the
-// component is complete.
-func (g *Graph) label(compOf []int32, visit func(comp []int)) {
-	for i := range compOf {
-		compOf[i] = -1
+// building, writing each building's id to g.comp.
+func (g *Graph) label() {
+	g.comp = make([]int32, g.NumVertices())
+	for i := range g.comp {
+		g.comp[i] = -1
 	}
 	var (
 		id    int32
 		stack []int32
-		comp  []int
 	)
-	for s := range compOf {
-		if compOf[s] >= 0 {
+	for s := range g.comp {
+		if g.comp[s] >= 0 {
 			continue
 		}
-		if visit != nil {
-			comp = []int{}
-		}
 		stack = append(stack[:0], int32(s))
-		compOf[s] = id
+		g.comp[s] = id
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if visit != nil {
-				comp = append(comp, int(v))
-			}
 			for _, w := range g.to[g.off[v]:g.off[v+1]] {
-				if compOf[w] < 0 {
-					compOf[w] = id
+				if g.comp[w] < 0 {
+					g.comp[w] = id
 					stack = append(stack, w)
 				}
 			}
 		}
-		if visit != nil {
-			visit(comp)
-		}
 		id++
 	}
-}
-
-// Components returns the connected components of the predicted graph,
-// largest first, each a list of building indices. The fracture structure
-// (rivers, parks) shows up directly here.
-func (g *Graph) Components() [][]int {
-	var comps [][]int
-	g.label(make([]int32, g.NumVertices()), func(comp []int) { comps = append(comps, comp) })
-	for i := 1; i < len(comps); i++ {
-		for j := i; j > 0 && len(comps[j]) > len(comps[j-1]); j-- {
-			comps[j], comps[j-1] = comps[j-1], comps[j]
-		}
-	}
-	return comps
 }

@@ -28,6 +28,13 @@ func rowCity(pts ...geo.Point) *osm.City {
 	return city
 }
 
+// degree returns the number of predicted neighbors of building v.
+func degree(g *Graph, v int) int {
+	n := 0
+	g.Neighbors(v, func(int, float64) { n++ })
+	return n
+}
+
 func TestBuildEdgesWithinGap(t *testing.T) {
 	// Three buildings in a row, 40 m centroid spacing => 30 m gaps; the
 	// fourth is 200 m away and must be isolated.
@@ -39,7 +46,7 @@ func TestBuildEdgesWithinGap(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Fatalf("edges = %d, want the two 30 m gaps only", g.NumEdges())
 	}
-	if g.Degree(3) != 0 {
+	if degree(g, 3) != 0 {
 		t.Error("distant building should be isolated")
 	}
 }
@@ -75,7 +82,7 @@ func TestCubedWeightsPreferShortHops(t *testing.T) {
 		geo.Pt(26, 34), // 2: midpoint hop with ~30 m-ish gaps to both
 	)
 	g := Build(city, DefaultConfig())
-	if g.Degree(0) < 2 {
+	if degree(g, 0) < 2 {
 		t.Skip("geometry did not produce both edges")
 	}
 	path, _, err := g.ShortestPath(0, 1)
@@ -280,13 +287,8 @@ func TestComponents(t *testing.T) {
 		geo.Pt(600, 0), geo.Pt(640, 0),
 	)
 	g := Build(city, DefaultConfig())
-	comps := g.Components()
-	if len(comps) != 2 {
-		t.Fatalf("components = %d, want 2", len(comps))
-	}
-	if len(comps[0]) != 3 || len(comps[1]) != 2 {
-		t.Errorf("component sizes = %d, %d; want 3, 2 (largest first)",
-			len(comps[0]), len(comps[1]))
+	if want := []int32{0, 0, 0, 1, 1}; !slices.Equal(g.comp, want) {
+		t.Errorf("component ids = %v, want %v", g.comp, want)
 	}
 }
 
@@ -487,8 +489,7 @@ func graphFromEdges(n int, edges [][3]float64) *Graph {
 		g.to[next[b]], g.w[next[b]] = int32(a), e[2]
 		next[b]++
 	}
-	g.comp = make([]int32, n)
-	g.label(g.comp, nil)
+	g.label()
 	return g
 }
 

@@ -205,34 +205,8 @@ func (r *Region) Contains(p geo.Point) bool {
 	return false
 }
 
-// Len returns the number of conduit rectangles in the region.
-func (r *Region) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.rects)
-}
-
-// Rects exposes the underlying conduit rectangles (read-only; rendering
-// and diagnostics).
-func (r *Region) Rects() []geo.OrientedRect {
-	if r == nil {
-		return nil
-	}
-	return r.rects
-}
-
 // Src returns the source building index of the route.
 func (r Route) Src() int { return r.Waypoints[0] }
 
 // Dst returns the destination building index of the route.
 func (r Route) Dst() int { return r.Waypoints[len(r.Waypoints)-1] }
-
-// Length returns the total axis length of the route's conduits in meters.
-func (r Route) Length(city *osm.City) float64 {
-	var l float64
-	for i := 0; i+1 < len(r.Waypoints); i++ {
-		l += city.Buildings[r.Waypoints[i]].Centroid.Dist(city.Buildings[r.Waypoints[i+1]].Centroid)
-	}
-	return l
-}

@@ -248,14 +248,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestRouteLength(t *testing.T) {
-	city := lineCity(geo.Pt(0, 0), geo.Pt(100, 0), geo.Pt(100, 50))
-	r := Route{Waypoints: []int{0, 1, 2}, Width: 50}
-	if l := r.Length(city); l != 150 {
-		t.Errorf("Length = %v", l)
-	}
-}
-
 // planToCity converts a citygen plan directly to an osm.City.
 func planToCity(p *citygen.Plan) *osm.City {
 	city := &osm.City{Name: p.Spec.Name, Bounds: p.Bounds}

@@ -209,7 +209,7 @@ func TestSendEventuallyMuleBridgesPartition(t *testing.T) {
 		t.Fatalf("300 m gap delivered without a carrier: %+v", base)
 	}
 
-	walk, err := mobility.Line(geo.Pt(0, 0), geo.Pt(300, 0), 10, 0)
+	walk, err := mobility.NewTrack([]geo.Point{geo.Pt(0, 0), geo.Pt(300, 0)}, 10, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

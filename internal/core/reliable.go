@@ -202,15 +202,6 @@ type ReliableResult struct {
 	FirstAttempt SendResult
 }
 
-// Overhead returns TotalBroadcasts relative to the ideal unicast minimum
-// recorded by the first attempt, or 0 if unavailable.
-func (r ReliableResult) Overhead() float64 {
-	if r.FirstAttempt.IdealTransmissions <= 0 {
-		return 0
-	}
-	return float64(r.TotalBroadcasts) / float64(r.FirstAttempt.IdealTransmissions)
-}
-
 // SendReliable wraps Send with end-to-end delivery confirmation and a
 // deterministic escalation ladder: retransmit the same route, re-plan with
 // a widened conduit, k-disjoint multipath, and finally a TTL-scoped flood.

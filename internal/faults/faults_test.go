@@ -64,9 +64,11 @@ func TestDiskIsSpatiallyCorrelated(t *testing.T) {
 	// (ties aside): the failure set is a disk.
 	center := n.City.Bounds.Center()
 	maxDead := 0.0
-	inj.FailedSet.ForEach(func(ap int) {
-		maxDead = math.Max(maxDead, m.APs[ap].Pos.Dist(center))
-	})
+	for ap := range m.APs {
+		if inj.FailedSet.Contains(ap) {
+			maxDead = math.Max(maxDead, m.APs[ap].Pos.Dist(center))
+		}
+	}
 	for i := range m.APs {
 		if inj.FailedSet.Contains(i) {
 			continue
@@ -88,11 +90,11 @@ func TestDiskCustomCenter(t *testing.T) {
 	// The failure set must hug the corner, not the city center: at least
 	// one dead AP closer to the corner makes a plausible disk.
 	hugsCorner := false
-	inj.FailedSet.ForEach(func(ap int) {
-		if m.APs[ap].Pos.Dist(c) > m.APs[ap].Pos.Dist(boundsCenter) {
+	for ap := range m.APs {
+		if inj.FailedSet.Contains(ap) && m.APs[ap].Pos.Dist(c) > m.APs[ap].Pos.Dist(boundsCenter) {
 			hugsCorner = true
 		}
-	})
+	}
 	if !hugsCorner && inj.FailedSet.Len() > 0 {
 		t.Error("corner-centered disk killed only center-hugging APs")
 	}
@@ -164,7 +166,11 @@ func TestFloodHugsTheRiver(t *testing.T) {
 		return best
 	}
 	maxDead := 0.0
-	inj.FailedSet.ForEach(func(ap int) { maxDead = math.Max(maxDead, distToWater(ap)) })
+	for ap := range n.Mesh.APs {
+		if inj.FailedSet.Contains(ap) {
+			maxDead = math.Max(maxDead, distToWater(ap))
+		}
+	}
 	for i := range n.Mesh.APs {
 		if inj.FailedSet.Contains(i) {
 			continue
@@ -341,11 +347,12 @@ func TestWithRecoveryMovesStaticFailuresIntoSchedule(t *testing.T) {
 		t.Fatal("WithRecovery must install a schedule")
 	}
 	anyAP := -1
-	inj.FailedSet.ForEach(func(ap int) {
-		if anyAP < 0 {
+	for ap := range m.APs {
+		if inj.FailedSet.Contains(ap) {
 			anyAP = ap
+			break
 		}
-	})
+	}
 	if !healed.Schedule.Down(anyAP, 0) {
 		t.Error("failed AP must be down before recovery")
 	}

@@ -327,16 +327,14 @@ func TestOverlappingInjectionsMerge(t *testing.T) {
 	u1.ApplySet(&cfg)
 	u2.ApplySet(&cfg)
 	ch.ApplySet(&cfg)
-	u1.FailedSet.ForEach(func(ap int) {
-		if !cfg.FailedSet.Contains(ap) {
+	for ap := range m.APs {
+		if u1.FailedSet.Contains(ap) && !cfg.FailedSet.Contains(ap) {
 			t.Fatalf("AP %d from the first injection lost in the merge", ap)
 		}
-	})
-	u2.FailedSet.ForEach(func(ap int) {
-		if !cfg.FailedSet.Contains(ap) {
+		if u2.FailedSet.Contains(ap) && !cfg.FailedSet.Contains(ap) {
 			t.Fatalf("AP %d from the overlapping injection lost in the merge", ap)
 		}
-	})
+	}
 	if cfg.Schedule == nil {
 		t.Fatal("churn schedule dropped by the merge")
 	}

@@ -143,14 +143,6 @@ func (c Counts) Total() uint64 {
 		c.BadRoute + c.TTLInflated + c.BadConduit
 }
 
-// Rebroadcasts returns the decisions that requested a transmission.
-func (c Counts) Rebroadcasts() uint64 { return c.FirstHop + c.Geocast + c.InConduit }
-
-// Rejected returns the sanity rejections: frames the kernel refused to
-// process at all (no delivery, no rebroadcast) because the header is
-// evidence of tampering.
-func (c Counts) Rejected() uint64 { return c.TTLInflated + c.BadConduit }
-
 // Add tallies n decisions for reason r — the one mapping from a Reason to
 // its Counts field.
 func (c *Counts) Add(r Reason, n uint64) {

@@ -211,9 +211,6 @@ func TestKernelCountsBreakdown(t *testing.T) {
 	if c != want {
 		t.Fatalf("counts = %+v, want %+v", c, want)
 	}
-	if c.Rebroadcasts() != 2 {
-		t.Fatalf("rebroadcasts = %d, want 2", c.Rebroadcasts())
-	}
 }
 
 func TestConcurrentKernelDecides(t *testing.T) {

@@ -32,7 +32,7 @@ func TestSanityTTLInflationRejected(t *testing.T) {
 	}
 
 	c := k.Counts()
-	if c.TTLInflated != 1 || c.Rejected() != 1 {
+	if c.TTLInflated != 1 || c.BadConduit != 0 {
 		t.Fatalf("counts = %+v, want exactly one ttl-inflated rejection", c)
 	}
 }

@@ -169,15 +169,6 @@ func (m *Mesh) Neighbors(id int, fn func(other int)) {
 // appended to.
 func (m *Mesh) Adjacency() [][]int32 { return m.adj }
 
-// NumLinks returns the number of undirected AP-AP links.
-func (m *Mesh) NumLinks() int {
-	n := 0
-	for _, a := range m.adj {
-		n += len(a)
-	}
-	return n / 2
-}
-
 // graphChunk is how many APs one task of buildGraph's sweeps covers.
 const graphChunk = 2048
 

@@ -55,16 +55,6 @@ func (s NodeSet) Len() int {
 	return n
 }
 
-// ForEach calls fn for every member in ascending index order.
-func (s NodeSet) ForEach(fn func(i int)) {
-	for wi, w := range s {
-		for w != 0 {
-			fn(wi<<6 + bits.TrailingZeros64(w))
-			w &= w - 1 // clear lowest set bit
-		}
-	}
-}
-
 // Union returns a new set holding every member of s and other; neither
 // input is modified.
 func (s NodeSet) Union(other NodeSet) NodeSet {

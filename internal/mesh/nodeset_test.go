@@ -1,9 +1,6 @@
 package mesh
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestNodeSetBasics(t *testing.T) {
 	s := NewNodeSet(130)
@@ -41,23 +38,9 @@ func TestNodeSetNilSafe(t *testing.T) {
 	if s.Contains(0) || s.Len() != 0 {
 		t.Error("nil NodeSet should be empty")
 	}
-	s.ForEach(func(int) { t.Error("nil NodeSet ForEach must not visit") })
 	s = s.Add(7)
 	if !s.Contains(7) {
 		t.Error("Add on nil NodeSet must allocate")
-	}
-}
-
-func TestNodeSetForEachAscending(t *testing.T) {
-	s := NewNodeSet(200)
-	want := []int{3, 64, 65, 190}
-	for _, i := range want {
-		s = s.Add(i)
-	}
-	var got []int
-	s.ForEach(func(i int) { got = append(got, i) })
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ForEach order = %v, want %v", got, want)
 	}
 }
 

@@ -183,8 +183,8 @@ func TestMinTransmissionsMatchesBFSOracle(t *testing.T) {
 			centers[i] = geo.Pt(40*float64(i), 0)
 		}
 		m := Place(squareCity(4, centers...), DefaultConfig())
-		if m.NumAPs() != n || m.NumLinks() != n-1 {
-			t.Fatalf("fixture: %d APs, %d links, want a chain of %d", m.NumAPs(), m.NumLinks(), n)
+		if m.NumAPs() != n || numLinks(m) != n-1 {
+			t.Fatalf("fixture: %d APs, %d links, want a chain of %d", m.NumAPs(), numLinks(m), n)
 		}
 		saturated := 0
 		for _, x := range m.landmarks {
@@ -331,7 +331,7 @@ func TestBuildGraphAllocsIndependentOfSize(t *testing.T) {
 	}
 	for _, m := range []*Mesh{Place(planCity(small), DefaultConfig()), presetMesh(t, "gridtown")} {
 		allocs := testing.AllocsPerRun(3, m.buildGraph)
-		t.Logf("%d APs, %d links: buildGraph allocates %.0f", m.NumAPs(), m.NumLinks(), allocs)
+		t.Logf("%d APs, %d links: buildGraph allocates %.0f", m.NumAPs(), numLinks(m), allocs)
 		if allocs > 8 {
 			t.Errorf("buildGraph allocates %.0f for %d APs, budget 8", allocs, m.NumAPs())
 		}

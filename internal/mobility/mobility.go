@@ -8,10 +8,10 @@
 // can stitch a partitioned mesh back together.
 //
 // The core type is Track: a waypoint polyline plus a speed, giving a
-// deterministic position for every instant. Tracks deliberately reuse the
-// survey-walk machinery from internal/measure (the paper's §2 wardriving
-// study walked and cycled the same kinds of paths), so a measurement
-// survey route can be replayed as a vehicle or pedestrian track unchanged.
+// deterministic position for every instant. Any polyline will do, so a
+// survey route from internal/measure (the paper's §2 wardriving study
+// walked and cycled the same kinds of paths) can be replayed as a vehicle
+// or pedestrian track unchanged.
 //
 // A Track is immutable after Compile and safe for concurrent readers,
 // which the parallel experiment runner relies on.
@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"citymesh/internal/geo"
-	"citymesh/internal/measure"
 )
 
 // Track is a deterministic motion plan: a polyline followed at constant
@@ -80,9 +79,6 @@ func NewTrack(waypoints []geo.Point, speedMps, startS float64, loop bool) (*Trac
 	return tr, nil
 }
 
-// Length returns one pass's arc length (the loop circumference for loops).
-func (tr *Track) Length() float64 { return tr.total }
-
 // Period returns the loop traversal time in seconds, or 0 for open tracks
 // and degenerate loops.
 func (tr *Track) Period() float64 {
@@ -129,27 +125,4 @@ func (tr *Track) PosAt(t float64) geo.Point {
 		return a
 	}
 	return a.Lerp(b, (d-tr.cum[lo])/segLen)
-}
-
-// Line returns a straight track from a to b — the evacuation-walk shape
-// (measure.LineTrack replayed as motion).
-func Line(a, b geo.Point, speedMps, startS float64) (*Track, error) {
-	return NewTrack(measure.LineTrack(a, b), speedMps, startS, false)
-}
-
-// BusLoop returns a rectangular circuit around r — a city bus route that
-// keeps running through the disaster.
-func BusLoop(r geo.Rect, speedMps, startS float64) (*Track, error) {
-	return NewTrack([]geo.Point{
-		geo.Pt(r.Min.X, r.Min.Y),
-		geo.Pt(r.Max.X, r.Min.Y),
-		geo.Pt(r.Max.X, r.Max.Y),
-		geo.Pt(r.Min.X, r.Max.Y),
-	}, speedMps, startS, true)
-}
-
-// SurveyWalk replays a lawnmower survey of r (the §2 measurement study's
-// thorough-area shape, via measure.SerpentineTrack) as a pedestrian track.
-func SurveyWalk(r geo.Rect, spacing, speedMps, startS float64) (*Track, error) {
-	return NewTrack(measure.SerpentineTrack(r, spacing), speedMps, startS, false)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"citymesh/internal/geo"
+	"citymesh/internal/measure"
 )
 
 func TestCompileRejectsDegenerate(t *testing.T) {
@@ -20,7 +21,7 @@ func TestCompileRejectsDegenerate(t *testing.T) {
 }
 
 func TestOpenTrackClampsAtEnds(t *testing.T) {
-	tr, err := Line(geo.Pt(0, 0), geo.Pt(100, 0), 10, 5)
+	tr, err := NewTrack([]geo.Point{geo.Pt(0, 0), geo.Pt(100, 0)}, 10, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +41,11 @@ func TestOpenTrackClampsAtEnds(t *testing.T) {
 }
 
 func TestLoopWrapsDeterministically(t *testing.T) {
-	tr, err := BusLoop(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(100, 50)}, 10, 0)
+	tr, err := NewTrack([]geo.Point{geo.Pt(0, 0), geo.Pt(100, 0), geo.Pt(100, 50), geo.Pt(0, 50)}, 10, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tr.Length(), 300.0; math.Abs(got-want) > 1e-9 {
+	if got, want := tr.total, 300.0; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("circumference: got %v want %v", got, want)
 	}
 	if got, want := tr.Period(), 30.0; math.Abs(got-want) > 1e-9 {
@@ -66,7 +67,8 @@ func TestLoopWrapsDeterministically(t *testing.T) {
 }
 
 func TestSpeedIsConstantAlongTrack(t *testing.T) {
-	tr, err := SurveyWalk(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(200, 200)}, 50, 1.4, 0)
+	walk := measure.SerpentineTrack(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(200, 200)}, 50)
+	tr, err := NewTrack(walk, 1.4, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package osm
 
 import (
-	"sort"
-
 	"citymesh/internal/geo"
 )
 
@@ -61,16 +59,6 @@ type City struct {
 	Water     []*Feature
 	Parks     []*Feature
 	Highways  []*Feature
-
-	// byOSMID maps an OSM way ID back to a dense building index.
-	byOSMID map[ID]int
-}
-
-// BuildingByOSMID returns the dense building index of the building extracted
-// from the given OSM way, and whether it exists.
-func (c *City) BuildingByOSMID(id ID) (int, bool) {
-	i, ok := c.byOSMID[id]
-	return i, ok
 }
 
 // NumBuildings returns the number of buildings in the city.
@@ -111,7 +99,6 @@ func ExtractCity(name string, doc *Document, minArea float64) *City {
 	city := &City{
 		Name:       name,
 		Projection: proj,
-		byOSMID:    make(map[ID]int),
 	}
 
 	first := true
@@ -146,7 +133,6 @@ func ExtractCity(name string, doc *Document, minArea float64) *City {
 		}
 		switch kind {
 		case KindBuilding:
-			city.byOSMID[w.ID] = len(city.Buildings)
 			city.Buildings = append(city.Buildings, f)
 		case KindWater:
 			city.Water = append(city.Water, f)
@@ -222,18 +208,4 @@ func atoiDefault(s string, def int) int {
 		n = n*10 + int(c-'0')
 	}
 	return n
-}
-
-// Gaps returns every feature that acts as a connectivity gap (water, parks,
-// highways), sorted by descending area. Callers use it to explain failed
-// routes (§4: "connectivity is occasionally interrupted by large features").
-func (c *City) Gaps() []*Feature {
-	out := make([]*Feature, 0, len(c.Water)+len(c.Parks)+len(c.Highways))
-	out = append(out, c.Water...)
-	out = append(out, c.Parks...)
-	out = append(out, c.Highways...)
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Footprint.Area() > out[j].Footprint.Area()
-	})
-	return out
 }

@@ -178,11 +178,8 @@ func TestExtractCity(t *testing.T) {
 	if b.Kind != KindBuilding || b.Name != "Tower" || b.Levels != 12 {
 		t.Errorf("building = %+v", b)
 	}
-	if idx, ok := city.BuildingByOSMID(100); !ok || idx != 0 {
-		t.Errorf("BuildingByOSMID = %d, %v", idx, ok)
-	}
-	if _, ok := city.BuildingByOSMID(999); ok {
-		t.Error("missing OSM ID should not resolve")
+	if b.ID != 100 {
+		t.Errorf("building 0 came from way %d, want 100", b.ID)
 	}
 	if !b.Footprint.Contains(b.Centroid) {
 		t.Error("centroid should be inside a convex building footprint")
@@ -246,20 +243,6 @@ func TestClassify(t *testing.T) {
 		if ok != c.ok || (ok && kind != c.kind) {
 			t.Errorf("case %d: classify(%v) = %v, %v", i, c.tags, kind, ok)
 		}
-	}
-}
-
-func TestGapsSorted(t *testing.T) {
-	city := &City{
-		Water: []*Feature{{Footprint: geo.RectPolygon(geo.Rect{Max: geo.Pt(10, 10)})}},
-		Parks: []*Feature{{Footprint: geo.RectPolygon(geo.Rect{Max: geo.Pt(100, 100)})}},
-	}
-	gaps := city.Gaps()
-	if len(gaps) != 2 {
-		t.Fatalf("gaps = %d", len(gaps))
-	}
-	if gaps[0].Footprint.Area() < gaps[1].Footprint.Area() {
-		t.Error("gaps should be sorted by descending area")
 	}
 }
 

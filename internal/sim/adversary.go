@@ -241,11 +241,6 @@ type Defense struct {
 	MaxGeocastRadius float64
 }
 
-// Any reports whether any defense is enabled.
-func (d Defense) Any() bool {
-	return d.MaxTTL > 0 || d.TamperCheck || d.NeighborRate > 0 || d.MaxGeocastRadius > 0
-}
-
 // pairKey packs a (receiver, sender) node pair for the defense rate buckets.
 func pairKey(to, from int) uint64 { return uint64(uint32(to))<<32 | uint64(uint32(from)) }
 

@@ -89,9 +89,6 @@ func NewEngine(m *mesh.Mesh, city *osm.City, pol Policy) *Engine {
 // Mesh returns the engine's mesh.
 func (e *Engine) Mesh() *mesh.Mesh { return e.mesh }
 
-// City returns the engine's city map.
-func (e *Engine) City() *osm.City { return e.city }
-
 // Run simulates the propagation of pkt, injected at the first AP of the
 // source building, until the event queue drains or Config.MaxEvents is
 // hit, using the engine's default policy. The destination building is

@@ -97,13 +97,6 @@ func (c *Canvas) Circle(p geo.Point, rPx float64, fill string) {
 	fmt.Fprintf(&c.body, `<circle cx="%.1f" cy="%.1f" r="%.2f" fill="%s"/>`+"\n", x, y, rPx, fill)
 }
 
-// Text places a label at p.
-func (c *Canvas) Text(p geo.Point, size float64, fill, text string) {
-	x, y := c.px(p)
-	fmt.Fprintf(&c.body, `<text x="%.1f" y="%.1f" font-size="%.1f" fill="%s" font-family="sans-serif">%s</text>`+"\n",
-		x, y, size, fill, escapeText(text))
-}
-
 // OrientedRect draws a conduit rectangle (without end caps).
 func (c *Canvas) OrientedRect(o geo.OrientedRect, fill string, opacity float64) {
 	axis := o.B.Sub(o.A)
