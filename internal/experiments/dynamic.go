@@ -354,7 +354,7 @@ func FloodFrontStudy(cfg FloodFrontStudyConfig) ([]FloodFrontRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	front, _ := dynamic.Schedule.(interface{ DownFractionAt(float64) float64 })
+	front, _ := dynamic.Schedule.(*faults.FloodFront)
 	staticFrac := float64(static.FailedSet.Len()) / float64(n.Mesh.NumAPs())
 
 	type cell struct {

@@ -337,20 +337,6 @@ func (s *ChurnSchedule) Down(ap int, t float64) bool {
 	return down
 }
 
-// DownFractionAt returns the fraction of APs down at time t (diagnostics).
-func (s *ChurnSchedule) DownFractionAt(t float64) float64 {
-	if len(s.startDown) == 0 {
-		return 0
-	}
-	down := 0
-	for ap := range s.startDown {
-		if s.Down(ap, t) {
-			down++
-		}
-	}
-	return float64(down) / float64(len(s.startDown))
-}
-
 func injectChurn(m *mesh.Mesh, cfg Config) (Injection, error) {
 	frac := cfg.Frac
 	if frac < 0 || frac >= 1 {

@@ -271,20 +271,6 @@ func (rb *RollingBlackout) Down(ap int, t float64) bool {
 	return t >= off && t < off+rb.outage
 }
 
-// DownFractionAt returns the fraction of APs dark at time t.
-func (rb *RollingBlackout) DownFractionAt(t float64) float64 {
-	if len(rb.offS) == 0 {
-		return 0
-	}
-	n := 0
-	for ap := range rb.offS {
-		if rb.Down(ap, t) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(rb.offS))
-}
-
 // injectBlackout realizes a ModeBlackout config: one pass of the default
 // rotation (see BlackoutConfig).
 func injectBlackout(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
