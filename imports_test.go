@@ -12,14 +12,14 @@ import (
 	"testing"
 )
 
-// parseModule parses every non-test Go file of the module and hands each
-// to visit with its slash-separated path ("internal/sim/engine.go", ...).
-// Nested modules (bench/), hidden directories and testdata are not part of
-// the module's build graph and are skipped. With all set, test files and
-// nested modules are parsed too: every Go file of the repository.
-func parseModule(t *testing.T, all bool, visit func(path string, f *ast.File)) {
+// parseModule parses every non-test Go file of the module into fset and
+// hands each to visit with its slash-separated path
+// ("internal/sim/engine.go", ...). Nested modules (bench/), hidden
+// directories and testdata are not part of the module's build graph and
+// are skipped. With all set, test files and nested modules are parsed too:
+// every Go file of the repository.
+func parseModule(t *testing.T, fset *token.FileSet, all bool, visit func(path string, f *ast.File)) {
 	t.Helper()
-	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -70,7 +70,7 @@ func fileImports(f *ast.File) map[string]string {
 func moduleImports(t *testing.T) map[string]map[string]bool {
 	t.Helper()
 	out := map[string]map[string]bool{}
-	parseModule(t, false, func(path string, f *ast.File) {
+	parseModule(t, token.NewFileSet(), false, func(path string, f *ast.File) {
 		dir := filepath.Dir(path)
 		if out[dir] == nil {
 			out[dir] = map[string]bool{}
@@ -166,7 +166,7 @@ func TestDeterministicPackages(t *testing.T) {
 		return false
 	}
 	seen := map[string]bool{}
-	parseModule(t, false, func(path string, f *ast.File) {
+	parseModule(t, token.NewFileSet(), false, func(path string, f *ast.File) {
 		dir := filepath.Dir(path)
 		if !pinned[dir] {
 			return

@@ -394,11 +394,11 @@ func (l *knobLint) unset() (names []string, total int) {
 // write.
 func TestEveryConfigFieldIsSet(t *testing.T) {
 	l := newKnobLint()
-	parseModule(t, false, l.declare)
+	parseModule(t, token.NewFileSet(), false, l.declare)
 	if len(l.knobs) == 0 {
 		t.Fatal("no knob structs found: run from the module root")
 	}
-	parseModule(t, true, l.scanWrites)
+	parseModule(t, token.NewFileSet(), true, l.scanWrites)
 	unset, total := l.unset()
 	t.Logf("%d exported fields in %d knob structs", total, len(l.knobs))
 	for _, name := range unset {
