@@ -14,8 +14,8 @@ import (
 	"testing"
 )
 
-// unusedAllowed lists the exported identifiers under internal/ that have no
-// use outside tests and bench/ but stay, each with its reason. The list can
+// unusedAllowed lists the identifiers under internal/ that have no use
+// outside tests and bench/ but stay, each with its reason. The list can
 // only shrink: TestEveryExportedIdentifierIsUsed fails on an entry that has
 // gained a use or no longer exists.
 var unusedAllowed = map[string]string{
@@ -223,11 +223,12 @@ func (l *useLint) used() map[types.Object]bool {
 	return out
 }
 
-// run type-checks every package and returns the exported identifiers under
-// internal/ that nothing uses, as "dir.Name" or "dir.Type.Method" in sorted
-// order, and how many exported identifiers there are. An exported method
-// that satisfies an interface counts as exported but is never unused.
-func (l *useLint) run() (unused []string, exported int, err error) {
+// run type-checks every package and returns the package-level identifiers
+// and methods under internal/, exported or not, that nothing uses, as
+// "dir.Name" or "dir.Type.Method" in sorted order, and how many such
+// identifiers there are. A method that satisfies an interface counts but is
+// never unused.
+func (l *useLint) run() (unused []string, declared int, err error) {
 	dirs := make([]string, 0, len(l.files))
 	for dir := range l.files {
 		dirs = append(dirs, dir)
@@ -248,7 +249,7 @@ func (l *useLint) run() (unused []string, exported int, err error) {
 	}
 	uses := l.used()
 	check := func(name string, obj types.Object, exempt bool) {
-		exported++
+		declared++
 		if !exempt && !uses[obj] {
 			unused = append(unused, name)
 		}
@@ -261,23 +262,20 @@ func (l *useLint) run() (unused []string, exported int, err error) {
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() {
-				check(dir+"."+name, obj, false)
-			}
+			check(dir+"."+name, obj, false)
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
 			}
 			named := tn.Type().(*types.Named)
 			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
-					check(dir+"."+name+"."+m.Name(), m, satisfies(m, ifaces))
-				}
+				m := named.Method(i)
+				check(dir+"."+name+"."+m.Name(), m, satisfies(m, ifaces))
 			}
 		}
 	}
 	sort.Strings(unused)
-	return unused, exported, nil
+	return unused, declared, nil
 }
 
 // allowlistDrift compares the unused identifiers with an allowlist: those
@@ -298,9 +296,10 @@ func allowlistDrift(unused []string, allow map[string]string) (unlisted, stale [
 	return unlisted, stale
 }
 
-// TestEveryExportedIdentifierIsUsed fails on an exported package-level
-// name or method under internal/ that no non-test Go file of the module or
-// of bench/ uses, unless unusedAllowed lists it. The root package's
+// TestEveryExportedIdentifierIsUsed fails on a package-level name or a
+// method under internal/, exported or not, that no non-test Go file of the
+// module or of bench/ uses, unless unusedAllowed lists it. (The name
+// predates the unexported half; CI selects the test by it.) The root package's
 // aliases count as uses; bench/ is frozen, so what it calls stays. A
 // method's receiver naming its own type, and a declaration referring to
 // itself, are not uses. A method is exempt when its type implements an
@@ -310,11 +309,11 @@ func TestEveryExportedIdentifierIsUsed(t *testing.T) {
 	fset := token.NewFileSet()
 	l := newUseLint(fset, importer.ForCompiler(fset, "source", nil))
 	parseModule(t, fset, true, l.add)
-	unused, exported, err := l.run()
+	unused, declared, err := l.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d exported identifiers under internal/, %d without a use outside tests", exported, len(unused))
+	t.Logf("%d package-level identifiers and methods under internal/, %d without a use outside tests", declared, len(unused))
 	unlisted, stale := allowlistDrift(unused, unusedAllowed)
 	for _, name := range unlisted {
 		t.Errorf("%s has no use outside tests and bench/: delete it, or list it in unusedAllowed with the reason", name)
@@ -325,8 +324,8 @@ func TestEveryExportedIdentifierIsUsed(t *testing.T) {
 }
 
 // TestExportedUseRule runs the lint over small sources: what counts as a
-// use, which methods an interface exempts, and that a stale allowlist
-// entry fails.
+// use, for exported and unexported names alike, which methods an interface
+// exempts, and that a stale allowlist entry fails.
 func TestExportedUseRule(t *testing.T) {
 	const twoFuncs = `package a
 
@@ -417,6 +416,48 @@ func main() {
 }
 `,
 		}, nil, []string{"internal/a.Sq.Len", "internal/a.Sq.Side"}, nil},
+		{"an unexported name used only in a test file is flagged", map[string]string{
+			"internal/a/a.go": `package a
+
+func F() { g() }
+
+func g() {}
+
+func h() {}
+`,
+			"internal/a/a_test.go": `package a
+
+func use() { h() }
+`,
+			"cmd/m/main.go": `package main
+
+import "citymesh/internal/a"
+
+func main() { a.F() }
+`,
+		}, nil, []string{"internal/a.h"}, nil},
+		{"an unexported method an interface declares is exempt", map[string]string{
+			"internal/a/a.go": `package a
+
+type walker interface{ step() int }
+
+type leg struct{}
+
+func (leg) step() int { return 1 }
+func (leg) rest() int { return 0 }
+
+func Walk() int {
+	var w walker = leg{}
+	return w.step()
+}
+`,
+			"cmd/m/main.go": `package main
+
+import "citymesh/internal/a"
+
+func main() { a.Walk() }
+`,
+		}, nil, []string{"internal/a.leg.rest"}, nil},
 		{"a stale allowlist entry fails", map[string]string{
 			"internal/a/a.go": twoFuncs,
 			"cmd/m/main.go":   callG,

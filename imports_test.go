@@ -135,7 +135,7 @@ func TestImportDAG(t *testing.T) {
 			t.Errorf("internal/buildinggraph imports %s", below)
 		}
 	}
-	for _, leaf := range []string{"internal/freelist", "internal/fifo"} {
+	for _, leaf := range []string{"internal/freelist", "internal/fifo", "internal/tokenbucket"} {
 		for imp := range deps[leaf] {
 			t.Errorf("%s imports citymesh/%s; it must import nothing from the module", leaf, imp)
 		}

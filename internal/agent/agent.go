@@ -179,10 +179,6 @@ func New(cfg Config, tr Transport) *Agent {
 	if rate == 0 {
 		rate = DefaultNeighborRate
 	}
-	burst := cfg.NeighborBurst
-	if burst == 0 && rate == DefaultNeighborRate {
-		burst = DefaultNeighborBurst
-	}
 	dedupCap := cfg.DedupCap
 	if dedupCap <= 0 {
 		dedupCap = DefaultDedupCap
@@ -192,7 +188,7 @@ func New(cfg Config, tr Transport) *Agent {
 		tr:      tr,
 		store:   store,
 		clock:   clock,
-		limiter: newLimiter(rate, burst, cfg.InboundBytesPerSec, cfg.InboundBurstBytes, 0),
+		limiter: newLimiter(rate, cfg.NeighborBurst, cfg.InboundBytesPerSec, cfg.InboundBurstBytes),
 		kernel: fwd.NewKernel(fwd.Options{
 			MaxTTL:       cfg.MaxTTL,
 			StrictSanity: cfg.StrictSanity,

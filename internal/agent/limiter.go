@@ -3,6 +3,8 @@ package agent
 import (
 	"sync"
 	"time"
+
+	"citymesh/internal/tokenbucket"
 )
 
 // Overload protection. A deployed AP takes frames from whoever transmits;
@@ -15,75 +17,52 @@ import (
 //   - a global byte bucket (bytes/sec), capping the total inbound work the
 //     agent will accept regardless of how many sources share the load.
 //
-// Both are classic token buckets with an injectable clock for deterministic
-// tests. The per-source table is bounded: at capacity the stalest bucket is
-// recycled, keeping memory fixed on a 32 MB router no matter how many
-// source addresses an attacker forges.
+// Both are tokenbucket.Buckets, the arithmetic the simulator's defense rate
+// gate and session admission charge through too, on a clock of seconds
+// since the first frame the limiter saw; the agent's clock is injectable
+// for deterministic tests. The per-source table is bounded: at capacity the
+// stalest bucket is recycled, keeping memory fixed on a 32 MB router no
+// matter how many source addresses an attacker forges.
 
 // Default rate-limit parameters, sized far above legitimate mesh traffic
 // (a flood wave delivers each message to a neighbor a handful of times).
 const (
-	DefaultNeighborRate  = 500  // frames/sec per source
-	DefaultNeighborBurst = 1000 // frames of burst headroom
-	DefaultMaxSources    = 1024 // distinct source buckets remembered
+	DefaultNeighborRate = 500  // frames/sec per source; burst 0 derives 2x rate
+	DefaultMaxSources   = 1024 // distinct source buckets remembered
 )
-
-// tokenBucket is a standard leaky-bucket rate limiter.
-type tokenBucket struct {
-	tokens float64
-	last   time.Time
-	rate   float64 // tokens replenished per second; <=0 disables
-	burst  float64 // bucket capacity
-}
-
-// allow consumes cost tokens if available at time now.
-func (b *tokenBucket) allow(now time.Time, cost float64) bool {
-	if b.rate <= 0 {
-		return true
-	}
-	if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {
-		b.tokens += elapsed * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.last = now
-	}
-	if b.tokens < cost {
-		return false
-	}
-	b.tokens -= cost
-	return true
-}
 
 // limiter combines the per-source buckets with the global byte budget.
 type limiter struct {
-	mu         sync.Mutex
-	rate       float64 // per-source frames/sec
-	burst      float64
-	maxSources int
-	sources    map[string]*tokenBucket
-	global     tokenBucket // cost = bytes
+	mu                  sync.Mutex
+	rate, burst         float64 // per-source frames/sec; rate<=0 disables
+	byteRate, byteBurst float64 // global bytes/sec; byteRate<=0 disables
+	epoch               time.Time
+	sources             map[string]*tokenbucket.Bucket
+	global              tokenbucket.Bucket // cost = bytes
 }
 
 // newLimiter builds a limiter; rate<=0 disables per-source limiting,
-// bytesPerSec<=0 disables the global budget.
-func newLimiter(rate, burst, bytesPerSec, burstBytes float64, maxSources int) *limiter {
-	if maxSources <= 0 {
-		maxSources = DefaultMaxSources
-	}
-	if burst <= 0 {
-		burst = 2 * rate
-	}
-	if burstBytes <= 0 {
-		burstBytes = 2 * bytesPerSec
-	}
+// bytesPerSec<=0 disables the global budget, and a burst of 0 derives twice
+// its rate.
+func newLimiter(rate, burst, bytesPerSec, burstBytes float64) *limiter {
+	byteBurst := tokenbucket.Burst(bytesPerSec, burstBytes)
 	return &limiter{
-		rate:       rate,
-		burst:      burst,
-		maxSources: maxSources,
-		sources:    make(map[string]*tokenBucket),
-		global:     tokenBucket{tokens: burstBytes, rate: bytesPerSec, burst: burstBytes},
+		rate:      rate,
+		burst:     tokenbucket.Burst(rate, burst),
+		byteRate:  bytesPerSec,
+		byteBurst: byteBurst,
+		sources:   make(map[string]*tokenbucket.Bucket),
+		global:    tokenbucket.Full(byteBurst, 0),
 	}
+}
+
+// seconds reads now on the buckets' clock, which starts at the first
+// reading; called with l.mu held.
+func (l *limiter) seconds(now time.Time) float64 {
+	if l.epoch.IsZero() {
+		l.epoch = now
+	}
+	return now.Sub(l.epoch).Seconds()
 }
 
 // allowSource charges one frame against src's bucket.
@@ -93,45 +72,41 @@ func (l *limiter) allowSource(src string, now time.Time) bool {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	t := l.seconds(now)
 	b := l.sources[src]
 	if b == nil {
-		b = l.takeBucket(now)
+		b = l.takeBucket()
 		l.sources[src] = b
+		*b = tokenbucket.Full(l.burst, t)
 	}
-	return b.allow(now, 1)
+	return b.Allow(t, l.rate, l.burst, 1)
 }
 
-// takeBucket returns a fresh bucket, recycling the stalest one when the
-// table is at capacity; called with l.mu held.
-func (l *limiter) takeBucket(now time.Time) *tokenBucket {
-	if len(l.sources) >= l.maxSources {
-		var staleKey string
-		var stale *tokenBucket
-		for k, b := range l.sources {
-			if stale == nil || b.last.Before(stale.last) {
-				staleKey, stale = k, b
-			}
-		}
-		delete(l.sources, staleKey)
-		// A recycled bucket starts empty-handed except the burst refill,
-		// which allow() grants from elapsed time; reset it explicitly so a
-		// forged-source flood cannot inherit a full bucket.
-		*stale = tokenBucket{tokens: l.burst, last: now, rate: l.rate, burst: l.burst}
-		return stale
+// takeBucket returns a bucket for a new source, recycling the stalest one
+// when the table is at capacity; called with l.mu held. The caller fills it
+// afresh, so a forged-source flood cannot inherit a recycled bucket's
+// tokens.
+func (l *limiter) takeBucket() *tokenbucket.Bucket {
+	if len(l.sources) < DefaultMaxSources {
+		return new(tokenbucket.Bucket)
 	}
-	return &tokenBucket{tokens: l.burst, last: now, rate: l.rate, burst: l.burst}
+	var staleKey string
+	var stale *tokenbucket.Bucket
+	for k, b := range l.sources {
+		if stale == nil || b.Last < stale.Last {
+			staleKey, stale = k, b
+		}
+	}
+	delete(l.sources, staleKey)
+	return stale
 }
 
 // allowBytes charges n bytes against the global inbound budget.
 func (l *limiter) allowBytes(n int, now time.Time) bool {
+	if l.byteRate <= 0 {
+		return true
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.global.allow(now, float64(n))
-}
-
-// sourceCount reports how many source buckets are live (tests, status dump).
-func (l *limiter) sourceCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.sources)
+	return l.global.Allow(l.seconds(now), l.byteRate, l.byteBurst, float64(n))
 }

@@ -6,45 +6,24 @@ import (
 	"time"
 )
 
-func TestTokenBucketRefill(t *testing.T) {
+// TestLimiterDisabled turns both budgets off: with a negative per-source
+// rate and no byte budget every frame passes, however large or frequent.
+func TestLimiterDisabled(t *testing.T) {
+	l := newLimiter(-1, 0, 0, 0)
 	now := time.Unix(1000, 0)
-	b := tokenBucket{tokens: 2, last: now, rate: 10, burst: 2}
-	if !b.allow(now, 1) || !b.allow(now, 1) {
-		t.Fatal("burst tokens refused")
-	}
-	if b.allow(now, 1) {
-		t.Fatal("empty bucket allowed")
-	}
-	// 100 ms at 10/s refills one token.
-	now = now.Add(100 * time.Millisecond)
-	if !b.allow(now, 1) {
-		t.Fatal("refilled token refused")
-	}
-	if b.allow(now, 1) {
-		t.Fatal("over-refilled")
-	}
-	// Refill never exceeds burst.
-	now = now.Add(time.Hour)
-	if !b.allow(now, 2) {
-		t.Fatal("burst after idle refused")
-	}
-	if b.allow(now, 1) {
-		t.Fatal("bucket exceeded burst after idle")
-	}
-}
-
-func TestTokenBucketDisabled(t *testing.T) {
-	b := tokenBucket{rate: 0}
 	for i := 0; i < 100; i++ {
-		if !b.allow(time.Unix(0, 0), 1e9) {
-			t.Fatal("disabled bucket refused")
+		if !l.allowSource("a", now) || !l.allowBytes(1e9, now) {
+			t.Fatal("disabled limiter refused a frame")
 		}
+	}
+	if len(l.sources) != 0 {
+		t.Fatalf("disabled limiter tracks %d sources", len(l.sources))
 	}
 }
 
 func TestLimiterPerSourceIsolation(t *testing.T) {
 	now := time.Unix(2000, 0)
-	l := newLimiter(10, 10, 0, 0, 0)
+	l := newLimiter(10, 10, 0, 0)
 	// Source A exhausts its bucket; source B is unaffected.
 	for i := 0; i < 10; i++ {
 		if !l.allowSource("a", now) {
@@ -61,7 +40,7 @@ func TestLimiterPerSourceIsolation(t *testing.T) {
 
 func TestLimiterGlobalByteBudget(t *testing.T) {
 	now := time.Unix(3000, 0)
-	l := newLimiter(-1, 0, 1000, 1000, 0)
+	l := newLimiter(-1, 0, 1000, 1000)
 	if !l.allowBytes(800, now) {
 		t.Fatal("within budget refused")
 	}
@@ -76,18 +55,21 @@ func TestLimiterGlobalByteBudget(t *testing.T) {
 
 func TestLimiterSourceTableBounded(t *testing.T) {
 	now := time.Unix(4000, 0)
-	l := newLimiter(10, 10, 0, 0, 64)
-	for i := 0; i < 1000; i++ {
+	l := newLimiter(10, 10, 0, 0)
+	for i := 0; i < 2*DefaultMaxSources; i++ {
 		l.allowSource(fmt.Sprintf("src-%d", i), now.Add(time.Duration(i)*time.Millisecond))
 	}
-	if n := l.sourceCount(); n > 64 {
-		t.Fatalf("source table grew to %d entries, cap 64", n)
+	l.mu.Lock()
+	n := len(l.sources)
+	l.mu.Unlock()
+	if n > DefaultMaxSources {
+		t.Fatalf("source table grew to %d entries, cap %d", n, DefaultMaxSources)
 	}
 	// Forged-source churn must not hand out unlimited tokens: a recycled
 	// bucket still enforces its own burst.
 	src := "recycled"
 	allowed := 0
-	tick := now.Add(2 * time.Second)
+	tick := now.Add(5 * time.Second) // after every source above
 	for i := 0; i < 100; i++ {
 		if l.allowSource(src, tick) {
 			allowed++

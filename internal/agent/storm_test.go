@@ -108,6 +108,9 @@ func TestMalformedFrameStorm(t *testing.T) {
 	pairLen := a.pairSeen.Len()
 	neighborLen := len(a.neighbors)
 	a.mu.Unlock()
+	a.limiter.mu.Lock()
+	sourceLen := len(a.limiter.sources)
+	a.limiter.mu.Unlock()
 	if dedupLen > 256 {
 		t.Errorf("dedup cache grew to %d entries, cap 256", dedupLen)
 	}
@@ -117,8 +120,8 @@ func TestMalformedFrameStorm(t *testing.T) {
 	if neighborLen > maxNeighborEntries {
 		t.Errorf("neighbor table grew to %d entries, cap %d", neighborLen, maxNeighborEntries)
 	}
-	if n := a.limiter.sourceCount(); n > DefaultMaxSources {
-		t.Errorf("limiter tracks %d sources, cap %d", n, DefaultMaxSources)
+	if sourceLen > DefaultMaxSources {
+		t.Errorf("limiter tracks %d sources, cap %d", sourceLen, DefaultMaxSources)
 	}
 }
 

@@ -61,14 +61,6 @@ func tagsFromXML(xs []xmlTag) Tags {
 	return t
 }
 
-func tagsToXML(t Tags) []xmlTag {
-	out := make([]xmlTag, 0, len(t))
-	for _, k := range t.Keys() {
-		out = append(out, xmlTag{K: k, V: t[k]})
-	}
-	return out
-}
-
 // Parse reads an OSM XML document from r. It streams element-by-element so
 // city-scale files do not require the whole DOM in memory at once.
 func Parse(r io.Reader) (*Document, error) {

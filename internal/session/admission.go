@@ -1,11 +1,12 @@
 package session
 
 // Admission control: a per-client token bucket in front of a tiered
-// hashcash demand. The token bucket caps any single client's sustained
-// rate; the proof-of-work tiers throttle the aggregate when the AP's
-// forwarding queue backs up. Mirrors internal/agent's neighbor limiter:
-// the client table is bounded, and at capacity the stalest entry is
-// recycled so the table itself cannot be used to exhaust memory.
+// hashcash demand. The token bucket, a tokenbucket.Bucket on the session's
+// clock of seconds, caps any single client's sustained rate; the
+// proof-of-work tiers throttle the aggregate when the AP's forwarding queue
+// backs up. Like internal/agent's neighbor limiter, the client table is
+// bounded, and at capacity the stalest entry is recycled so the table
+// itself cannot be used to exhaust memory.
 
 // Tier is the AP's load state, derived from forwarding-queue depth. It is
 // advertised to clients on every accept/reject so backpressure is explicit
@@ -90,27 +91,6 @@ const (
 	// (~4096 expected hashes).
 	DefaultPowBitsOverload = 12
 )
-
-// clientBucket is a token bucket on the session's float64 sim-second clock.
-type clientBucket struct {
-	tokens float64
-	last   float64
-}
-
-func (b *clientBucket) allow(now, rate, burst float64) bool {
-	if now > b.last {
-		b.tokens += (now - b.last) * rate
-		if b.tokens > burst {
-			b.tokens = burst
-		}
-		b.last = now
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
 
 // tierFor maps queue depth to a load tier.
 func tierFor(depth, capacity int, congestedAt, overloadAt float64) Tier {

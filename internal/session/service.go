@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"citymesh/internal/postbox"
+	"citymesh/internal/tokenbucket"
 )
 
 // Defaults for the buffer bounds.
@@ -201,7 +202,7 @@ func (s Stats) AccountingError() error {
 
 type sessionState struct {
 	addr       postbox.Address
-	bucket     clientBucket
+	bucket     tokenbucket.Bucket
 	queued     int // this client's messages in the AP queue
 	lastActive float64
 }
@@ -323,7 +324,7 @@ func (s *Service) Attach(clientID uint64, addr postbox.Address, now float64) Rep
 	}
 	s.sessions[clientID] = &sessionState{
 		addr:       addr,
-		bucket:     clientBucket{tokens: s.cfg.ClientBurst, last: now},
+		bucket:     tokenbucket.Full(s.cfg.ClientBurst, now),
 		lastActive: now,
 	}
 	return s.acceptLocked()
@@ -375,7 +376,7 @@ func (s *Service) Submit(m Msg, now float64) Reply {
 		s.stats.Deduped++
 		return s.acceptLocked()
 	}
-	if !sess.bucket.allow(now, s.cfg.ClientRate, s.cfg.ClientBurst) {
+	if !sess.bucket.Allow(now, s.cfg.ClientRate, s.cfg.ClientBurst, 1) {
 		s.stats.RejectedRateLimit++
 		return s.rejectLocked(CauseRateLimit)
 	}

@@ -24,7 +24,10 @@
 // which models CRC plus kernel sanity on the frame bytes.
 package sim
 
-import "citymesh/internal/geo"
+import (
+	"citymesh/internal/geo"
+	"citymesh/internal/tokenbucket"
+)
 
 // APBehavior classifies one AP's misbehavior. BehaviorHonest is the zero
 // value: an AP absent from Adversary.Behaviors follows the protocol.
@@ -218,8 +221,9 @@ func (a *Adversary) forgedTTL() int {
 }
 
 // Defense is the honest receiver's sanity stack — the simulator twin of the
-// fwd kernel's cheap rejections plus the live agent's per-source rate
-// limiting. The zero value disables everything (the undefended baseline).
+// fwd kernel's cheap rejections, plus per-neighbour rate limiting through
+// the tokenbucket.Bucket the live agent charges too. The zero value
+// disables everything (the undefended baseline).
 type Defense struct {
 	// MaxTTL rejects receptions whose as-received TTL exceeds it — the
 	// signature of a Byzantine TTL-resetter. 0 disables. Set it to the
@@ -244,14 +248,13 @@ type Defense struct {
 // pairKey packs a (receiver, sender) node pair for the defense rate buckets.
 func pairKey(to, from int) uint64 { return uint64(uint32(to))<<32 | uint64(uint32(from)) }
 
-// gateSlot is one (receiver, sender) token bucket, sim-time based, in the
-// rate gate's open-addressed table. A slot whose epoch is not the gate's
+// gateSlot is one (receiver, sender) token bucket on the sim-time clock, in
+// the rate gate's open-addressed table. A slot whose epoch is not the gate's
 // current one is empty.
 type gateSlot struct {
 	key    uint64
 	epoch  uint32
-	tokens float64
-	last   float64
+	bucket tokenbucket.Bucket
 }
 
 // minGateSlots is the size of a new gate's table, which doubles from there
@@ -282,10 +285,7 @@ func (g *rateGate) reset(d Defense) {
 	if !g.on {
 		return
 	}
-	g.rate, g.burst = d.NeighborRate, d.NeighborBurst
-	if g.burst <= 0 {
-		g.burst = 2 * d.NeighborRate
-	}
+	g.rate, g.burst = d.NeighborRate, tokenbucket.Burst(d.NeighborRate, d.NeighborBurst)
 	if g.slots == nil {
 		g.slots = make([]gateSlot, minGateSlots)
 	}
@@ -339,19 +339,10 @@ func (g *rateGate) allow(to, from int, t float64) bool {
 			g.grow()
 			b = g.find(key)
 		}
-		*b = gateSlot{key: key, epoch: g.epoch, tokens: g.burst, last: t}
+		*b = gateSlot{key: key, epoch: g.epoch, bucket: tokenbucket.Full(g.burst, t)}
 		g.n++
 	}
-	b.tokens += (t - b.last) * g.rate
-	b.last = t
-	if b.tokens > g.burst {
-		b.tokens = g.burst
-	}
-	ok := b.tokens >= 1
-	if ok {
-		b.tokens--
-	}
-	return ok
+	return b.bucket.Allow(t, g.rate, g.burst, 1)
 }
 
 // forgedMsg is one injected forged message's propagation state: where it

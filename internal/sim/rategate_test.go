@@ -123,12 +123,12 @@ func TestRateGateResetTouchesNothing(t *testing.T) {
 	// The most-charged pair of the finished run.
 	old := g.slots[0]
 	for _, sl := range g.slots {
-		if sl.epoch == g.epoch && (old.epoch != g.epoch || sl.tokens < old.tokens) {
+		if sl.epoch == g.epoch && (old.epoch != g.epoch || sl.bucket.Tokens < old.bucket.Tokens) {
 			old = sl
 		}
 	}
-	if old.tokens > g.burst-1 {
-		t.Fatalf("no pair of the run spent a token (least %v of %v)", old.tokens, g.burst)
+	if old.bucket.Tokens > g.burst-1 {
+		t.Fatalf("no pair of the run spent a token (least %v of %v)", old.bucket.Tokens, g.burst)
 	}
 
 	before := slices.Clone(g.slots)
@@ -141,11 +141,11 @@ func TestRateGateResetTouchesNothing(t *testing.T) {
 	}
 	to, from := int(old.key>>32), int(uint32(old.key))
 	for i := 0; i < int(g.burst); i++ {
-		if !g.allow(to, from, old.last) {
+		if !g.allow(to, from, old.bucket.Last) {
 			t.Fatalf("pair (%d, %d) refused frame %d of a fresh %v burst", to, from, i+1, g.burst)
 		}
 	}
-	if g.allow(to, from, old.last) {
+	if g.allow(to, from, old.bucket.Last) {
 		t.Fatalf("pair (%d, %d) allowed more than its %v burst", to, from, g.burst)
 	}
 
