@@ -26,6 +26,7 @@ import (
 	"citymesh/internal/postbox"
 	"citymesh/internal/routing"
 	"citymesh/internal/sim"
+	"citymesh/internal/splitmix"
 )
 
 // Config collects the tunable parameters of a CityMesh deployment. The
@@ -51,9 +52,11 @@ type Config struct {
 	PredictGapFactor float64
 	// TTL is the packet TTL for sends.
 	TTL uint8
-	// MinBuildingArea filters degenerate footprints during OSM extraction.
-	MinBuildingArea float64
 }
+
+// minBuildingArea is the footprint area in square meters below which OSM
+// extraction drops a building as degenerate.
+const minBuildingArea = 20
 
 // DefaultConfig matches §4: 50 m range, 1 AP / 200 m², W = 50 m, cubed
 // weights.
@@ -66,7 +69,6 @@ func DefaultConfig() Config {
 		WeightExponent:    3,
 		PredictGapFactor:  0.85,
 		TTL:               packet.DefaultTTL,
-		MinBuildingArea:   20,
 	}
 }
 
@@ -145,11 +147,7 @@ func FromOSM(r io.Reader, name string, cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	minArea := cfg.MinBuildingArea
-	if minArea <= 0 {
-		minArea = DefaultConfig().MinBuildingArea
-	}
-	return NewNetwork(osm.ExtractCity(name, doc, minArea), cfg)
+	return NewNetwork(osm.ExtractCity(name, doc, minBuildingArea), cfg)
 }
 
 // FromPreset generates one of the built-in synthetic cities and builds a
@@ -256,13 +254,7 @@ func (n *Network) NewPacket(r conduit.Route, payload []byte) (*packet.Packet, er
 
 // msgID derives a well-spread deterministic message id.
 func msgID(seed int64, seq uint64) uint64 {
-	x := uint64(seed)*0x9e3779b97f4a7c15 + seq
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return splitmix.Mix(uint64(seed)*0x9e3779b97f4a7c15 + seq)
 }
 
 // SendResult combines the routing plan and the simulation outcome of one

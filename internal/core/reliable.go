@@ -62,6 +62,9 @@ func (r Rung) String() string {
 // NumRungs is the count of real ladder rungs (excluding RungExhausted).
 const NumRungs = int(RungExhausted)
 
+// multipathK is the number of diverse routes at RungMultipath.
+const multipathK = 3
+
 // ReliableConfig tunes SendReliable.
 type ReliableConfig struct {
 	// Retries is how many same-route retransmissions RungRetry attempts.
@@ -69,8 +72,6 @@ type ReliableConfig struct {
 	// WidenFactors are the successive conduit-width multipliers RungWiden
 	// tries (each is one attempt, applied to the original width).
 	WidenFactors []float64
-	// MultipathK is the number of diverse routes at RungMultipath.
-	MultipathK int
 	// MaxRung caps how far the ladder escalates: rungs above it are
 	// skipped entirely, and the result reports RungExhausted when nothing
 	// at or below delivered. Zero means unbounded (the full ladder) — a
@@ -101,11 +102,12 @@ type ReliableConfig struct {
 	// per-neighbor delivery-evidence mismatches: an in-conduit AP that
 	// provably received the frame with TTL to spare and did not forward it
 	// is a liar (grayhole/blackhole), not collateral damage — honest
-	// in-conduit APs always rebroadcast. Accused buildings take a
-	// MismatchBump instead of the gentler corridor-wide FailBump, so
-	// penalty-weighted replanning routes around liars specifically. The
-	// audit reads the attempt's simulation transcript, the simulator's
-	// stand-in for the passive overhear evidence a deployed AP collects.
+	// in-conduit APs always rebroadcast. Accused buildings take the
+	// health map's mismatch bump instead of the gentler corridor-wide
+	// health.FailBump, so penalty-weighted replanning routes around liars
+	// specifically. The audit reads the attempt's simulation transcript,
+	// the simulator's stand-in for the passive overhear evidence a deployed
+	// AP collects.
 	Evidence bool
 }
 
@@ -157,7 +159,6 @@ func DefaultReliableConfig() ReliableConfig {
 	return ReliableConfig{
 		Retries:      2,
 		WidenFactors: []float64{2, 4},
-		MultipathK:   3,
 		BackoffBase:  0.05,
 		BackoffMax:   2,
 		JitterFrac:   0.5,
@@ -222,9 +223,6 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 		return ReliableResult{}, err
 	}
 	d := DefaultReliableConfig()
-	if rcfg.MultipathK <= 0 {
-		rcfg.MultipathK = d.MultipathK
-	}
 	if rcfg.BackoffBase <= 0 {
 		rcfg.BackoffBase = d.BackoffBase
 	}
@@ -393,7 +391,7 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 	// so the diversity penalties compose with the suspicion penalties).
 	if maxAllows(RungMultipath) {
 		wait := backoff()
-		mp, err := n.MultipathSend(src, dst, payload, rcfg.MultipathK, attemptSim(len(out.Attempts)), vp)
+		mp, err := n.MultipathSend(src, dst, payload, multipathK, attemptSim(len(out.Attempts)), vp)
 		if err != nil {
 			record(RungMultipath, wait, 0, false, 0, err.Error())
 		} else {
@@ -457,7 +455,7 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 // transmits; the destination's state is partition classification's job), so
 // what remains is exactly the grayhole/blackhole signature. Accusations are
 // per building (deduplicated, sorted for determinism) and carry the
-// MismatchBump weight.
+// health map's mismatch bump.
 func (n *Network) observeEvidence(hm *health.Map, pkt *packet.Packet, res sim.Result, src, dst int) {
 	if hm == nil || res.Delivered || len(res.Transcript) == 0 {
 		return
@@ -499,7 +497,7 @@ func (n *Network) observeEvidence(hm *health.Map, pkt *packet.Packet, res sim.Re
 // observeHealth feeds one route's attempt outcome into the health map. Only
 // the route's *interior* waypoints carry evidence — the sender is alive by
 // definition and the destination's reachability is tracked separately by
-// partition classification. On failure, half of FailBump also spreads to
+// partition classification. On failure, half of health.FailBump also spreads to
 // the graph neighbors of each interior waypoint: disaster damage is
 // spatially correlated (the disk and flood injectors kill regions, not
 // points), so a failed corridor implicates its surroundings.
@@ -513,7 +511,7 @@ func (n *Network) observeHealth(hm *health.Map, waypoints []int, delivered bool)
 		return
 	}
 	hm.ObserveFailure(interior)
-	spread := hm.Config().FailBump / 2
+	spread := health.FailBump / 2
 	for _, w := range interior {
 		n.Graph.Neighbors(w, func(nb int, _ float64) {
 			hm.AddSuspicion(nb, spread)

@@ -363,7 +363,7 @@ func TestReliableHealthSuspicionDecays(t *testing.T) {
 	if before <= 0 {
 		t.Fatal("no suspicion recorded")
 	}
-	hm.Advance(10 * hm.Config().DecayTau)
+	hm.Advance(10 * health.DefaultConfig().DecayTau)
 	if after := hm.Suspicion(7); after > before/1000 {
 		t.Errorf("suspicion %v barely decayed from %v after 10 taus", after, before)
 	}

@@ -36,12 +36,6 @@ type ByzantineConfig struct {
 	Pairs int
 	// Seed drives sampling, adversary selection, and simulation randomness.
 	Seed int64
-	// NetTTL is the network TTL the defended arm enforces as MaxTTL. The
-	// default (64) is far below packet.DefaultTTL so a TTL-resetter's
-	// inflated frames are detectable.
-	NetTTL uint8
-	// DropProb is the grayhole per-frame drop probability (default 0.85).
-	DropProb float64
 	// Parallelism is the runner worker count; results are byte-identical
 	// at any level.
 	Parallelism int
@@ -50,14 +44,21 @@ type ByzantineConfig struct {
 // DefaultByzantineConfig is the evaluation setting.
 func DefaultByzantineConfig() ByzantineConfig {
 	return ByzantineConfig{
-		City:     "gridtown",
-		Fracs:    []float64{0, 0.1, 0.2, 0.3},
-		Pairs:    16,
-		Seed:     1,
-		NetTTL:   64,
-		DropProb: 0.85,
+		City:  "gridtown",
+		Fracs: []float64{0, 0.1, 0.2, 0.3},
+		Pairs: 16,
+		Seed:  1,
 	}
 }
+
+const (
+	// byzantineTTL is the network TTL the defended arm enforces as MaxTTL.
+	// It is far below packet.DefaultTTL so a TTL-resetter's inflated
+	// frames are detectable.
+	byzantineTTL uint8 = 64
+	// grayholeDropProb is the grayhole per-frame drop probability.
+	grayholeDropProb = 0.85
+)
 
 // ByzantineRow is one (behavior, fraction, arm) cell.
 type ByzantineRow struct {
@@ -134,12 +135,6 @@ func Byzantine(cfg ByzantineConfig) (ByzantineResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = d.Seed
 	}
-	if cfg.NetTTL == 0 {
-		cfg.NetTTL = d.NetTTL
-	}
-	if cfg.DropProb <= 0 {
-		cfg.DropProb = d.DropProb
-	}
 	behaviors := make([]struct {
 		name string
 		b    sim.APBehavior
@@ -158,7 +153,7 @@ func Byzantine(cfg ByzantineConfig) (ByzantineResult, error) {
 		}{b.String(), b})
 	}
 	ccfg := core.DefaultConfig()
-	ccfg.TTL = cfg.NetTTL
+	ccfg.TTL = byzantineTTL
 	n, err := loadCity(cfg.City, cfg.Scale, ccfg)
 	if err != nil {
 		return ByzantineResult{}, err
@@ -170,7 +165,7 @@ func Byzantine(cfg ByzantineConfig) (ByzantineResult, error) {
 		return ByzantineResult{}, err
 	}
 
-	out := ByzantineResult{Live: byzantineLive(n, cfg.NetTTL)}
+	out := ByzantineResult{Live: byzantineLive(n)}
 	for bi, beh := range behaviors {
 		for _, frac := range cfg.Fracs {
 			// The adversary realization depends only on (behavior, frac) —
@@ -178,7 +173,7 @@ func Byzantine(cfg ByzantineConfig) (ByzantineResult, error) {
 			// defended-vs-undefended delta is the defense's doing.
 			advSeed := cfg.Seed*1009 + int64(bi+1)*101 + int64(math.Round(frac*100))
 			asg := adversary.Select(n.Mesh, beh.b, frac, advSeed)
-			asg.Adversary.DropProb = cfg.DropProb
+			asg.Adversary.DropProb = grayholeDropProb
 			// Bound the replay/forgery storms so a cell's event budget
 			// stays proportional to its mesh, not to wall-clock horizons.
 			asg.Adversary.ReplayInterval = 0.25
@@ -240,7 +235,7 @@ func byzantineCell(n *core.Network, cfg ByzantineConfig, behavior string, frac f
 	}
 	var def sim.Defense
 	if defended {
-		def = adversary.DefaultDefense(cfg.NetTTL)
+		def = adversary.DefaultDefense(byzantineTTL)
 	}
 	type outcome struct {
 		ran, delivered      bool
@@ -323,11 +318,11 @@ func byzantineCell(n *core.Network, cfg ByzantineConfig, behavior string, frac f
 // garbage, and a single-source replay storm. The agent runs the hardened
 // receive path (per-pair replay detection, kernel sanity, per-source rate
 // limiting) under an injected clock, so the leg is fully deterministic.
-func byzantineLive(n *core.Network, netTTL uint8) ByzantineLiveResult {
+func byzantineLive(n *core.Network) ByzantineLiveResult {
 	now := time.Unix(1_000_000_000, 0)
 	a := agent.New(agent.Config{
 		ID: 1, Pos: n.Mesh.APs[0].Pos, Building: -1, City: n.City,
-		MaxTTL: netTTL, StrictSanity: true,
+		MaxTTL: byzantineTTL, StrictSanity: true,
 		NeighborRate: 8, NeighborBurst: 16,
 		Clock: func() time.Time { return now },
 	}, nil)
@@ -363,7 +358,7 @@ func byzantineLive(n *core.Network, netTTL uint8) ByzantineLiveResult {
 	// Forgeries the kernel sanity check refuses: TTL inflated past the
 	// network maximum, and a waypoint no city map contains.
 	for i := 0; i < 10; i++ {
-		send("peer-liar", mk(netTTL+100, uint64(2000+i), []uint32{0, 1}))
+		send("peer-liar", mk(byzantineTTL+100, uint64(2000+i), []uint32{0, 1}))
 		now = now.Add(time.Second)
 	}
 	for i := 0; i < 5; i++ {

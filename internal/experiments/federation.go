@@ -40,11 +40,10 @@ type FederationConfig struct {
 	// keeps redundant paths for the link-failure arms).
 	Topology citygen.FedTopology
 	// LinkFailFracs lists the fractions of long-haul links to fail, one
-	// arm per fraction (0 = healthy baseline).
+	// arm per fraction (0 = healthy baseline). Each size also gets one arm
+	// in which every multi-gateway region's primary gateway is failed,
+	// forcing gateway failover.
 	LinkFailFracs []float64
-	// DeadPrimaryGW adds one arm per size in which every multi-gateway
-	// region's primary gateway is failed, forcing gateway failover.
-	DeadPrimaryGW bool
 	// Seed drives federation generation, failure selection and the
 	// per-send simulations.
 	Seed int64
@@ -62,7 +61,6 @@ func DefaultFederationConfig() FederationConfig {
 		Sizes:         []int{2, 5, 10, 25, 50, 100},
 		Topology:      citygen.TopoMesh,
 		LinkFailFracs: []float64{0, 0.3},
-		DeadPrimaryGW: true,
 		Seed:          1,
 		Pairs:         12,
 	}
@@ -139,9 +137,7 @@ func FederationSweep(cfg FederationConfig) ([]FederationRow, error) {
 		for _, f := range cfg.LinkFailFracs {
 			cells = append(cells, cell{size: n, frac: f})
 		}
-		if cfg.DeadPrimaryGW {
-			cells = append(cells, cell{size: n, gwFail: true})
-		}
+		cells = append(cells, cell{size: n, gwFail: true})
 	}
 	return runner.MapErr(cfg.Parallelism, len(cells), func(i int) (FederationRow, error) {
 		c := cells[i]

@@ -29,8 +29,6 @@ type OverloadConfig struct {
 	City string
 	// Scale shrinks the preset (default 0.5).
 	Scale float64
-	// Mode is the fault injector (default disk — a localized disaster).
-	Mode faults.Mode
 	// FailFracs and Loads span the sweep grid (defaults {0, 0.3} ×
 	// {1, 2, 4}).
 	FailFracs []float64
@@ -45,12 +43,14 @@ type OverloadConfig struct {
 	Parallelism int
 }
 
+// overloadFaultMode is the fault injector: disk, a localized disaster.
+const overloadFaultMode = faults.ModeDisk
+
 // DefaultOverloadConfig is sized so the full sweep runs in CI smoke time.
 func DefaultOverloadConfig() OverloadConfig {
 	return OverloadConfig{
 		City:      "gridtown",
 		Scale:     0.35,
-		Mode:      faults.ModeDisk,
 		FailFracs: []float64{0, 0.3},
 		Loads:     []float64{1, 4},
 		Users:     90,
@@ -73,9 +73,6 @@ func Overload(cfg OverloadConfig) ([]OverloadRow, error) {
 	}
 	if cfg.Scale == 0 {
 		cfg.Scale = def.Scale
-	}
-	if cfg.Mode == "" {
-		cfg.Mode = def.Mode
 	}
 	if len(cfg.FailFracs) == 0 {
 		cfg.FailFracs = def.FailFracs
@@ -110,13 +107,13 @@ func Overload(cfg OverloadConfig) ([]OverloadRow, error) {
 
 	rows, err := runner.MapErr(cfg.Parallelism, len(cells), func(i int) (OverloadRow, error) {
 		c := cells[i]
-		row := OverloadRow{City: cfg.City, Mode: cfg.Mode, FailFrac: c.frac, Load: c.load}
+		row := OverloadRow{City: cfg.City, Mode: overloadFaultMode, FailFrac: c.frac, Load: c.load}
 		simCfg := sim.DefaultConfig()
 		if c.frac > 0 {
 			// The same fraction gets the same disaster across load levels
 			// (seeded by frac, not by cell), isolating the load axis.
 			inj, err := faults.Inject(n.Mesh, n.City, faults.Config{
-				Mode: cfg.Mode, Frac: c.frac, Seed: cfg.Seed + int64(c.frac*1000),
+				Mode: overloadFaultMode, Frac: c.frac, Seed: cfg.Seed + int64(c.frac*1000),
 			})
 			if err != nil {
 				return row, fmt.Errorf("experiments: overload inject %.2f: %w", c.frac, err)

@@ -45,12 +45,12 @@ func MultipathUnderAttack(cityName string, scale float64, seed int64, fracs []fl
 
 	var rows []SecurityRow
 	for _, f := range fracs {
-		blackholes := failSet(n.Mesh.NumAPs(), f, seed+7)
+		adv := blackholes(n.Mesh.NumAPs(), f, seed+7)
 		for _, k := range pathCounts {
 			t := tallyOf(runner.Map(par, len(pairs), func(i int) delivery {
 				simCfg := sim.DefaultConfig()
 				simCfg.Seed = runner.TaskSeed(seed, i)
-				simCfg.BlackholeSet = blackholes
+				simCfg.Adversary = adv
 				res, err := n.MultipathSend(pairs[i][0], pairs[i][1], nil, k, simCfg, nil)
 				if err != nil {
 					return delivery{}
@@ -64,6 +64,21 @@ func MultipathUnderAttack(cityName string, scale float64, seed int64, fracs []fl
 		}
 	}
 	return rows, nil
+}
+
+// blackholes compromises failSet's APs as blackholes; nil when frac is 0.
+func blackholes(numAPs int, frac float64, seed int64) *sim.Adversary {
+	set := failSet(numAPs, frac, seed)
+	if set == nil {
+		return nil
+	}
+	adv := &sim.Adversary{Behaviors: map[int]sim.APBehavior{}}
+	for ap := 0; ap < numAPs; ap++ {
+		if set.Contains(ap) {
+			adv.Behaviors[ap] = sim.BehaviorBlackhole
+		}
+	}
+	return adv
 }
 
 // SecurityCSV renders the sweep as CSV.

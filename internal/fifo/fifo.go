@@ -13,7 +13,11 @@
 // never rehashes at a steady size.
 package fifo
 
-import "math/rand/v2"
+import (
+	"math/rand/v2"
+
+	"citymesh/internal/splitmix"
+)
 
 // minSlots is the table size of a Map's first insertion.
 const minSlots = 8
@@ -51,21 +55,17 @@ func New[V any](capacity int) *Map[V] {
 	return &Map[V]{cap: capacity, seed: rand.Uint64()}
 }
 
-// hash mixes k with the seed through the splitmix64 finalizer.
-func (f *Map[V]) hash(k uint64) uint64 {
-	k ^= f.seed
-	k ^= k >> 30
-	k *= 0xbf58476d1ce4e5b9
-	k ^= k >> 27
-	k *= 0x94d049bb133111eb
-	return k ^ k>>31
-}
+// hash mixes k with a Map's seed through the splitmix64 finalizer. It is a
+// plain function, not a method of the generic Map: the compiler then
+// inlines the mixer into every instantiation, including those built in a
+// package that does not import splitmix.
+func hash(k, seed uint64) uint64 { return splitmix.Mix(k ^ seed) }
 
 // find returns the slot holding k (k != 0), or the empty slot that ends
 // k's probe run, and whether k is present. The table must not be empty.
 func (f *Map[V]) find(k uint64) (int, bool) {
 	mask := uint64(len(f.slots) - 1)
-	for i := f.hash(k) & mask; ; i = (i + 1) & mask {
+	for i := hash(k, f.seed) & mask; ; i = (i + 1) & mask {
 		switch f.slots[i].key {
 		case k:
 			return int(i), true
@@ -155,7 +155,7 @@ func (f *Map[V]) remove(k uint64) {
 	for j := (hole + 1) & mask; f.slots[j].key != 0; j = (j + 1) & mask {
 		// The key at j may fill the hole if its home slot is not after the
 		// hole on the cyclic walk to j.
-		home := int(f.hash(f.slots[j].key)) & mask
+		home := int(hash(f.slots[j].key, f.seed)) & mask
 		if (j-home)&mask >= (j-hole)&mask {
 			f.slots[hole] = f.slots[j]
 			hole = j

@@ -101,7 +101,7 @@ func maxProbes(m *Map[struct{}]) int {
 	longest := 0
 	for i, s := range m.slots {
 		if s.key != 0 {
-			longest = max(longest, (i-int(m.hash(s.key))&mask)&mask+1)
+			longest = max(longest, (i-int(hash(s.key, m.seed))&mask)&mask+1)
 		}
 	}
 	return longest

@@ -29,34 +29,38 @@ import (
 	"sync"
 )
 
-// Config tunes the memory. The zero value of any field selects its default.
+const (
+	// FailBump is the suspicion added to each observed building of a
+	// failed route.
+	FailBump float64 = 1
+	// successFactor multiplies (shrinks) the suspicion of each building of
+	// a delivered route — direct evidence the region forwards again, which
+	// re-trusts much faster than decay alone.
+	successFactor = 0.25
+	// mismatchBump is the suspicion added per delivery-evidence mismatch: a
+	// building whose AP provably received a frame and should have forwarded
+	// it, yet the wave died there. A mismatch is stronger evidence than a
+	// bare route failure (the lie is localized), so it bumps harder than
+	// FailBump.
+	mismatchBump = 2
+	// penaltyWeight converts suspicion into the planner's multiplicative
+	// cost factor: penalty = 1 + penaltyWeight * suspicion.
+	penaltyWeight = 8
+	// suspectThreshold is the suspicion above which a building counts as
+	// suspect in diagnostics (SuspectCount, Suspects).
+	suspectThreshold = 0.5
+)
+
+// Config tunes the memory. A field that is zero or negative selects its
+// DefaultConfig value.
 type Config struct {
 	// DecayTau is the e-folding time of suspicion in simulated seconds: a
 	// score decays by 1/e every DecayTau with no new evidence. Shorter taus
 	// re-trust damaged regions faster; longer taus remember damage longer.
 	DecayTau float64
-	// FailBump is the suspicion added to each observed building of a
-	// failed route.
-	FailBump float64
-	// SuccessFactor multiplies (shrinks) the suspicion of each building of
-	// a delivered route — direct evidence the region forwards again, which
-	// re-trusts much faster than decay alone.
-	SuccessFactor float64
-	// MismatchBump is the suspicion added per delivery-evidence mismatch: a
-	// building whose AP provably received a frame and should have forwarded
-	// it, yet the wave died there. A mismatch is stronger evidence than a
-	// bare route failure (the lie is localized), so it bumps harder than
-	// FailBump.
-	MismatchBump float64
 	// MaxSuspicion caps any single building's score so a long outage
 	// cannot build unbounded distrust that outlives the repair.
 	MaxSuspicion float64
-	// PenaltyWeight converts suspicion into the planner's multiplicative
-	// cost factor: penalty = 1 + PenaltyWeight * suspicion.
-	PenaltyWeight float64
-	// SuspectThreshold is the suspicion above which a building counts as
-	// suspect in diagnostics (SuspectCount, Suspects).
-	SuspectThreshold float64
 	// PartitionAfter is the number of consecutive full-ladder exhaustions
 	// against one destination before it is classified partitioned.
 	PartitionAfter int
@@ -66,20 +70,14 @@ type Config struct {
 	ProbeAfter float64
 }
 
-// DefaultConfig returns the evaluation defaults: 30 s decay, unit fail
-// bumps, 4x success relief, penalty weight 8, partition after 2 exhausted
-// ladders, re-probe after 10 s.
+// DefaultConfig returns the evaluation defaults: 30 s decay, suspicion
+// capped at 8, partition after 2 exhausted ladders, re-probe after 10 s.
 func DefaultConfig() Config {
 	return Config{
-		DecayTau:         30,
-		FailBump:         1,
-		SuccessFactor:    0.25,
-		MismatchBump:     2,
-		MaxSuspicion:     8,
-		PenaltyWeight:    8,
-		SuspectThreshold: 0.5,
-		PartitionAfter:   2,
-		ProbeAfter:       10,
+		DecayTau:       30,
+		MaxSuspicion:   8,
+		PartitionAfter: 2,
+		ProbeAfter:     10,
 	}
 }
 
@@ -89,23 +87,8 @@ func (c Config) withDefaults() Config {
 	if c.DecayTau <= 0 {
 		c.DecayTau = d.DecayTau
 	}
-	if c.FailBump <= 0 {
-		c.FailBump = d.FailBump
-	}
-	if c.SuccessFactor <= 0 || c.SuccessFactor >= 1 {
-		c.SuccessFactor = d.SuccessFactor
-	}
-	if c.MismatchBump <= 0 {
-		c.MismatchBump = d.MismatchBump
-	}
 	if c.MaxSuspicion <= 0 {
 		c.MaxSuspicion = d.MaxSuspicion
-	}
-	if c.PenaltyWeight <= 0 {
-		c.PenaltyWeight = d.PenaltyWeight
-	}
-	if c.SuspectThreshold <= 0 {
-		c.SuspectThreshold = d.SuspectThreshold
 	}
 	if c.PartitionAfter <= 0 {
 		c.PartitionAfter = d.PartitionAfter
@@ -147,13 +130,6 @@ func New(cfg Config) *Map {
 		sus:   make(map[int]entry),
 		parts: make(map[int]partition),
 	}
-}
-
-// Config returns the effective (defaulted) configuration.
-func (m *Map) Config() Config {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cfg
 }
 
 // Now returns the map's current sim time.
@@ -226,12 +202,12 @@ func (m *Map) ObserveFailure(buildings []int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, b := range buildings {
-		m.addLocked(b, m.cfg.FailBump)
+		m.addLocked(b, FailBump)
 	}
 }
 
 // ObserveSuccess records a delivered traversal: every listed building's
-// suspicion shrinks by SuccessFactor — the strongest possible evidence the
+// suspicion shrinks by successFactor — the strongest possible evidence the
 // region is healthy again.
 func (m *Map) ObserveSuccess(buildings []int) {
 	m.mu.Lock()
@@ -241,7 +217,7 @@ func (m *Map) ObserveSuccess(buildings []int) {
 		if !ok {
 			continue
 		}
-		s := m.decayedLocked(e) * m.cfg.SuccessFactor
+		s := m.decayedLocked(e) * successFactor
 		if s < 1e-6 {
 			delete(m.sus, b)
 			continue
@@ -253,20 +229,20 @@ func (m *Map) ObserveSuccess(buildings []int) {
 // ObserveMismatch records delivery-evidence mismatches: buildings whose AP
 // received a frame it should have forwarded, yet the wave provably died
 // there — the signature of a grayhole or blackhole rather than radio loss.
-// Each listed building gains MismatchBump suspicion, so penalty-weighted
+// Each listed building gains mismatchBump suspicion, so penalty-weighted
 // replanning routes around liars the same way it routes around damage.
 func (m *Map) ObserveMismatch(buildings []int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, b := range buildings {
-		m.addLocked(b, m.cfg.MismatchBump)
+		m.addLocked(b, mismatchBump)
 	}
 }
 
 // Penalty returns the planner cost multiplier for building b:
-// 1 + PenaltyWeight * suspicion. Healthy buildings cost 1 (no change).
+// 1 + penaltyWeight * suspicion. Healthy buildings cost 1 (no change).
 func (m *Map) Penalty(b int) float64 {
-	return 1 + m.cfg.PenaltyWeight*m.Suspicion(b)
+	return 1 + penaltyWeight*m.Suspicion(b)
 }
 
 // PenaltyFunc snapshots the current penalties into a closure suitable as a
@@ -277,7 +253,7 @@ func (m *Map) PenaltyFunc() func(b int) float64 {
 	snap := make(map[int]float64, len(m.sus))
 	for b, e := range m.sus {
 		if s := m.decayedLocked(e); s > 1e-9 {
-			snap[b] = 1 + m.cfg.PenaltyWeight*s
+			snap[b] = 1 + penaltyWeight*s
 		}
 	}
 	m.mu.Unlock()
@@ -293,13 +269,13 @@ func (m *Map) PenaltyFunc() func(b int) float64 {
 }
 
 // SuspectCount returns the number of buildings whose current suspicion
-// exceeds SuspectThreshold.
+// exceeds suspectThreshold.
 func (m *Map) SuspectCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
 	for _, e := range m.sus {
-		if m.decayedLocked(e) > m.cfg.SuspectThreshold {
+		if m.decayedLocked(e) > suspectThreshold {
 			n++
 		}
 	}
@@ -312,13 +288,13 @@ type Suspect struct {
 	Suspicion float64
 }
 
-// Suspects returns the buildings above SuspectThreshold, most suspect
+// Suspects returns the buildings above suspectThreshold, most suspect
 // first (ties broken by building index for determinism).
 func (m *Map) Suspects() []Suspect {
 	m.mu.Lock()
 	var out []Suspect
 	for b, e := range m.sus {
-		if s := m.decayedLocked(e); s > m.cfg.SuspectThreshold {
+		if s := m.decayedLocked(e); s > suspectThreshold {
 			out = append(out, Suspect{Building: b, Suspicion: s})
 		}
 	}
@@ -381,7 +357,7 @@ func (m *Map) String() string {
 	defer m.mu.Unlock()
 	suspects, parts := 0, 0
 	for _, e := range m.sus {
-		if m.decayedLocked(e) > m.cfg.SuspectThreshold {
+		if m.decayedLocked(e) > suspectThreshold {
 			suspects++
 		}
 	}

@@ -17,7 +17,7 @@ func TestFailureRaisesSuspicionAndPenalty(t *testing.T) {
 	if got := m.Suspicion(7); got != 1 {
 		t.Errorf("suspicion after one failure = %v, want FailBump=1", got)
 	}
-	wantPen := 1 + DefaultConfig().PenaltyWeight*1
+	wantPen := 1 + penaltyWeight*1.0
 	if got := m.Penalty(9); got != wantPen {
 		t.Errorf("penalty = %v, want %v", got, wantPen)
 	}
@@ -56,7 +56,7 @@ func TestSuccessRelievesFasterThanDecay(t *testing.T) {
 		t.Fatalf("success must shrink suspicion: %v -> %v", before, after)
 	}
 	if math.Abs(after-before*0.25) > 1e-9 {
-		t.Errorf("success relief = %v, want %v (SuccessFactor 0.25)", after, before*0.25)
+		t.Errorf("success relief = %v, want %v (successFactor 0.25)", after, before*0.25)
 	}
 	// Repeated successes clear the entry entirely.
 	for i := 0; i < 20; i++ {

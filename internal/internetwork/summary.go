@@ -3,6 +3,8 @@ package internetwork
 import (
 	"container/heap"
 	"fmt"
+
+	"citymesh/internal/splitmix"
 )
 
 // The region-summary graph: level 1 of the hierarchy. Each region is one
@@ -169,13 +171,7 @@ func reverseInts(s []int) {
 
 // tieHash is the SplitMix64 finalizer over (seed, node).
 func tieHash(seed int64, node int) uint64 {
-	x := uint64(seed) + (uint64(node)+1)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return splitmix.Mix(uint64(seed) + (uint64(node)+1)*0x9e3779b97f4a7c15)
 }
 
 type summaryItem struct {

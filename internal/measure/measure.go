@@ -23,19 +23,21 @@ import (
 	"citymesh/internal/stats"
 )
 
+const (
+	// detectRange is the maximum distance in meters at which a beacon can
+	// be heard. Wardriving detection reaches farther than usable links;
+	// the paper's observed per-AP spreads imply radii of 27–84 m.
+	detectRange float64 = 90
+	// reliableFrac is the fraction of detectRange within which detection
+	// is certain; beyond it detection probability falls linearly to zero
+	// at detectRange.
+	reliableFrac float64 = 0.45
+	// sampleHz is the scan rate (the paper: 0.2–0.4 Hz).
+	sampleHz float64 = 0.3
+)
+
 // Config parameterizes the simulated survey.
 type Config struct {
-	// DetectRange is the maximum distance at which a beacon can be heard.
-	// Wardriving detection reaches farther than usable links; the paper's
-	// observed per-AP spreads imply radii of 27–84 m, so the default is
-	// 90 m.
-	DetectRange float64
-	// ReliableFrac is the fraction of DetectRange within which detection
-	// is certain; beyond it detection probability falls linearly to zero
-	// at DetectRange.
-	ReliableFrac float64
-	// SampleHz is the scan rate (the paper: 0.2–0.4 Hz).
-	SampleHz float64
 	// SpeedMps is the surveyor's speed (walking ~1.4, cycling ~4).
 	SpeedMps float64
 	// Seed drives detection randomness.
@@ -44,7 +46,7 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's walking survey.
 func DefaultConfig() Config {
-	return Config{DetectRange: 90, ReliableFrac: 0.45, SampleHz: 0.3, SpeedMps: 1.4, Seed: 1}
+	return Config{SpeedMps: 1.4, Seed: 1}
 }
 
 // Sample is one measurement: a position and the AP ids (standing in for
@@ -62,42 +64,33 @@ type Dataset struct {
 }
 
 // Survey walks the polyline track through the mesh, sampling beacons. The
-// sampling interval in meters is SpeedMps / SampleHz.
+// sampling interval in meters is SpeedMps / sampleHz.
 func Survey(m *mesh.Mesh, area string, track []geo.Point, cfg Config) Dataset {
-	if cfg.DetectRange <= 0 {
-		cfg.DetectRange = 90
-	}
-	if cfg.SampleHz <= 0 {
-		cfg.SampleHz = 0.3
-	}
 	if cfg.SpeedMps <= 0 {
-		cfg.SpeedMps = 1.4
-	}
-	if cfg.ReliableFrac <= 0 || cfg.ReliableFrac > 1 {
-		cfg.ReliableFrac = 0.45
+		cfg.SpeedMps = DefaultConfig().SpeedMps
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ds := Dataset{Area: area}
-	step := cfg.SpeedMps / cfg.SampleHz
+	step := cfg.SpeedMps / sampleHz
 	tm := 0.0
 	for _, pos := range walk(track, step) {
 		s := Sample{Pos: pos, TimeS: tm}
-		tm += 1 / cfg.SampleHz
-		scan(m, pos, cfg, rng, &s)
+		tm += 1 / sampleHz
+		scan(m, pos, rng, &s)
 		ds.Samples = append(ds.Samples, s)
 	}
 	return ds
 }
 
 // scan detects APs around pos.
-func scan(m *mesh.Mesh, pos geo.Point, cfg Config, rng *rand.Rand, s *Sample) {
-	reliable := cfg.DetectRange * cfg.ReliableFrac
+func scan(m *mesh.Mesh, pos geo.Point, rng *rand.Rand, s *Sample) {
+	const reliable = detectRange * reliableFrac
 	// Note: the grid query must not allocate per AP; collect into s.BSSIDs.
-	m.Grid().WithinRadius(pos, cfg.DetectRange, func(id int, p geo.Point) bool {
+	m.Grid().WithinRadius(pos, detectRange, func(id int, p geo.Point) bool {
 		d := p.Dist(pos)
 		prob := 1.0
 		if d > reliable {
-			prob = 1 - (d-reliable)/(cfg.DetectRange-reliable)
+			prob = 1 - (d-reliable)/(detectRange-reliable)
 		}
 		if prob >= 1 || rng.Float64() < prob {
 			s.BSSIDs = append(s.BSSIDs, id)

@@ -66,11 +66,10 @@ func TestSurveyDetectsNearbyAPs(t *testing.T) {
 	if row.String() == "" {
 		t.Error("row String empty")
 	}
-	// Every detected AP must be within DetectRange of the sample.
-	cfg := DefaultConfig()
+	// Every detected AP must be within detectRange of the sample.
 	for _, s := range ds.Samples {
 		for _, id := range s.BSSIDs {
-			if d := m.APs[id].Pos.Dist(s.Pos); d > cfg.DetectRange+1e-9 {
+			if d := m.APs[id].Pos.Dist(s.Pos); d > detectRange+1e-9 {
 				t.Fatalf("AP %d detected at %v m > range", id, d)
 			}
 		}
@@ -123,20 +122,19 @@ func TestAPSpread(t *testing.T) {
 
 func TestAPSpreadReflectsDetectRange(t *testing.T) {
 	// The paper: spread estimates the transmission-region diameter, so it
-	// should be bounded by 2×DetectRange and commonly approach it.
+	// should be bounded by 2×detectRange and commonly approach it.
 	city := planCity(63)
 	m := mesh.Place(city, mesh.DefaultConfig())
-	cfg := DefaultConfig()
-	ds := Survey(m, "r", SerpentineTrack(geo.Rect{Min: geo.Pt(50, 50), Max: geo.Pt(750, 550)}, 60), cfg)
+	ds := Survey(m, "r", SerpentineTrack(geo.Rect{Min: geo.Pt(50, 50), Max: geo.Pt(750, 550)}, 60), DefaultConfig())
 	spreads := APSpread(ds)
 	if len(spreads) == 0 {
 		t.Fatal("no spreads")
 	}
 	s := stats.Summarize(spreads)
-	if s.Max > 2*cfg.DetectRange+1e-6 {
-		t.Errorf("max spread %v exceeds diameter bound %v", s.Max, 2*cfg.DetectRange)
+	if s.Max > 2*detectRange+1e-6 {
+		t.Errorf("max spread %v exceeds diameter bound %v", s.Max, 2*detectRange)
 	}
-	if s.P50 < cfg.DetectRange*0.3 {
+	if s.P50 < detectRange*0.3 {
 		t.Errorf("median spread %v implausibly small for a thorough survey", s.P50)
 	}
 }
@@ -167,9 +165,9 @@ func TestCommonAPsDecaysWithDistance(t *testing.T) {
 	if near <= far {
 		t.Errorf("common APs do not decay: near %v <= far %v", near, far)
 	}
-	// Pairs beyond 2*DetectRange can share nothing.
+	// Pairs beyond 2*detectRange can share nothing.
 	for _, s := range sums {
-		if s.Lo >= 2*DefaultConfig().DetectRange && s.Max > 0 {
+		if s.Lo >= 2*detectRange && s.Max > 0 {
 			t.Errorf("bin %v-%v shares %v APs beyond the detection diameter", s.Lo, s.Hi, s.Max)
 		}
 	}

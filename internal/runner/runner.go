@@ -23,6 +23,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"citymesh/internal/splitmix"
 )
 
 // Parallelism resolves a requested worker count: zero or negative selects
@@ -42,13 +44,7 @@ func Parallelism(p int) int {
 // and the mapping depends on nothing but (sweepSeed, task) — never on
 // worker identity or completion order.
 func TaskSeed(sweepSeed int64, task int) int64 {
-	x := uint64(sweepSeed) + (uint64(task)+1)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x)
+	return int64(splitmix.Mix(uint64(sweepSeed) + (uint64(task)+1)*0x9e3779b97f4a7c15))
 }
 
 // Map executes n independent tasks on a pool of Parallelism(parallelism)

@@ -26,6 +26,7 @@ package sim
 
 import (
 	"citymesh/internal/geo"
+	"citymesh/internal/splitmix"
 	"citymesh/internal/tokenbucket"
 )
 
@@ -37,7 +38,9 @@ const (
 	// BehaviorHonest follows the protocol.
 	BehaviorHonest APBehavior = iota
 	// BehaviorBlackhole receives and silently consumes: no delivery, no
-	// forwarding. Equivalent to Config.BlackholeSet membership.
+	// forwarding (§1's compromised node). It is strictly harder to route
+	// around than a crashed AP, whose silence at least leaves the channel
+	// clear.
 	BehaviorBlackhole
 	// BehaviorGrayhole forwards probabilistically: each policy-approved
 	// forward is suppressed with Adversary.DropProb — harder to detect and
@@ -297,22 +300,12 @@ func (g *rateGate) reset(d Defense) {
 	}
 }
 
-// pairHash mixes a pair key with the splitmix64 finalizer. The keys are
-// simulator node ids, not outside input, so a fixed mixer serves and keeps
-// runs deterministic.
-func pairHash(k uint64) uint64 {
-	k ^= k >> 30
-	k *= 0xbf58476d1ce4e5b9
-	k ^= k >> 27
-	k *= 0x94d049bb133111eb
-	return k ^ k>>31
-}
-
 // find returns the slot holding key in the current epoch, or the empty slot
-// where it belongs.
+// where it belongs. The keys are simulator node ids, not outside input, so
+// an unseeded mixer serves and keeps runs deterministic.
 func (g *rateGate) find(key uint64) *gateSlot {
 	mask := uint64(len(g.slots) - 1)
-	for i := pairHash(key) & mask; ; i = (i + 1) & mask {
+	for i := splitmix.Mix(key) & mask; ; i = (i + 1) & mask {
 		if s := &g.slots[i]; s.epoch != g.epoch || s.key == key {
 			return s
 		}

@@ -534,10 +534,6 @@ func (s *scratch) deliver(ap, from int, t float64) {
 		res.Transcript[ap].ReceiveTime = t
 		res.Transcript[ap].Hops = s.hops[ap]
 	}
-	if cfg.BlackholeSet.Contains(ap) {
-		// Compromised node: consume silently; no delivery, no forward.
-		return
-	}
 	if int(s.eng.building[ap]) == s.dst {
 		switch {
 		case beh != BehaviorHonest:
@@ -640,7 +636,7 @@ func (s *scratch) deliverForged(ap, from, msg int, t float64) {
 	remaining := senderTTL - 1
 	fm.ttl[ap] = remaining
 	res.ForgedAccepts++
-	if cfg.BlackholeSet.Contains(ap) || s.behavior(ap) == BehaviorBlackhole {
+	if s.behavior(ap) == BehaviorBlackhole {
 		return
 	}
 	if remaining <= 0 {

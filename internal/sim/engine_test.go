@@ -47,7 +47,7 @@ func engineConfigs(numAPs int) map[string]Config {
 
 	failed := DefaultConfig()
 	failed.FailedSet = mesh.NewNodeSet(numAPs).Add(2).Add(5).Add(7).Add(11)
-	failed.BlackholeSet = mesh.NewNodeSet(numAPs).Add(13)
+	failed.Adversary = &Adversary{Behaviors: map[int]APBehavior{13: BehaviorBlackhole}}
 
 	adv := DefaultConfig()
 	adv.JitterMax = 0.01

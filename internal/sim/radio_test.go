@@ -3,8 +3,6 @@ package sim
 import (
 	"math/rand"
 	"testing"
-
-	"citymesh/internal/mesh"
 )
 
 func TestUnitDisk(t *testing.T) {
@@ -122,7 +120,7 @@ func TestRunPathLossExtendsReach(t *testing.T) {
 func TestBlackholeConsumes(t *testing.T) {
 	city, m := chainCity(5, 40)
 	cfg := DefaultConfig()
-	cfg.BlackholeSet = mesh.NewNodeSet(m.NumAPs()).Add(2)
+	cfg.Adversary = &Adversary{Behaviors: map[int]APBehavior{2: BehaviorBlackhole}}
 	res := run(t, m, city, floodAll{}, mkPacket(0, 4, 255), cfg)
 	if res.Delivered {
 		t.Error("blackhole mid-chain should prevent delivery")
@@ -136,7 +134,7 @@ func TestBlackholeConsumes(t *testing.T) {
 func TestBlackholeAtDestinationNoDelivery(t *testing.T) {
 	city, m := chainCity(3, 40)
 	cfg := DefaultConfig()
-	cfg.BlackholeSet = mesh.NewNodeSet(m.NumAPs()).Add(2)
+	cfg.Adversary = &Adversary{Behaviors: map[int]APBehavior{2: BehaviorBlackhole}}
 	res := run(t, m, city, floodAll{}, mkPacket(0, 2, 255), cfg)
 	if res.Delivered {
 		t.Error("delivery to a compromised AP must not count")

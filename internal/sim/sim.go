@@ -113,11 +113,6 @@ type Config struct {
 	// addition to FailedSet; an AP down at time t neither receives nor
 	// rebroadcasts at t.
 	Schedule FailureSchedule
-	// BlackholeSet marks compromised APs (§1's security threat): they
-	// receive and silently consume frames — never forwarding and never
-	// counting as delivery — which is strictly harder to route around
-	// than a crashed AP whose silence at least leaves the channel clear.
-	BlackholeSet mesh.NodeSet
 	// Radio selects the PHY model. nil uses the paper's unit-disk cutoff
 	// at the mesh's configured transmission range.
 	Radio RadioModel

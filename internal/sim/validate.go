@@ -30,8 +30,8 @@ var (
 	ErrBadDefense = errors.New("sim: Defense rates and radius must be >= 0")
 	// ErrNoSourceAP is returned by Engine.Run when the packet's source
 	// building is out of range or hosts no AP — there is nowhere to inject
-	// the packet, so nothing was simulated. The deprecated Run wrapper
-	// folds this into its historical SourceAP == -1 sentinel.
+	// the packet, so nothing was simulated and the Result carries
+	// SourceAP == -1.
 	ErrNoSourceAP = errors.New("sim: no AP in the packet's source building")
 )
 
