@@ -105,8 +105,9 @@ func TestRunResilienceSmoke(t *testing.T) {
 	}
 }
 
-// A polygon sweep names no outage area, so every cell is a configuration
-// error: the command fails instead of printing empty "inapplicable" rows.
+// There is no polygon fault mode: no caller could give it an outage area,
+// so it was removed, and a polygon sweep fails as an unknown mode, naming
+// it, instead of printing rows.
 func TestRunResiliencePolygonWithoutAreaFails(t *testing.T) {
 	code, stdout, stderr := runCmd(t,
 		"-fail-mode=polygon", "-fail-frac=0.1", "-cities=gridtown", "-scale=0.2", "-pairs=2")

@@ -58,10 +58,9 @@ type Config struct {
 	// NeighborBurst is the per-source burst allowance; 0 derives 2x rate.
 	NeighborBurst float64
 	// InboundBytesPerSec caps the agent's total inbound byte budget across
-	// all sources; 0 disables the global budget.
+	// all sources, with a burst of twice the rate; 0 disables the global
+	// budget.
 	InboundBytesPerSec float64
-	// InboundBurstBytes is the global budget's burst; 0 derives 2x rate.
-	InboundBurstBytes float64
 	// MaxTTL, when non-zero, rejects frames whose as-received TTL exceeds
 	// it (fwd.ReasonTTLInflated — a Byzantine TTL-resetter upstream). Set
 	// it to the deployment's network TTL.
@@ -158,6 +157,9 @@ type Agent struct {
 	pairSeen  *fifo.Map[struct{}]
 	stats     Stats
 	neighbors map[string]time.Time
+	// neighborOrder bounds neighbors, forgetting the first-seen key first;
+	// it is made with the first neighbor.
+	neighborOrder *keyRing
 	// onDeliver fires when a packet for this agent's building arrives.
 	onDeliver func(*packet.Packet)
 
@@ -188,7 +190,7 @@ func New(cfg Config, tr Transport) *Agent {
 		tr:      tr,
 		store:   store,
 		clock:   clock,
-		limiter: newLimiter(rate, cfg.NeighborBurst, cfg.InboundBytesPerSec, cfg.InboundBurstBytes),
+		limiter: newLimiter(rate, cfg.NeighborBurst, cfg.InboundBytesPerSec),
 		kernel: fwd.NewKernel(fwd.Options{
 			MaxTTL:       cfg.MaxTTL,
 			StrictSanity: cfg.StrictSanity,
@@ -439,20 +441,16 @@ func (a *Agent) drop(cause func(*Stats)) {
 	a.mu.Unlock()
 }
 
-// noteNeighborLocked updates the last-seen table, evicting the stalest
-// entry at capacity; called with a.mu held.
+// noteNeighborLocked updates the last-seen table, forgetting the
+// first-seen neighbor at capacity; called with a.mu held.
 func (a *Agent) noteNeighborLocked(key string, now time.Time) {
-	if _, ok := a.neighbors[key]; !ok && len(a.neighbors) >= maxNeighborEntries {
-		var staleKey string
-		var staleAt time.Time
-		first := true
-		for k, v := range a.neighbors {
-			if first || v.Before(staleAt) {
-				staleKey, staleAt = k, v
-				first = false
-			}
+	if _, ok := a.neighbors[key]; !ok {
+		if a.neighborOrder == nil {
+			a.neighborOrder = &keyRing{max: maxNeighborEntries}
 		}
-		delete(a.neighbors, staleKey)
+		if old, full := a.neighborOrder.add(key); full {
+			delete(a.neighbors, old)
+		}
 	}
 	a.neighbors[key] = now
 }

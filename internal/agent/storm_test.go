@@ -22,7 +22,6 @@ func stormAgent(clock func() time.Time) *Agent {
 		NeighborRate:       50,
 		NeighborBurst:      50,
 		InboundBytesPerSec: 64 << 10,
-		InboundBurstBytes:  64 << 10,
 		Clock:              clock,
 	}, nil)
 }

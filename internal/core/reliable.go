@@ -62,16 +62,28 @@ func (r Rung) String() string {
 // NumRungs is the count of real ladder rungs (excluding RungExhausted).
 const NumRungs = int(RungExhausted)
 
-// multipathK is the number of diverse routes at RungMultipath.
-const multipathK = 3
+// The ladder's fixed shape beyond Retries and MaxRung.
+const (
+	// multipathK is the number of diverse routes at RungMultipath.
+	multipathK = 3
+	// backoffBase is the first backoff delay in seconds; each later attempt
+	// doubles it up to backoffMax.
+	backoffBase float64 = 0.05
+	// backoffMax caps the exponential backoff, in seconds.
+	backoffMax float64 = 2
+	// jitterFrac randomizes each backoff within ±jitterFrac/2 of itself,
+	// de-synchronizing recovery retransmissions from concurrent senders.
+	jitterFrac float64 = 0.5
+)
+
+// widenFactors are the successive conduit-width multipliers RungWiden tries,
+// each one attempt applied to the original width.
+var widenFactors = [...]float64{2, 4}
 
 // ReliableConfig tunes SendReliable.
 type ReliableConfig struct {
 	// Retries is how many same-route retransmissions RungRetry attempts.
 	Retries int
-	// WidenFactors are the successive conduit-width multipliers RungWiden
-	// tries (each is one attempt, applied to the original width).
-	WidenFactors []float64
 	// MaxRung caps how far the ladder escalates: rungs above it are
 	// skipped entirely, and the result reports RungExhausted when nothing
 	// at or below delivered. Zero means unbounded (the full ladder) — a
@@ -80,14 +92,6 @@ type ReliableConfig struct {
 	// layer bounds legs at RungWiden so gateway failover, not a flood, is
 	// the next recovery step after local widening fails.
 	MaxRung Rung
-	// BackoffBase is the first backoff delay in seconds; each subsequent
-	// attempt doubles it up to BackoffMax.
-	BackoffBase float64
-	// BackoffMax caps the exponential backoff.
-	BackoffMax float64
-	// JitterFrac randomizes each backoff within ±JitterFrac/2 of itself,
-	// de-synchronizing recovery retransmissions from concurrent senders.
-	JitterFrac float64
 	// Seed drives the backoff jitter and per-attempt simulation seeds;
 	// the whole ladder is reproducible under a fixed seed.
 	Seed int64
@@ -111,18 +115,15 @@ type ReliableConfig struct {
 	Evidence bool
 }
 
-// Typed validation errors returned (wrapped) by ReliableConfig.Validate.
+// Typed validation errors returned (wrapped) by ReliableConfig.Validate and,
+// for ErrBackoffInverted, by SendEventually.
 var (
 	// ErrNegativeRetries marks a Retries count below zero.
 	ErrNegativeRetries = errors.New("negative Retries")
-	// ErrBadWidenFactor marks a WidenFactors entry that is zero or
-	// negative (a conduit cannot have non-positive width).
-	ErrBadWidenFactor = errors.New("non-positive widen factor")
-	// ErrBackoffInverted marks BackoffMax set below BackoffBase: the
-	// exponential backoff would cap below its own starting point.
+	// ErrBackoffInverted marks an EventualConfig BackoffMax set below its
+	// BackoffBase: the healing backoff would cap below its own starting
+	// point.
 	ErrBackoffInverted = errors.New("BackoffMax below BackoffBase")
-	// ErrBadJitterFrac marks a JitterFrac outside [0, 1].
-	ErrBadJitterFrac = errors.New("JitterFrac outside [0, 1]")
 	// ErrBadMaxRung marks a MaxRung outside the real ladder: negative, or
 	// at/above RungExhausted (which is a result marker, not a rung).
 	ErrBadMaxRung = errors.New("MaxRung outside ladder")
@@ -135,34 +136,19 @@ func (c ReliableConfig) Validate() error {
 	if c.Retries < 0 {
 		return fmt.Errorf("core: ReliableConfig.Retries = %d: %w", c.Retries, ErrNegativeRetries)
 	}
-	for i, f := range c.WidenFactors {
-		if f <= 0 {
-			return fmt.Errorf("core: ReliableConfig.WidenFactors[%d] = %v: %w", i, f, ErrBadWidenFactor)
-		}
-	}
-	if c.BackoffBase > 0 && c.BackoffMax > 0 && c.BackoffMax < c.BackoffBase {
-		return fmt.Errorf("core: ReliableConfig backoff base %v > max %v: %w",
-			c.BackoffBase, c.BackoffMax, ErrBackoffInverted)
-	}
-	if c.JitterFrac < 0 || c.JitterFrac > 1 {
-		return fmt.Errorf("core: ReliableConfig.JitterFrac = %v: %w", c.JitterFrac, ErrBadJitterFrac)
-	}
 	if c.MaxRung < 0 || c.MaxRung >= RungExhausted {
 		return fmt.Errorf("core: ReliableConfig.MaxRung = %v: %w", c.MaxRung, ErrBadMaxRung)
 	}
 	return nil
 }
 
-// DefaultReliableConfig returns the evaluation ladder: 2 retries, widen
-// x2 then x4, 3-route multipath, 50 ms base backoff.
+// DefaultReliableConfig returns the evaluation ladder: 2 retries under
+// seed 1. Every ladder widens x2 then x4, tries 3-route multipath and backs
+// off from 50 ms.
 func DefaultReliableConfig() ReliableConfig {
 	return ReliableConfig{
-		Retries:      2,
-		WidenFactors: []float64{2, 4},
-		BackoffBase:  0.05,
-		BackoffMax:   2,
-		JitterFrac:   0.5,
-		Seed:         1,
+		Retries: 2,
+		Seed:    1,
 	}
 }
 
@@ -222,18 +208,6 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 	if err := rcfg.Validate(); err != nil {
 		return ReliableResult{}, err
 	}
-	d := DefaultReliableConfig()
-	if rcfg.BackoffBase <= 0 {
-		rcfg.BackoffBase = d.BackoffBase
-	}
-	if rcfg.BackoffMax <= 0 {
-		rcfg.BackoffMax = d.BackoffMax
-	}
-	if rcfg.BackoffMax < rcfg.BackoffBase {
-		// Only reachable when the max was defaulted under an explicit
-		// base; an explicit inversion already failed Validate.
-		rcfg.BackoffMax = rcfg.BackoffBase
-	}
 	hm := rcfg.Health
 	var vp buildinggraph.VertexPenalty
 	if hm != nil {
@@ -269,12 +243,12 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 			attemptIdx++
 			return 0
 		}
-		b := rcfg.BackoffBase * math.Pow(2, float64(attemptIdx-1))
-		if b > rcfg.BackoffMax {
-			b = rcfg.BackoffMax
+		b := backoffBase * math.Pow(2, float64(attemptIdx-1))
+		if b > backoffMax {
+			b = backoffMax
 		}
 		attemptIdx++
-		return b * (1 - rcfg.JitterFrac/2 + u*rcfg.JitterFrac)
+		return b * (1 - jitterFrac/2 + u*jitterFrac)
 	}
 	// attemptSim derives a distinct deterministic simulator seed per
 	// attempt so retries see fresh loss and jitter realizations.
@@ -355,12 +329,8 @@ func (n *Network) SendReliable(src, dst int, payload []byte, simCfg sim.Config, 
 
 	// Rung 2: widen the conduit, recruiting rebroadcasters around the
 	// failed corridor.
-	widens := rcfg.WidenFactors
-	if widens == nil {
-		widens = d.WidenFactors
-	}
 	if planErr == nil && len(path) > 0 && maxAllows(RungWiden) {
-		for _, f := range widens {
+		for _, f := range widenFactors {
 			wait := backoff()
 			wide, err := conduit.Compress(n.City, path, n.Cfg.ConduitWidth*f)
 			if err != nil {

@@ -225,16 +225,15 @@ func TestReliableBackoffJitteredButReproducible(t *testing.T) {
 	}
 	// Jitter stays within the configured +-25% envelope of the exponential
 	// schedule.
-	rcfg := DefaultReliableConfig()
 	for i, att := range a.Attempts {
 		if i == 0 {
 			continue
 		}
-		base := rcfg.BackoffBase * math.Pow(2, float64(i-1))
-		if base > rcfg.BackoffMax {
-			base = rcfg.BackoffMax
+		base := backoffBase * math.Pow(2, float64(i-1))
+		if base > backoffMax {
+			base = backoffMax
 		}
-		lo, hi := base*(1-rcfg.JitterFrac/2), base*(1+rcfg.JitterFrac/2)
+		lo, hi := base*(1-jitterFrac/2), base*(1+jitterFrac/2)
 		if att.Backoff < lo-1e-12 || att.Backoff > hi+1e-12 {
 			t.Errorf("attempt %d backoff %v outside [%v, %v]", i, att.Backoff, lo, hi)
 		}

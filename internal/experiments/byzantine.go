@@ -25,11 +25,6 @@ type ByzantineConfig struct {
 	City string
 	// Scale shrinks the preset extent (0 < Scale <= 1) for fast runs.
 	Scale float64
-	// Behaviors are the misbehavior names to sweep (see adversary.Names);
-	// empty sweeps all of them.
-	Behaviors []string
-	// Fracs are the compromised-AP fractions (default 0, 0.1, 0.2, 0.3).
-	Fracs []float64
 	// Pairs is the number of building pairs per cell. Pairs whose endpoints
 	// are themselves compromised are skipped — the question is whether
 	// honest users can still talk, not whether a liar reports delivery.
@@ -45,11 +40,14 @@ type ByzantineConfig struct {
 func DefaultByzantineConfig() ByzantineConfig {
 	return ByzantineConfig{
 		City:  "gridtown",
-		Fracs: []float64{0, 0.1, 0.2, 0.3},
 		Pairs: 16,
 		Seed:  1,
 	}
 }
+
+// byzantineFracs are the compromised-AP fractions the sweep crosses with
+// every misbehavior of adversary.Names.
+var byzantineFracs = []float64{0, 0.1, 0.2, 0.3}
 
 const (
 	// byzantineTTL is the network TTL the defended arm enforces as MaxTTL.
@@ -119,15 +117,29 @@ type ByzantineResult struct {
 // trips a kernel invariant — under a declared adversary every violation
 // must be attributable to a declared liar.
 func Byzantine(cfg ByzantineConfig) (ByzantineResult, error) {
+	cfg, n, allPairs, err := byzantineSetup(cfg)
+	if err != nil {
+		return ByzantineResult{}, err
+	}
+	out := ByzantineResult{Live: byzantineLive(n)}
+	for bi, name := range adversary.Names() {
+		for _, frac := range byzantineFracs {
+			rows, err := byzantineArms(n, cfg, allPairs, bi, name, frac)
+			out.Rows = append(out.Rows, rows...)
+			if err != nil {
+				return out, err
+			}
+		}
+	}
+	return out, nil
+}
+
+// byzantineSetup fills cfg's zero fields from DefaultByzantineConfig, loads
+// its city and samples the pairs every cell draws its honest pairs from.
+func byzantineSetup(cfg ByzantineConfig) (ByzantineConfig, *core.Network, [][2]int, error) {
 	d := DefaultByzantineConfig()
 	if cfg.City == "" {
 		cfg.City = d.City
-	}
-	if len(cfg.Fracs) == 0 {
-		cfg.Fracs = d.Fracs
-	}
-	if len(cfg.Behaviors) == 0 {
-		cfg.Behaviors = adversary.Names()
 	}
 	if cfg.Pairs <= 0 {
 		cfg.Pairs = d.Pairs
@@ -135,64 +147,50 @@ func Byzantine(cfg ByzantineConfig) (ByzantineResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = d.Seed
 	}
-	behaviors := make([]struct {
-		name string
-		b    sim.APBehavior
-	}, 0, len(cfg.Behaviors))
-	for _, name := range cfg.Behaviors {
-		b, err := adversary.Parse(name)
-		if err != nil {
-			return ByzantineResult{}, fmt.Errorf("experiments: %w", err)
-		}
-		if b == sim.BehaviorHonest {
-			continue
-		}
-		behaviors = append(behaviors, struct {
-			name string
-			b    sim.APBehavior
-		}{b.String(), b})
-	}
 	ccfg := core.DefaultConfig()
 	ccfg.TTL = byzantineTTL
 	n, err := loadCity(cfg.City, cfg.Scale, ccfg)
 	if err != nil {
-		return ByzantineResult{}, err
+		return cfg, nil, nil, err
 	}
 	// Sample with slack: per-cell honest-endpoint filtering discards pairs
 	// whose endpoints the adversary owns.
 	allPairs, err := sampleReachablePairs(n, cfg.Seed, cfg.Pairs*2)
-	if err != nil {
-		return ByzantineResult{}, err
-	}
+	return cfg, n, allPairs, err
+}
 
-	out := ByzantineResult{Live: byzantineLive(n)}
-	for bi, beh := range behaviors {
-		for _, frac := range cfg.Fracs {
-			// The adversary realization depends only on (behavior, frac) —
-			// both arms of a cell face the exact same liars, so the
-			// defended-vs-undefended delta is the defense's doing.
-			advSeed := cfg.Seed*1009 + int64(bi+1)*101 + int64(math.Round(frac*100))
-			asg := adversary.Select(n.Mesh, beh.b, frac, advSeed)
-			asg.Adversary.DropProb = grayholeDropProb
-			// Bound the replay/forgery storms so a cell's event budget
-			// stays proportional to its mesh, not to wall-clock horizons.
-			asg.Adversary.ReplayInterval = 0.25
-			asg.Adversary.ReplayHorizon = 2
-			asg.Adversary.InjectRate = 2
-			asg.Adversary.InjectHorizon = 2
-			pairs := honestEndpointPairs(n.Mesh, asg.Adversary, allPairs, cfg.Pairs)
-			for _, defended := range []bool{false, true} {
-				row := byzantineCell(n, cfg, beh.name, frac, defended, pairs, asg, advSeed)
-				out.Rows = append(out.Rows, row)
-				if row.HonestViolations > 0 {
-					return out, fmt.Errorf(
-						"experiments: %d honest-AP invariant violations in cell %s frac=%.2f defended=%v — engine bug",
-						row.HonestViolations, beh.name, frac, defended)
-				}
-			}
+// byzantineArms runs one (behavior, fraction) cell of the sweep: the
+// undefended row, then the defended one. bi is the behavior's position in
+// the sweep, which seeds the cell's adversary.
+func byzantineArms(n *core.Network, cfg ByzantineConfig, allPairs [][2]int, bi int, name string, frac float64) ([]ByzantineRow, error) {
+	b, err := adversary.Parse(name)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	// The adversary realization depends only on (behavior, frac) — both
+	// arms of a cell face the exact same liars, so the defended-vs-
+	// undefended delta is the defense's doing.
+	advSeed := cfg.Seed*1009 + int64(bi+1)*101 + int64(math.Round(frac*100))
+	asg := adversary.Select(n.Mesh, b, frac, advSeed)
+	asg.Adversary.DropProb = grayholeDropProb
+	// Bound the replay/forgery storms so a cell's event budget stays
+	// proportional to its mesh, not to wall-clock horizons.
+	asg.Adversary.ReplayInterval = 0.25
+	asg.Adversary.ReplayHorizon = 2
+	asg.Adversary.InjectRate = 2
+	asg.Adversary.InjectHorizon = 2
+	pairs := honestEndpointPairs(n.Mesh, asg.Adversary, allPairs, cfg.Pairs)
+	var rows []ByzantineRow
+	for _, defended := range []bool{false, true} {
+		row := byzantineCell(n, cfg, name, frac, defended, pairs, asg, advSeed)
+		rows = append(rows, row)
+		if row.HonestViolations > 0 {
+			return rows, fmt.Errorf(
+				"experiments: %d honest-AP invariant violations in cell %s frac=%.2f defended=%v — engine bug",
+				row.HonestViolations, name, frac, defended)
 		}
 	}
-	return out, nil
+	return rows, nil
 }
 
 // honestEndpointPairs keeps pairs whose source building hosts only honest

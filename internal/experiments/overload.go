@@ -27,15 +27,10 @@ type OverloadRow struct {
 type OverloadConfig struct {
 	// City is the preset to run (default "gridtown").
 	City string
-	// Scale shrinks the preset (default 0.5).
+	// Scale shrinks the preset (default 0.35).
 	Scale float64
-	// FailFracs and Loads span the sweep grid (defaults {0, 0.3} ×
-	// {1, 2, 4}).
-	FailFracs []float64
-	Loads     []float64
-	// Users and Ticks size each cell's traffic run.
+	// Users sizes each cell's traffic run.
 	Users int
-	Ticks int
 	// Seed drives injection, traffic, and transport randomness.
 	Seed int64
 	// Parallelism is the runner worker count over cells; output is
@@ -43,19 +38,28 @@ type OverloadConfig struct {
 	Parallelism int
 }
 
-// overloadFaultMode is the fault injector: disk, a localized disaster.
-const overloadFaultMode = faults.ModeDisk
+// The overload sweep's fixed shape.
+const (
+	// overloadFaultMode is the fault injector: disk, a localized disaster.
+	overloadFaultMode = faults.ModeDisk
+	// overloadTicks is the length of each cell's traffic run.
+	overloadTicks = 48
+)
+
+// overloadFailFracs and overloadLoads span the sweep grid: failure
+// fraction × flash-crowd load.
+var (
+	overloadFailFracs = []float64{0, 0.3}
+	overloadLoads     = []float64{1, 4}
+)
 
 // DefaultOverloadConfig is sized so the full sweep runs in CI smoke time.
 func DefaultOverloadConfig() OverloadConfig {
 	return OverloadConfig{
-		City:      "gridtown",
-		Scale:     0.35,
-		FailFracs: []float64{0, 0.3},
-		Loads:     []float64{1, 4},
-		Users:     90,
-		Ticks:     48,
-		Seed:      1,
+		City:  "gridtown",
+		Scale: 0.35,
+		Users: 90,
+		Seed:  1,
 	}
 }
 
@@ -74,17 +78,8 @@ func Overload(cfg OverloadConfig) ([]OverloadRow, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = def.Scale
 	}
-	if len(cfg.FailFracs) == 0 {
-		cfg.FailFracs = def.FailFracs
-	}
-	if len(cfg.Loads) == 0 {
-		cfg.Loads = def.Loads
-	}
 	if cfg.Users <= 0 {
 		cfg.Users = def.Users
-	}
-	if cfg.Ticks <= 0 {
-		cfg.Ticks = def.Ticks
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = def.Seed
@@ -99,44 +94,44 @@ func Overload(cfg OverloadConfig) ([]OverloadRow, error) {
 		frac, load float64
 	}
 	var cells []cell
-	for _, frac := range cfg.FailFracs {
-		for _, load := range cfg.Loads {
+	for _, frac := range overloadFailFracs {
+		for _, load := range overloadLoads {
 			cells = append(cells, cell{frac: frac, load: load})
 		}
 	}
-
-	rows, err := runner.MapErr(cfg.Parallelism, len(cells), func(i int) (OverloadRow, error) {
-		c := cells[i]
-		row := OverloadRow{City: cfg.City, Mode: overloadFaultMode, FailFrac: c.frac, Load: c.load}
-		simCfg := sim.DefaultConfig()
-		if c.frac > 0 {
-			// The same fraction gets the same disaster across load levels
-			// (seeded by frac, not by cell), isolating the load axis.
-			inj, err := faults.Inject(n.Mesh, n.City, faults.Config{
-				Mode: overloadFaultMode, Frac: c.frac, Seed: cfg.Seed + int64(c.frac*1000),
-			})
-			if err != nil {
-				return row, fmt.Errorf("experiments: overload inject %.2f: %w", c.frac, err)
-			}
-			inj.ApplySet(&simCfg)
-		}
-		tc := trafficgen.Config{
-			Users:           cfg.Users,
-			Ticks:           cfg.Ticks,
-			FlashMultiplier: c.load,
-			Seed:            runner.TaskSeed(cfg.Seed, i),
-		}
-		rep, err := trafficgen.Run(n, simCfg, tc)
-		if err != nil {
-			return row, fmt.Errorf("experiments: overload cell load=%g fail=%g: %w", c.load, c.frac, err)
-		}
-		row.Report = rep
-		return row, nil
+	return runner.MapErr(cfg.Parallelism, len(cells), func(i int) (OverloadRow, error) {
+		return overloadCell(n, cfg, i, cells[i].frac, cells[i].load)
 	})
-	if err != nil {
-		return nil, err
+}
+
+// overloadCell runs the sweep's cell i: failure fraction frac under
+// flash-crowd load.
+func overloadCell(n *core.Network, cfg OverloadConfig, i int, frac, load float64) (OverloadRow, error) {
+	row := OverloadRow{City: cfg.City, Mode: overloadFaultMode, FailFrac: frac, Load: load}
+	simCfg := sim.DefaultConfig()
+	if frac > 0 {
+		// The same fraction gets the same disaster across load levels
+		// (seeded by frac, not by cell), isolating the load axis.
+		inj, err := faults.Inject(n.Mesh, n.City, faults.Config{
+			Mode: overloadFaultMode, Frac: frac, Seed: cfg.Seed + int64(frac*1000),
+		})
+		if err != nil {
+			return row, fmt.Errorf("experiments: overload inject %.2f: %w", frac, err)
+		}
+		inj.ApplySet(&simCfg)
 	}
-	return rows, nil
+	tc := trafficgen.Config{
+		Users:           cfg.Users,
+		Ticks:           overloadTicks,
+		FlashMultiplier: load,
+		Seed:            runner.TaskSeed(cfg.Seed, i),
+	}
+	rep, err := trafficgen.Run(n, simCfg, tc)
+	if err != nil {
+		return row, fmt.Errorf("experiments: overload cell load=%g fail=%g: %w", load, frac, err)
+	}
+	row.Report = rep
+	return row, nil
 }
 
 // OverloadText renders the sweep as an aligned table.

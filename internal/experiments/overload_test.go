@@ -4,58 +4,26 @@ import (
 	"strings"
 	"testing"
 
+	"citymesh/internal/core"
 	"citymesh/internal/session"
 )
-
-// The overload sweep joins the byte-identical-at-any-parallelism
-// guarantee: cells are runner tasks with SplitMix64 seeds, folded in index
-// order.
-func TestOverloadParallelMatchesSerial(t *testing.T) {
-	run := func(par int) ([]OverloadRow, error) {
-		return Overload(OverloadConfig{
-			Scale:       0.3,
-			FailFracs:   []float64{0.3},
-			Loads:       []float64{1, 4},
-			Users:       30,
-			Ticks:       20,
-			Seed:        1,
-			Parallelism: par,
-		})
-	}
-	serial, err := run(1)
-	if err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	parallel, err := run(8)
-	if err != nil {
-		t.Fatalf("parallel run: %v", err)
-	}
-	if got, want := OverloadText(parallel), OverloadText(serial); got != want {
-		t.Errorf("Text() differs between par=1 and par=8:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
-	}
-	if got, want := OverloadCSV(parallel), OverloadCSV(serial); got != want {
-		t.Errorf("CSV() differs between par=1 and par=8:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
-	}
-}
 
 // The acceptance shape of the experiment: under a 4x flash crowd on a 30%
 // AP failure, the session layer degrades gracefully — accepted-message p99
 // latency stays bounded by the queue discipline (it cannot exceed the run
 // duration, and the queue bound pins the wait component), and every
-// offered message is attributed to exactly one outcome.
+// offered message is attributed to exactly one outcome. It runs that cell
+// of the default sweep only, the last of its grid.
 func TestOverloadGracefulDegradationAt4x30(t *testing.T) {
-	rows, err := Overload(OverloadConfig{
-		FailFracs: []float64{0.3},
-		Loads:     []float64{4},
-		Seed:      1,
-	})
+	cfg := DefaultOverloadConfig()
+	n, err := loadCity(cfg.City, cfg.Scale, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
+	r, err := overloadCell(n, cfg, len(overloadFailFracs)*len(overloadLoads)-1, 0.3, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := rows[0]
 	if err := r.AccountingError(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,8 @@
 // scenario evaluation: the paper's premise is operating *during* disasters,
 // so the simulator must be able to kill APs the way disasters do —
 // uniformly at random (scattered power loss), in a spatially correlated
-// blast radius (explosion, flood along a river), inside an arbitrary
-// polygon (a downed neighborhood), or as Markov on/off churn (brownouts,
-// overloaded APs rebooting).
+// blast radius (explosion, flood along a river), or as Markov on/off churn
+// (brownouts, overloaded APs rebooting).
 //
 // Every injector is deterministic under its seed and produces an Injection
 // that plugs directly into sim.Config: a static failure set plus, for
@@ -18,7 +17,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"citymesh/internal/geo"
 	"citymesh/internal/mesh"
 	"citymesh/internal/osm"
 	"citymesh/internal/sim"
@@ -35,8 +33,6 @@ const (
 	// ModeDisk kills the APs nearest a blast center until the requested
 	// fraction is down — a disk-shaped correlated outage.
 	ModeDisk Mode = "disk"
-	// ModePolygon kills every AP inside an explicit polygon.
-	ModePolygon Mode = "polygon"
 	// ModeFlood kills APs nearest the city's water features, growing the
 	// flood plain until the requested fraction is down.
 	ModeFlood Mode = "flood"
@@ -58,7 +54,7 @@ var ErrInapplicable = errors.New("faults: mode inapplicable to this city")
 // Modes lists the selectable injector names (for flag help).
 func Modes() []string {
 	return []string{string(ModeNone), string(ModeUniform), string(ModeDisk),
-		string(ModePolygon), string(ModeFlood), string(ModeChurn),
+		string(ModeFlood), string(ModeChurn),
 		string(ModeFloodFront), string(ModeBlackout)}
 }
 
@@ -70,18 +66,10 @@ type Config struct {
 	// for churn, the long-run fraction of time each AP spends down, which
 	// must lie in [0, 1). Zero injects nothing in these modes. For
 	// floodfront, a Frac in (0, 1) caps the fraction that ever drowns;
-	// polygon and blackout ignore it.
+	// blackout ignores it.
 	Frac float64
 	// Seed drives all randomness in the injector.
 	Seed int64
-	// Center overrides the blast center for ModeDisk; nil uses the city
-	// bounds center.
-	Center *geo.Point
-	// Polygon is the outage area for ModePolygon.
-	Polygon geo.Polygon
-	// Horizon bounds the churn schedule in seconds (default 60): beyond
-	// it each AP freezes in its final sampled state.
-	Horizon float64
 
 	// FrontSpeed is the ModeFloodFront waterline speed in m/s (default 2).
 	FrontSpeed float64
@@ -94,6 +82,10 @@ type Config struct {
 // It is short relative to real AP reboots so that sub-second simulations
 // still see transitions.
 const DefaultChurnPeriod = 0.2
+
+// churnHorizonS bounds the churn schedule in seconds: beyond it each AP
+// freezes in its final sampled state.
+const churnHorizonS = 60
 
 // Injection is a concrete failure realization for one mesh.
 type Injection struct {
@@ -131,8 +123,6 @@ func Inject(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
 		return injectUniform(m, cfg)
 	case ModeDisk:
 		return injectDisk(m, city, cfg)
-	case ModePolygon:
-		return injectPolygon(m, cfg)
 	case ModeFlood:
 		return injectFlood(m, city, cfg)
 	case ModeChurn:
@@ -173,15 +163,13 @@ func injectUniform(m *mesh.Mesh, cfg Config) (Injection, error) {
 	}, nil
 }
 
-// injectDisk kills the `kill` APs nearest the blast center: a disk by
-// construction, whose radius adapts to local density.
+// injectDisk kills the `kill` APs nearest the blast center, the center of
+// the city's bounds: a disk by construction, whose radius adapts to local
+// density.
 func injectDisk(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
 	n := m.NumAPs()
 	kill := targetCount(n, cfg.Frac)
 	center := city.Bounds.Center()
-	if cfg.Center != nil {
-		center = *cfg.Center
-	}
 	type apDist struct {
 		ap int
 		d  float64
@@ -207,23 +195,6 @@ func injectDisk(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
 		FailedSet: set,
 		Desc: fmt.Sprintf("disk: %d/%d APs down within %.0f m of %v (p=%.2f)",
 			kill, n, radius, center, cfg.Frac),
-	}, nil
-}
-
-func injectPolygon(m *mesh.Mesh, cfg Config) (Injection, error) {
-	if len(cfg.Polygon) < 3 {
-		return Injection{}, fmt.Errorf("faults: polygon mode needs >= 3 vertices")
-	}
-	set := mesh.NewNodeSet(m.NumAPs())
-	for i := range m.APs {
-		if cfg.Polygon.Contains(m.APs[i].Pos) {
-			set = set.Add(i)
-		}
-	}
-	return Injection{
-		Mode:      ModePolygon,
-		FailedSet: set,
-		Desc:      fmt.Sprintf("polygon: %d/%d APs down inside outage area", set.Len(), m.NumAPs()),
 	}, nil
 }
 
@@ -350,10 +321,6 @@ func injectChurn(m *mesh.Mesh, cfg Config) (Injection, error) {
 	// frac = meanDown / (meanUp + meanDown).
 	meanDown := frac * DefaultChurnPeriod
 	meanUp := DefaultChurnPeriod - meanDown
-	horizon := cfg.Horizon
-	if horizon <= 0 {
-		horizon = 60
-	}
 	s := &ChurnSchedule{
 		toggles:   make([][]float64, n),
 		startDown: make([]bool, n),
@@ -375,7 +342,7 @@ func injectChurn(m *mesh.Mesh, cfg Config) (Injection, error) {
 				mean = meanDown
 			}
 			t += rng.ExpFloat64() * mean
-			if t >= horizon {
+			if t >= churnHorizonS {
 				break
 			}
 			s.toggles[ap] = append(s.toggles[ap], t)

@@ -1,6 +1,6 @@
 // Dynamic disaster fronts: time-evolving failure schedules in which the
 // set of dead APs is a *moving* region, not a snapshot. The static
-// injectors (uniform/disk/polygon/flood) answer "how does the mesh cope
+// injectors (uniform/disk/flood) answer "how does the mesh cope
 // with this much damage"; the fronts answer the paper's harder question —
 // does delivery keep working while the disaster is still advancing.
 //
@@ -26,8 +26,6 @@ type FloodFrontConfig struct {
 	// features, in meters per second (default 2 — a fast urban flash
 	// flood, chosen so experiment-scale runs see the front move).
 	SpeedMps float64
-	// StartS is the instant the banks burst; before it nothing is down.
-	StartS float64
 	// MaxReach caps how far from the water the front ever advances, in
 	// meters; 0 leaves it unbounded.
 	MaxReach float64
@@ -40,8 +38,9 @@ type FloodFrontConfig struct {
 }
 
 // FloodFront is a waterline advancing along the city's mapped water at
-// constant speed: AP i drowns at StartS + dist(i, water)/SpeedMps (+
-// jitter) and stays down. It implements sim.FailureSchedule.
+// constant speed from t = 0, when the banks burst: AP i drowns at
+// dist(i, water)/SpeedMps (+ jitter) and stays down. It implements
+// sim.FailureSchedule.
 type FloodFront struct {
 	downAt []float64
 }
@@ -70,7 +69,7 @@ func NewFloodFront(m *mesh.Mesh, city *osm.City, cfg FloodFrontConfig) (*FloodFr
 			rng.Float64()
 			continue
 		}
-		f.downAt[i] = cfg.StartS + best/cfg.SpeedMps + rng.Float64()*cfg.JitterS
+		f.downAt[i] = best/cfg.SpeedMps + rng.Float64()*cfg.JitterS
 	}
 	return f, nil
 }
@@ -148,60 +147,38 @@ func injectFloodFront(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, erro
 	return Injection{
 		Mode:     ModeFloodFront,
 		Schedule: f,
-		Desc: fmt.Sprintf("flood-front: waterline %.1f m/s from t=%.1fs, final down fraction %.2f",
-			speed, fc.StartS, f.DownFractionAt(math.Inf(1))),
+		Desc: fmt.Sprintf("flood-front: waterline %.1f m/s, final down fraction %.2f",
+			speed, f.DownFractionAt(math.Inf(1))),
 	}, nil
 }
 
+// The rolling blackout's rotation: a blackoutDistricts x blackoutDistricts
+// grid over the city bounds (empty cells are skipped), each occupied
+// district dark for blackoutOutageS seconds, back to back, in one pass.
+const (
+	blackoutDistricts = 4
+	blackoutOutageS   = 10
+)
+
 // BlackoutConfig parameterizes a rolling district-by-district blackout.
 type BlackoutConfig struct {
-	// Districts is the side length of the KxK district grid laid over the
-	// city bounds (default 4, i.e. up to 16 districts; empty cells are
-	// skipped).
-	Districts int
-	// OutageS is each district's outage window length in seconds
-	// (default 10). Zero-duration windows are legal and black out nothing.
-	OutageS float64
-	// StaggerS is the start-to-start spacing between consecutive
-	// districts' windows (default OutageS — back-to-back; smaller values
-	// overlap neighbouring outages).
-	StaggerS float64
-	// Repeat cycles the rotation forever with period = districts *
-	// StaggerS; otherwise one pass and the grid stays up.
-	Repeat bool
 	// Seed shuffles the district rotation order.
 	Seed int64
 }
 
 // RollingBlackout is a load-shedding rotation: the city is cut into
 // districts and each district is switched off for a window, one after
-// another in a seed-shuffled order. It implements sim.FailureSchedule.
+// another in a seed-shuffled order, after which the grid stays up. It
+// implements sim.FailureSchedule.
 type RollingBlackout struct {
-	// offS[ap] is the AP's window start; -1 marks an
-	// AP outside every scheduled district (never happens today, kept for
-	// safety against future sparse layouts).
+	// offS[ap] is the AP's window start.
 	offS   []float64
-	outage float64
-	period float64
-	repeat bool
 	rounds int // number of occupied districts
 }
 
 // NewRollingBlackout builds the rotation for a realized mesh.
 func NewRollingBlackout(m *mesh.Mesh, city *osm.City, cfg BlackoutConfig) (*RollingBlackout, error) {
-	if cfg.Districts <= 0 {
-		cfg.Districts = 4
-	}
-	if cfg.OutageS < 0 {
-		return nil, fmt.Errorf("faults: negative blackout window %v", cfg.OutageS)
-	}
-	if cfg.OutageS == 0 {
-		cfg.OutageS = 10
-	}
-	if cfg.StaggerS <= 0 {
-		cfg.StaggerS = cfg.OutageS
-	}
-	k := cfg.Districts
+	const k = blackoutDistricts
 	b := city.Bounds
 	cw, ch := b.Width()/float64(k), b.Height()/float64(k)
 	if cw <= 0 || ch <= 0 {
@@ -245,13 +222,10 @@ func NewRollingBlackout(m *mesh.Mesh, city *osm.City, cfg BlackoutConfig) (*Roll
 	}
 	rb := &RollingBlackout{
 		offS:   make([]float64, m.NumAPs()),
-		outage: cfg.OutageS,
-		period: float64(len(cells)) * cfg.StaggerS,
-		repeat: cfg.Repeat,
 		rounds: len(cells),
 	}
 	for i := range apCell {
-		rb.offS[i] = float64(slot[apCell[i]]) * cfg.StaggerS
+		rb.offS[i] = float64(slot[apCell[i]]) * blackoutOutageS
 	}
 	return rb, nil
 }
@@ -261,18 +235,14 @@ func (rb *RollingBlackout) NumDistricts() int { return rb.rounds }
 
 // Down implements sim.FailureSchedule.
 func (rb *RollingBlackout) Down(ap int, t float64) bool {
-	if ap < 0 || ap >= len(rb.offS) || rb.outage <= 0 || t < 0 {
+	if ap < 0 || ap >= len(rb.offS) || t < 0 {
 		return false
 	}
-	if rb.repeat && rb.period > 0 {
-		t = math.Mod(t, rb.period)
-	}
 	off := rb.offS[ap]
-	return t >= off && t < off+rb.outage
+	return t >= off && t < off+blackoutOutageS
 }
 
-// injectBlackout realizes a ModeBlackout config: one pass of the default
-// rotation (see BlackoutConfig).
+// injectBlackout realizes a ModeBlackout config: one pass of the rotation.
 func injectBlackout(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error) {
 	rb, err := NewRollingBlackout(m, city, BlackoutConfig{Seed: cfg.Seed})
 	if err != nil {
@@ -281,7 +251,7 @@ func injectBlackout(m *mesh.Mesh, city *osm.City, cfg Config) (Injection, error)
 	return Injection{
 		Mode:     ModeBlackout,
 		Schedule: rb,
-		Desc: fmt.Sprintf("rolling blackout: %d districts, %.1fs windows, repeat=%v",
-			rb.NumDistricts(), rb.outage, rb.repeat),
+		Desc: fmt.Sprintf("rolling blackout: %d districts, %ds windows",
+			rb.NumDistricts(), blackoutOutageS),
 	}, nil
 }

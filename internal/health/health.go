@@ -18,7 +18,7 @@
 // ladder exhausts repeatedly against them. Partitioned destinations are
 // candidates for store-and-heal delivery (core.SendEventually): park the
 // message, back off, and re-probe as churn or repair restores the mesh.
-// Partition belief expires after ProbeAfter seconds of sim time, so a
+// Partition belief expires after probeAfter seconds of sim time, so a
 // healed destination is re-probed rather than shunned forever.
 package health
 
@@ -49,6 +49,16 @@ const (
 	// suspectThreshold is the suspicion above which a building counts as
 	// suspect in diagnostics (SuspectCount, Suspects).
 	suspectThreshold = 0.5
+	// maxSuspicion caps any single building's score so a long outage
+	// cannot build unbounded distrust that outlives the repair.
+	maxSuspicion = 8
+	// partitionAfter is the number of consecutive full-ladder exhaustions
+	// against one destination before it is classified partitioned.
+	partitionAfter = 2
+	// probeAfter is how long (sim seconds) a partition classification
+	// stands before the destination is re-probed: Partitioned returns false
+	// once this much time has passed since the last exhaustion.
+	probeAfter = 10
 )
 
 // Config tunes the memory. A field that is zero or negative selects its
@@ -58,26 +68,12 @@ type Config struct {
 	// score decays by 1/e every DecayTau with no new evidence. Shorter taus
 	// re-trust damaged regions faster; longer taus remember damage longer.
 	DecayTau float64
-	// MaxSuspicion caps any single building's score so a long outage
-	// cannot build unbounded distrust that outlives the repair.
-	MaxSuspicion float64
-	// PartitionAfter is the number of consecutive full-ladder exhaustions
-	// against one destination before it is classified partitioned.
-	PartitionAfter int
-	// ProbeAfter is how long (sim seconds) a partition classification
-	// stands before the destination is re-probed: Partitioned returns
-	// false once this much time has passed since the last exhaustion.
-	ProbeAfter float64
 }
 
-// DefaultConfig returns the evaluation defaults: 30 s decay, suspicion
-// capped at 8, partition after 2 exhausted ladders, re-probe after 10 s.
+// DefaultConfig returns the evaluation defaults: 30 s decay.
 func DefaultConfig() Config {
 	return Config{
-		DecayTau:       30,
-		MaxSuspicion:   8,
-		PartitionAfter: 2,
-		ProbeAfter:     10,
+		DecayTau: 30,
 	}
 }
 
@@ -86,15 +82,6 @@ func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.DecayTau <= 0 {
 		c.DecayTau = d.DecayTau
-	}
-	if c.MaxSuspicion <= 0 {
-		c.MaxSuspicion = d.MaxSuspicion
-	}
-	if c.PartitionAfter <= 0 {
-		c.PartitionAfter = d.PartitionAfter
-	}
-	if c.ProbeAfter <= 0 {
-		c.ProbeAfter = d.ProbeAfter
 	}
 	return c
 }
@@ -170,7 +157,7 @@ func (m *Map) Suspicion(b int) float64 {
 }
 
 // AddSuspicion raises building b's score by amount (clamped to
-// MaxSuspicion). Exposed so callers can spread partial suspicion onto
+// maxSuspicion). Exposed so callers can spread partial suspicion onto
 // graph neighbors of a failed waypoint — damage is spatially correlated.
 func (m *Map) AddSuspicion(b int, amount float64) {
 	if amount <= 0 {
@@ -187,8 +174,8 @@ func (m *Map) addLocked(b int, amount float64) {
 		s = m.decayedLocked(e)
 	}
 	s += amount
-	if s > m.cfg.MaxSuspicion {
-		s = m.cfg.MaxSuspicion
+	if s > maxSuspicion {
+		s = maxSuspicion
 	}
 	m.sus[b] = entry{score: s, at: m.now}
 }
@@ -329,18 +316,18 @@ func (m *Map) ObserveDelivered(dst int) {
 }
 
 // Partitioned reports whether dst is currently classified partitioned:
-// at least PartitionAfter consecutive ladder exhaustions, with the most
-// recent one within the last ProbeAfter seconds. Once ProbeAfter elapses
+// at least partitionAfter consecutive ladder exhaustions, with the most
+// recent one within the last probeAfter seconds. Once probeAfter elapses
 // the classification lapses so the destination gets re-probed — the
 // passive analog of the store-and-heal scheduler's backoff.
 func (m *Map) Partitioned(dst int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	p, ok := m.parts[dst]
-	if !ok || p.consecutive < m.cfg.PartitionAfter {
+	if !ok || p.consecutive < partitionAfter {
 		return false
 	}
-	return m.now-p.lastExhaust < m.cfg.ProbeAfter
+	return m.now-p.lastExhaust < probeAfter
 }
 
 // Reset clears all suspicion and partition state (the clock is kept).
@@ -362,7 +349,7 @@ func (m *Map) String() string {
 		}
 	}
 	for _, p := range m.parts {
-		if p.consecutive >= m.cfg.PartitionAfter && m.now-p.lastExhaust < m.cfg.ProbeAfter {
+		if p.consecutive >= partitionAfter && m.now-p.lastExhaust < probeAfter {
 			parts++
 		}
 	}

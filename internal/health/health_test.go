@@ -68,12 +68,12 @@ func TestSuccessRelievesFasterThanDecay(t *testing.T) {
 }
 
 func TestMaxSuspicionCaps(t *testing.T) {
-	m := New(Config{MaxSuspicion: 3})
+	m := New(Config{})
 	for i := 0; i < 50; i++ {
 		m.ObserveFailure([]int{1})
 	}
-	if got := m.Suspicion(1); got > 3 {
-		t.Errorf("suspicion = %v exceeds cap 3", got)
+	if got := m.Suspicion(1); got != maxSuspicion {
+		t.Errorf("suspicion after 50 failures = %v, want the cap %v", got, maxSuspicion)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestSuspectsSortedAndCounted(t *testing.T) {
 }
 
 func TestPartitionClassification(t *testing.T) {
-	m := New(Config{PartitionAfter: 2, ProbeAfter: 5})
+	m := New(Config{})
 	if m.Partitioned(42) {
 		t.Fatal("fresh destination must not be partitioned")
 	}
@@ -123,7 +123,7 @@ func TestPartitionClassification(t *testing.T) {
 		t.Fatalf("first exhaustion count = %d, want 1", got)
 	}
 	if m.Partitioned(42) {
-		t.Error("one exhaustion is below PartitionAfter=2")
+		t.Errorf("one exhaustion is below partitionAfter=%d", partitionAfter)
 	}
 	m.ObserveExhausted(42)
 	if !m.Partitioned(42) {
@@ -134,12 +134,16 @@ func TestPartitionClassification(t *testing.T) {
 	if m.Partitioned(42) {
 		t.Error("delivery must clear partition state")
 	}
-	// Re-probe: the classification lapses after ProbeAfter sim seconds.
+	// Re-probe: the classification lapses after probeAfter sim seconds.
 	m.ObserveExhausted(42)
 	m.ObserveExhausted(42)
-	m.Advance(5.1)
+	m.Advance(probeAfter - 0.1)
+	if !m.Partitioned(42) {
+		t.Error("partition belief lapsed before probeAfter")
+	}
+	m.Advance(0.2)
 	if m.Partitioned(42) {
-		t.Error("partition belief must lapse after ProbeAfter so the destination is re-probed")
+		t.Error("partition belief must lapse after probeAfter so the destination is re-probed")
 	}
 }
 

@@ -78,12 +78,12 @@ const (
 	DefaultClientRate = 0.2
 	// DefaultClientBurst is the per-client bucket depth.
 	DefaultClientBurst = 3
-	// DefaultMaxSessions bounds the session/bucket table.
-	DefaultMaxSessions = 4096
-	// DefaultCongestedAt is the queue-depth fraction entering TierCongested.
-	DefaultCongestedAt = 0.5
-	// DefaultOverloadAt is the queue-depth fraction entering TierOverload.
-	DefaultOverloadAt = 0.85
+	// maxSessions bounds the session/bucket table.
+	maxSessions = 4096
+	// congestedAt is the queue-depth fraction entering TierCongested.
+	congestedAt = 0.5
+	// overloadAt is the queue-depth fraction entering TierOverload.
+	overloadAt = 0.85
 	// DefaultPowBitsCongested is the hashcash difficulty at TierCongested
 	// (~256 expected hashes: trivial for a phone, fatal for a tight loop).
 	DefaultPowBitsCongested = 8
@@ -93,7 +93,7 @@ const (
 )
 
 // tierFor maps queue depth to a load tier.
-func tierFor(depth, capacity int, congestedAt, overloadAt float64) Tier {
+func tierFor(depth, capacity int) Tier {
 	if capacity <= 0 {
 		return TierNormal
 	}

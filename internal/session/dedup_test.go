@@ -62,13 +62,13 @@ func TestDedupDoesNotChargeRateLimit(t *testing.T) {
 }
 
 func TestDedupWindowExpires(t *testing.T) {
-	s := New(Config{DedupWindowS: 10})
+	s := New(Config{})
 	handle(t, s, Msg{Type: TAttach, ClientID: 1, Addr: addr(1)}, 0)
 	m := Msg{Type: TSubmit, ClientID: 1, Dst: 3, To: addr(2), Payload: []byte("good morning")}
 	if r := handle(t, s, m, 0); r.Type != TAccept {
 		t.Fatalf("first: %+v", r)
 	}
-	if handle(t, s, m, 9.9); s.Stats().Deduped != 1 {
+	if handle(t, s, m, dedupWindowS-0.1); s.Stats().Deduped != 1 {
 		t.Fatalf("in-window resend not deduped: %+v", s.Stats())
 	}
 	// The same greeting a day later is a genuinely new message.
@@ -87,10 +87,10 @@ func TestDedupWindowExpires(t *testing.T) {
 
 func TestDedupOnlyCoversAcceptedMessages(t *testing.T) {
 	// A buffer-full rejection must not poison the window: the retry after
-	// drain succeeds instead of being swallowed as a duplicate.
-	// Thresholds above 1.0 keep the tier normal: this test wants the
-	// buffer-full cause, not admission PoW.
-	s := New(Config{QueueCap: 1, CongestedAt: 2, OverloadAt: 3})
+	// drain succeeds instead of being swallowed as a duplicate. A one-slot
+	// send buffer in a large queue keeps the tier normal: this test wants
+	// the buffer-full cause, not admission PoW.
+	s := New(Config{SendBufCap: 1})
 	handle(t, s, Msg{Type: TAttach, ClientID: 1, Addr: addr(1)}, 0)
 	fill := Msg{Type: TSubmit, ClientID: 1, Dst: 3, To: addr(2), Payload: []byte("first")}
 	if r := handle(t, s, fill, 0); r.Type != TAccept {
@@ -111,39 +111,26 @@ func TestDedupOnlyCoversAcceptedMessages(t *testing.T) {
 	checkBooks(t, s)
 }
 
-func TestDedupDisabledByNegativeCap(t *testing.T) {
-	s := New(Config{DedupCap: -1})
-	handle(t, s, Msg{Type: TAttach, ClientID: 1, Addr: addr(1)}, 0)
-	m := Msg{Type: TSubmit, ClientID: 1, Dst: 3, To: addr(2), Payload: []byte("x")}
-	handle(t, s, m, 0)
-	handle(t, s, m, 1)
-	if st := s.Stats(); st.Deduped != 0 || st.Accepted != 2 {
-		t.Fatalf("disabled dedup still suppressed: %+v", st)
-	}
-	if got := s.QueueLen(); got != 2 {
-		t.Fatalf("queue %d, want 2", got)
-	}
-	checkBooks(t, s)
-}
-
 func TestDedupWindowBounded(t *testing.T) {
-	s := New(Config{DedupCap: 8, QueueCap: 4096, SendBufCap: 4096, ClientRate: 1e9, ClientBurst: 1e9})
+	// A queue of four times the window stays below congestion throughout.
+	const n = dedupCap + 100
+	s := New(Config{QueueCap: 4 * n, SendBufCap: n, ClientRate: 1e9, ClientBurst: 1e9})
 	handle(t, s, Msg{Type: TAttach, ClientID: 1, Addr: addr(1)}, 0)
-	for i := 0; i < 100; i++ {
+	for i := 0; i < n; i++ {
 		m := Msg{Type: TSubmit, ClientID: 1, Dst: 3, To: addr(2),
 			Payload: []byte(fmt.Sprintf("msg %d", i))}
-		if r := handle(t, s, m, float64(i)); r.Type != TAccept {
+		if r := handle(t, s, m, float64(i)/100); r.Type != TAccept {
 			t.Fatalf("submit %d: %+v", i, r)
 		}
 	}
-	if n := s.recent.at.Len(); n != 8 {
-		t.Fatalf("window grew to %d entries, cap is 8", n)
+	if got := s.recent.at.Len(); got != dedupCap {
+		t.Fatalf("window grew to %d entries, cap is %d", got, dedupCap)
 	}
 	// The newest entry is still deduped; the oldest was evicted, so its
 	// resend is accepted as fresh (and that is fine — the queue-level
 	// consequence is one extra copy, not corruption).
-	newest := Msg{Type: TSubmit, ClientID: 1, Dst: 3, To: addr(2), Payload: []byte("msg 99")}
-	if handle(t, s, newest, 100); s.Stats().Deduped != 1 {
+	newest := Msg{Type: TSubmit, ClientID: 1, Dst: 3, To: addr(2), Payload: []byte(fmt.Sprintf("msg %d", n-1))}
+	if handle(t, s, newest, float64(n)/100); s.Stats().Deduped != 1 {
 		t.Fatalf("newest entry lost from bounded window: %+v", s.Stats())
 	}
 	checkBooks(t, s)

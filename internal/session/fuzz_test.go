@@ -24,7 +24,7 @@ func FuzzHandle(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		s := New(Config{QueueCap: 4, SendBufCap: 2, MaxSessions: 4})
+		s := New(Config{QueueCap: 4, SendBufCap: 2})
 		// Pre-attach the common seed client so submits can reach the
 		// deeper accept/enqueue paths, then replay the frame twice.
 		s.Attach(7, addr(0x11), 0)

@@ -31,13 +31,13 @@ import (
 	"citymesh/internal/tokenbucket"
 )
 
-// Defaults for the buffer bounds.
+// Buffer bounds.
 const (
 	// DefaultSendBufCap bounds one client's unsent messages in the AP queue.
 	DefaultSendBufCap = 32
-	// DefaultRecvBufCap bounds the unacked messages handed out per fetch —
-	// the receive window a client must ack to advance.
-	DefaultRecvBufCap = 64
+	// recvBufCap bounds the unacked messages handed out per fetch — the
+	// receive window a client must ack to advance.
+	recvBufCap = 64
 	// DefaultQueueCap bounds the AP-wide forwarding queue; its depth drives
 	// the admission tier.
 	DefaultQueueCap = 1024
@@ -55,23 +55,12 @@ type Config struct {
 	// creates a fresh in-memory store.
 	Store *postbox.Store
 
-	SendBufCap  int
-	RecvBufCap  int
-	MaxSessions int
-	QueueCap    int
-
-	// DedupCap bounds the content-hash resubmission window (0 takes
-	// DefaultDedupCap, negative disables dedup); DedupWindowS is how long
-	// an accepted submission suppresses identical resends (0 takes
-	// DefaultDedupWindowS).
-	DedupCap     int
-	DedupWindowS float64
+	SendBufCap int
+	QueueCap   int
 
 	ClientRate  float64
 	ClientBurst float64
 
-	CongestedAt      float64
-	OverloadAt       float64
 	PowBitsCongested int
 	PowBitsOverload  int
 }
@@ -83,12 +72,6 @@ func (c Config) withDefaults() Config {
 	if c.SendBufCap <= 0 {
 		c.SendBufCap = DefaultSendBufCap
 	}
-	if c.RecvBufCap <= 0 {
-		c.RecvBufCap = DefaultRecvBufCap
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = DefaultMaxSessions
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = DefaultQueueCap
 	}
@@ -97,12 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ClientBurst <= 0 {
 		c.ClientBurst = DefaultClientBurst
-	}
-	if c.CongestedAt <= 0 {
-		c.CongestedAt = DefaultCongestedAt
-	}
-	if c.OverloadAt <= 0 {
-		c.OverloadAt = DefaultOverloadAt
 	}
 	if c.PowBitsCongested <= 0 {
 		c.PowBitsCongested = DefaultPowBitsCongested
@@ -227,7 +204,7 @@ func New(cfg Config) *Service {
 		cfg:      cfg,
 		store:    cfg.Store,
 		sessions: make(map[uint64]*sessionState),
-		recent:   newDedupWindow(cfg.DedupCap, cfg.DedupWindowS),
+		recent:   newDedupWindow(),
 	}
 }
 
@@ -251,7 +228,7 @@ func (s *Service) snapshotLocked() Stats {
 }
 
 func (s *Service) tierLocked() Tier {
-	return tierFor(len(s.queue), s.cfg.QueueCap, s.cfg.CongestedAt, s.cfg.OverloadAt)
+	return tierFor(len(s.queue), s.cfg.QueueCap)
 }
 
 func (s *Service) powBits(t Tier) uint8 {
@@ -317,7 +294,7 @@ func (s *Service) Attach(clientID uint64, addr postbox.Address, now float64) Rep
 		sess.lastActive = now
 		return s.acceptLocked()
 	}
-	if len(s.sessions) >= s.cfg.MaxSessions {
+	if len(s.sessions) >= maxSessions {
 		if !s.recycleLocked() {
 			return s.rejectLocked(CauseAdmission)
 		}
@@ -415,14 +392,10 @@ func (s *Service) Fetch(clientID, afterSeq uint64, now float64) Reply {
 	}
 	sess.lastActive = now
 	addr := sess.addr
-	window := s.cfg.RecvBufCap
 	s.mu.Unlock()
 
-	if window > MaxDeliverBatch {
-		window = MaxDeliverBatch
-	}
 	stored := s.store.Retrieve(addr, afterSeq, s.cfg.Building)
-	if len(stored) > window {
+	if window := min(recvBufCap, MaxDeliverBatch); len(stored) > window {
 		stored = stored[:window]
 	}
 	msgs := make([]DeliverMsg, len(stored))

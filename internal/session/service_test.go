@@ -3,6 +3,8 @@ package session
 import (
 	"fmt"
 	"testing"
+
+	"citymesh/internal/postbox"
 )
 
 // handle round-trips a request through the wire path and decodes the reply,
@@ -138,15 +140,20 @@ func TestBufferFullCauses(t *testing.T) {
 		t.Fatalf("send-buffer overflow: got %+v", r)
 	}
 
-	// AP-wide queue cap next: many clients, one-slot queue each side.
+	// AP-wide queue cap next: many clients, one-slot queue each side. A
+	// queue of 3 turns congested at its second message, so every submit
+	// carries a solved one-bit proof: this test sees only the buffer cause,
+	// not admission PoW.
 	s2 := New(Config{SendBufCap: 10, QueueCap: 3, ClientRate: 1000, ClientBurst: 1000,
-		// Thresholds above 1.0 keep the tier at normal so this test sees
-		// only the buffer cause, not admission PoW.
-		CongestedAt: 2, OverloadAt: 3})
+		PowBitsCongested: 1, PowBitsOverload: 1})
 	var bufferFull int
 	for c := uint64(1); c <= 5; c++ {
 		handle(t, s2, Msg{Type: TAttach, ClientID: c, Addr: addr(byte(c))}, 0)
-		if r := handle(t, s2, Msg{Type: TSubmit, ClientID: c, Dst: 1, Payload: []byte("x")}, 0); r.Type == TReject {
+		nonce, ok := SolvePoW(c, postbox.Address{}, []byte("x"), 1, 0)
+		if !ok {
+			t.Fatal("solve failed")
+		}
+		if r := handle(t, s2, Msg{Type: TSubmit, ClientID: c, Dst: 1, PowNonce: nonce, Payload: []byte("x")}, 0); r.Type == TReject {
 			if r.Cause != CauseBufferFull {
 				t.Fatalf("client %d: got cause %v, want buffer-full", c, r.Cause)
 			}
@@ -161,7 +168,7 @@ func TestBufferFullCauses(t *testing.T) {
 }
 
 func TestTierEscalationDemandsPow(t *testing.T) {
-	s := New(Config{QueueCap: 10, CongestedAt: 0.5, OverloadAt: 0.9,
+	s := New(Config{QueueCap: 10,
 		PowBitsCongested: 4, PowBitsOverload: 8,
 		ClientRate: 1000, ClientBurst: 1000, SendBufCap: 100})
 	handle(t, s, Msg{Type: TAttach, ClientID: 1, Addr: addr(1)}, 0)
@@ -216,15 +223,18 @@ func TestTierEscalationDemandsPow(t *testing.T) {
 }
 
 func TestSessionTableRecyclesStalest(t *testing.T) {
-	s := New(Config{MaxSessions: 2})
+	s := New(Config{})
 	handle(t, s, Msg{Type: TAttach, ClientID: 1, Addr: addr(1)}, 0)
-	handle(t, s, Msg{Type: TAttach, ClientID: 2, Addr: addr(2)}, 5)
-	// Client 3 attaches at capacity: client 1 (stalest, idle) is recycled.
-	if r := handle(t, s, Msg{Type: TAttach, ClientID: 3, Addr: addr(3)}, 10); r.Type != TAccept {
+	for c := uint64(2); c <= maxSessions; c++ {
+		handle(t, s, Msg{Type: TAttach, ClientID: c, Addr: addr(byte(c))}, 5)
+	}
+	// One more client attaches at capacity: client 1 (stalest, idle) is
+	// recycled.
+	if r := handle(t, s, Msg{Type: TAttach, ClientID: maxSessions + 1, Addr: addr(3)}, 10); r.Type != TAccept {
 		t.Fatalf("attach at capacity: %+v", r)
 	}
-	if st := s.Stats(); st.Attached != 2 {
-		t.Fatalf("attached %d, want 2", st.Attached)
+	if st := s.Stats(); st.Attached != maxSessions {
+		t.Fatalf("attached %d, want %d", st.Attached, maxSessions)
 	}
 	// Client 1's session is gone: its submit is an admission reject.
 	if r := handle(t, s, Msg{Type: TSubmit, ClientID: 1, Dst: 1, Payload: []byte("x")}, 11); r.Cause != CauseAdmission {
@@ -234,12 +244,16 @@ func TestSessionTableRecyclesStalest(t *testing.T) {
 }
 
 func TestAttachRefusedWhenAllSessionsBusy(t *testing.T) {
-	s := New(Config{MaxSessions: 2, ClientRate: 1000, ClientBurst: 1000})
-	for c := uint64(1); c <= 2; c++ {
+	// A queue of four times the session table stays below congestion while
+	// every session queues one message.
+	s := New(Config{QueueCap: 4 * maxSessions, ClientRate: 1000, ClientBurst: 1000})
+	for c := uint64(1); c <= maxSessions; c++ {
 		handle(t, s, Msg{Type: TAttach, ClientID: c, Addr: addr(byte(c))}, 0)
-		handle(t, s, Msg{Type: TSubmit, ClientID: c, Dst: 1, Payload: []byte("x")}, 0)
+		if r := handle(t, s, Msg{Type: TSubmit, ClientID: c, Dst: 1, Payload: []byte("x")}, 0); r.Type != TAccept {
+			t.Fatalf("client %d submit: %+v", c, r)
+		}
 	}
-	if r := handle(t, s, Msg{Type: TAttach, ClientID: 3, Addr: addr(3)}, 1); r.Type != TReject || r.Cause != CauseAdmission {
+	if r := handle(t, s, Msg{Type: TAttach, ClientID: maxSessions + 1, Addr: addr(3)}, 1); r.Type != TReject || r.Cause != CauseAdmission {
 		t.Fatalf("attach with all sessions busy: %+v", r)
 	}
 }
@@ -271,19 +285,19 @@ func TestDrainForwarderOutcomes(t *testing.T) {
 }
 
 func TestFetchWindowBounded(t *testing.T) {
-	s := New(Config{Building: 0, RecvBufCap: 3})
+	s := New(Config{Building: 0})
 	handle(t, s, Msg{Type: TAttach, ClientID: 1, Addr: addr(0xCC)}, 0)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*recvBufCap+2; i++ {
 		s.Store().Put(addr(0xCC), []byte{byte(i)}, false)
 	}
 	r := handle(t, s, Msg{Type: TFetch, ClientID: 1}, 1)
-	if len(r.Msgs) != 3 {
-		t.Fatalf("fetch window: got %d msgs, want 3", len(r.Msgs))
+	if len(r.Msgs) != recvBufCap {
+		t.Fatalf("fetch window: got %d msgs, want %d", len(r.Msgs), recvBufCap)
 	}
-	// Acking advances the window to the next three.
-	handle(t, s, Msg{Type: TAck, ClientID: 1, UpToSeq: r.Msgs[2].Seq}, 2)
+	// Acking advances the window to the next one.
+	handle(t, s, Msg{Type: TAck, ClientID: 1, UpToSeq: r.Msgs[recvBufCap-1].Seq}, 2)
 	r2 := handle(t, s, Msg{Type: TFetch, ClientID: 1}, 3)
-	if len(r2.Msgs) != 3 || r2.Msgs[0].Seq <= r.Msgs[2].Seq {
+	if len(r2.Msgs) != recvBufCap || r2.Msgs[0].Seq <= r.Msgs[recvBufCap-1].Seq {
 		t.Fatalf("post-ack fetch: %+v", r2.Msgs)
 	}
 }

@@ -51,6 +51,15 @@ const (
 	fetchEvery = 2
 	// drainBudget is the number of messages forwarded per AP per tick: 4.
 	drainBudget = 4
+	// The per-AP session service is tuned for AP-scale queue dynamics at
+	// traffic-generator scale: a small queue (apQueueCap, with apSendBufCap
+	// per client) so tiers move within a short run, and a per-client bucket
+	// (clientRate msgs/s, clientBurst deep) generous enough that aggregate
+	// queue depth — not individual chattiness — drives the tier.
+	apQueueCap   = 32
+	apSendBufCap = 8
+	clientRate   = 1.5
+	clientBurst  = 4
 )
 
 // Config parameterizes one traffic run.
@@ -70,9 +79,6 @@ type Config struct {
 	FlashMultiplier float64
 	// Seed drives all generator randomness.
 	Seed int64
-	// Session is the per-AP service template; Building and Store are set
-	// per AP.
-	Session session.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -87,22 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlashMultiplier <= 0 {
 		c.FlashMultiplier = 1
-	}
-	// The session template defaults are tuned for AP-scale queue dynamics
-	// at traffic-generator scale: a small queue so tiers move within a
-	// short run, and a per-client bucket generous enough that aggregate
-	// queue depth — not individual chattiness — drives the tier.
-	if c.Session.QueueCap == 0 {
-		c.Session.QueueCap = 32
-	}
-	if c.Session.SendBufCap == 0 {
-		c.Session.SendBufCap = 8
-	}
-	if c.Session.ClientRate == 0 {
-		c.Session.ClientRate = 1.5
-	}
-	if c.Session.ClientBurst == 0 {
-		c.Session.ClientBurst = 4
 	}
 	return c
 }
@@ -265,10 +255,10 @@ func Run(n *core.Network, simCfg sim.Config, cfg Config) (Report, error) {
 		if _, ok := services[u.home]; ok {
 			continue
 		}
-		scfg := cfg.Session
-		scfg.Building = u.home
-		scfg.Store = nil // fresh per-AP store
-		svc := session.New(scfg)
+		svc := session.New(session.Config{
+			Building: u.home, QueueCap: apQueueCap, SendBufCap: apSendBufCap,
+			ClientRate: clientRate, ClientBurst: clientBurst,
+		})
 		services[u.home] = svc
 		stores[u.home] = svc.Store()
 		buildings = append(buildings, u.home)

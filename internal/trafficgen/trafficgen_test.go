@@ -7,7 +7,6 @@ import (
 	"citymesh/internal/citygen"
 	"citymesh/internal/core"
 	"citymesh/internal/geo"
-	"citymesh/internal/session"
 	"citymesh/internal/sim"
 )
 
@@ -109,23 +108,6 @@ func TestDeadNetworkChargesNetworkExhausted(t *testing.T) {
 	// Same-AP messages still deliver locally; nothing crosses the mesh.
 	if rep.Broadcasts != 0 && rep.Delivered > rep.Accepted-rep.DroppedNetworkExhausted {
 		t.Fatalf("remote deliveries on a dead mesh: %+v", rep)
-	}
-	if err := rep.AccountingError(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSessionTemplateOverride(t *testing.T) {
-	n := testNetwork(t)
-	cfg := smallConfig()
-	// A one-slot queue forces buffer-full rejections under any real load.
-	cfg.Session = session.Config{QueueCap: 1, CongestedAt: 2, OverloadAt: 3}
-	rep, err := Run(n, sim.DefaultConfig(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RejectedBufferFull == 0 {
-		t.Fatalf("one-slot queue produced no buffer-full rejections: %+v", rep)
 	}
 	if err := rep.AccountingError(); err != nil {
 		t.Fatal(err)

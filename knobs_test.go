@@ -35,20 +35,17 @@ func isKnobStruct(k typeKey) bool {
 	return false
 }
 
-// fileTypes resolves type expressions as written in one file to the type
-// they name. An external test package (package x_test) declares its own
-// types, so its unqualified names resolve to nothing here.
+// fileTypes resolves type expressions as written in one non-test file to
+// the type they name.
 type fileTypes struct {
-	dir      string
-	imports  map[string]string
-	external bool
+	dir     string
+	imports map[string]string
 }
 
 func newFileTypes(path string, f *ast.File) fileTypes {
 	return fileTypes{
-		dir:      filepath.ToSlash(filepath.Dir(path)),
-		imports:  fileImports(f),
-		external: strings.HasSuffix(f.Name.Name, "_test"),
+		dir:     filepath.ToSlash(filepath.Dir(path)),
+		imports: fileImports(f),
 	}
 }
 
@@ -78,7 +75,7 @@ func (ft fileTypes) resolve(e ast.Expr) (typeKey, bool) {
 	case *ast.ParenExpr:
 		return ft.resolve(e.X)
 	case *ast.Ident:
-		return typeKey{ft.dir, e.Name}, !ft.external
+		return typeKey{ft.dir, e.Name}, true
 	case *ast.SelectorExpr:
 		pkg, ok := e.X.(*ast.Ident)
 		if !ok {
@@ -266,9 +263,14 @@ func (l *knobLint) selfDefault(ft fileTypes, s *ast.IfStmt) *ast.AssignStmt {
 	return as
 }
 
-// scanWrites is pass two, over any Go file of the repository, tests and
-// bench/ included: it records each knob field the file writes.
+// scanWrites is pass two, over any Go file of the repository, bench/
+// included: it records each knob field the file writes. A test file or a
+// file under examples/ writes nothing, since neither is a caller that needs
+// a value of its own.
 func (l *knobLint) scanWrites(path string, f *ast.File) {
+	if strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "examples/") {
+		return
+	}
 	ft := newFileTypes(path, f)
 	selWrite := func(e ast.Expr) {
 		sel, ref, ok := l.selector(ft, e)
@@ -352,7 +354,7 @@ func (l *knobLint) scanWrites(path string, f *ast.File) {
 	}
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
-		ownDefaults = ok && strings.HasPrefix(fd.Name.Name, "Default") && !ft.external
+		ownDefaults = ok && strings.HasPrefix(fd.Name.Name, "Default")
 		ast.Inspect(decl, visit)
 	}
 }
@@ -385,15 +387,18 @@ func (l *knobLint) unset() (names []string, total int) {
 // each with its reason. The list can only shrink: TestEveryConfigFieldIsSet
 // fails on an entry that is written or gone.
 var unsetAllowed = map[string]string{
+	"internal/core.Config.APDensity":         "bench/sends.go reads it to build its own mesh, and bench/ is frozen",
 	"internal/core.Config.TransmissionRange": "bench/sends.go reads it to build its own mesh, and bench/ is frozen",
 	"internal/core.Config.PredictGapFactor":  "bench/sends.go reads it to build its own planner, and bench/ is frozen",
 }
 
-// TestEveryConfigFieldIsSet fails on a knob nothing turns: an exported
+// TestEveryConfigFieldIsSet fails on a knob no caller turns: an exported
 // field of a knob struct (see isKnobStruct) in non-test internal/ code that
-// no Go file of the repository writes, tests and bench/ included. Such a
-// field is always zero, so its zero-means-default branch is the only one
-// that ever runs; the default belongs in the code as a constant instead.
+// no non-test Go file of the repository outside examples/ writes. Writes
+// in cmd/, bench/ and internal/ count; a test or an example that sets a
+// field is not a deployment that needs the other value. Such a field is
+// always zero, so its zero-means-default branch is the only one that ever
+// runs; the default belongs in the code as a constant instead.
 //
 // The check is syntactic. A keyed composite literal of the struct's type
 // (named, through an alias such as citymesh.Region, or elided inside a
@@ -428,10 +433,12 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	}
 }
 
-// TestKnobWriteRule runs the lint's two passes over small sources: a
+// TestKnobWriteRule runs the lint's two passes over small sources, the
+// first over the non-test files only, as TestEveryConfigFieldIsSet does: a
 // field's own default branch and its line in the Default function's
-// literal are not writes in its declaring package, everything else that
-// assigns the field is, and a stale allowlist entry fails.
+// literal are not writes in its declaring package, nor is anything in a
+// test file or under examples/; everything else that assigns the field is,
+// and a stale allowlist entry fails.
 func TestKnobWriteRule(t *testing.T) {
 	const decl = `package a
 
@@ -513,6 +520,44 @@ func DefaultA() a.Config { return a.Config{X: 3} }
 			"internal/a/a.go": decl + `
 func newConfig() Config { return Config{X: 3} }
 `}, nil, nil, nil},
+		{"write in a same-package test file", map[string]string{
+			"internal/a/a.go": decl,
+			"internal/a/a_test.go": `package a
+
+func tune(c *Config) { c.X = 2 }
+`}, nil, []string{"internal/a.Config.X"}, nil},
+		{"write in an external test package", map[string]string{
+			"internal/a/a.go": decl,
+			"internal/a/x_test.go": `package a_test
+
+import "citymesh/internal/a"
+
+var c = a.Config{X: 2}
+`}, nil, []string{"internal/a.Config.X"}, nil},
+		{"write under examples", map[string]string{
+			"internal/a/a.go": decl,
+			"examples/b/main.go": `package main
+
+import "citymesh/internal/a"
+
+var c = a.Config{X: 2}
+`}, nil, []string{"internal/a.Config.X"}, nil},
+		{"write in cmd", map[string]string{
+			"internal/a/a.go": decl,
+			"cmd/b/main.go": `package main
+
+import "citymesh/internal/a"
+
+func tune(c *a.Config) { c.X = 2 }
+`}, nil, nil, nil},
+		{"write in bench", map[string]string{
+			"internal/a/a.go": decl,
+			"bench/b.go": `package main
+
+import "citymesh/internal/a"
+
+func tune(c *a.Config) { c.X = 2 }
+`}, nil, nil, nil},
 		{"stale allowlist entry", map[string]string{
 			"internal/a/a.go": decl + `
 func tune(c *Config) { c.X = 2 }
@@ -528,7 +573,9 @@ func tune(c *Config) { c.X = 2 }
 					t.Fatal(err)
 				}
 				parsed[path] = f
-				l.declare(path, f)
+				if !strings.HasSuffix(path, "_test.go") {
+					l.declare(path, f)
+				}
 			}
 			for path, f := range parsed {
 				l.scanWrites(path, f)
